@@ -33,8 +33,9 @@ from .model import (
     PopulationTable,
     QualityReport,
 )
+from .oracle import oracle_stats
 from .pipeline import RunConfig, run, validate
-from .synth import SynthSpec, generate, oracle_stats
+from .synth import SynthSpec, generate
 
 __version__ = "0.1.0"
 

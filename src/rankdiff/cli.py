@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import metrics, pipeline, render, synth
-from .classify import classify_municipalities
+from . import pipeline, synth
 from .errors import PipelineError
 
 EXIT_OK = 0
@@ -97,39 +96,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_render_map(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    loaded = pipeline.load_inputs(cfg)
-    pop_rank = metrics.rank_population(loaded.pops)
-    case_rank = metrics.rank_cases(loaded.cube, basis=cfg.basis)
-    rd = metrics.rank_diff(pop_rank, case_rank)
-    regime = cfg.regime.resolved(loaded.cube.n_municipalities)
-    stats = metrics.group_stats(loaded.cube, loaded.pops, rd, regime)
-    labels = classify_municipalities(stats, cfg.group, cfg.classifier)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    target = cfg.out / f"map_{cfg.group.value.lower()}.svg"
-    model = render.build_choropleth(loaded.boundaries, labels, cfg.group)
-    with open(target, "w", encoding="utf-8", newline="") as handle:
-        handle.write(render.render_choropleth(model))
-    print(f"wrote {target}")
-    return EXIT_WARNINGS if loaded.report.has_warnings else EXIT_OK
+    result = pipeline.render_map(_load_config(args))
+    print(f"wrote {result.path}")
+    return EXIT_WARNINGS if result.report.has_warnings else EXIT_OK
 
 
 def _cmd_render_dashboard(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    loaded = pipeline.load_inputs(cfg)
-    pop_rank = metrics.rank_population(loaded.pops)
-    case_rank = metrics.rank_cases(loaded.cube, basis=cfg.basis)
-    rd = metrics.rank_diff(pop_rank, case_rank)
-    regime = cfg.regime.resolved(loaded.cube.n_municipalities)
-    stats = metrics.group_stats(loaded.cube, loaded.pops, rd, regime)
-    model = render.build_dashboard(stats, loaded.cube, loaded.pops, args.municipality_id, rd=rd)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    target = cfg.out / "dashboards" / f"{args.municipality_id}.svg"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="") as handle:
-        handle.write(render.render_dashboard(model))
-    print(f"wrote {target}")
-    return EXIT_WARNINGS if loaded.report.has_warnings else EXIT_OK
+    result = pipeline.render_dashboard(_load_config(args), args.municipality_id)
+    print(f"wrote {result.path}")
+    return EXIT_WARNINGS if result.report.has_warnings else EXIT_OK
 
 
 _COMMANDS = {

@@ -78,12 +78,14 @@ class DateAxis:
             yield self.date_of(j)
 
 
-def _unique_ids(municipalities: Sequence[Municipality]) -> None:
-    seen: set[str] = set()
-    for m in municipalities:
-        if m.id in seen:
+def _unique_ids(municipalities: Sequence[Municipality]) -> dict[str, int]:
+    """Map each id to its row; raises on a repeated id."""
+    index: dict[str, int] = {}
+    for i, m in enumerate(municipalities):
+        if m.id in index:
             raise IngestError(f"duplicate municipality id {m.id!r}")
-        seen.add(m.id)
+        index[m.id] = i
+    return index
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,10 @@ class CaseCube:
     axis: DateAxis
     municipalities: tuple[Municipality, ...]
     counts: np.ndarray
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _unique_ids(self.municipalities)
+        object.__setattr__(self, "_index", _unique_ids(self.municipalities))
         m = len(self.municipalities)
         expected = (m, self.axis.n_days, K)
         if self.counts.shape != expected:
@@ -121,10 +124,8 @@ class CaseCube:
         return [m.id for m in self.municipalities]
 
     def index_of(self, municipality_id: str) -> int:
-        for i, m in enumerate(self.municipalities):
-            if m.id == municipality_id:
-                return i
-        raise KeyError(municipality_id)
+        """Row of ``municipality_id``; raises ``KeyError`` for an unknown id."""
+        return self._index[municipality_id]
 
 
 @dataclass(frozen=True)

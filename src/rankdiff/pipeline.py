@@ -12,23 +12,24 @@ Outputs under the configured directory:
 * ``index.html``        entry page linking everything
 
 Writes are confined to the output directory and re-runs overwrite the same
-bytes for the same inputs. ``RANKDIFF_THREADS`` caps render parallelism;
-results do not depend on it.
+bytes for the same inputs. ``render_map`` and ``render_dashboard`` write a
+single file of that tree from the same analysis, so their bytes match
+``run``'s.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import classify as classify_mod
 from . import ingest, metrics, render
 from .classify import ClassifierConfig, ClassLabel
 from .errors import ConfigError
-from .metrics import RegimeConfig
+from .metrics import GroupStats, RegimeConfig
 from .model import BoundarySet, CaseCube, Group, PopulationTable, QualityReport
 
 BASIS_ALIASES = {"raw": "raw_daily", "raw_daily": "raw_daily", "ma7": "ma7",
@@ -58,6 +59,8 @@ class RunConfig:
             raise ConfigError(f"cannot open config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
         base = path.parent
 
         def resolve(key: str) -> Path:
@@ -65,15 +68,23 @@ class RunConfig:
                 raise ConfigError(f"{path}: missing required key {key!r}")
             return (base / str(doc[key])).resolve()
 
-        regime_doc = doc.get("regime", {})
-        classifier_doc = doc.get("classifier", {})
+        def section(key: str) -> dict:
+            value = doc.get(key, {})
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: {key!r} must be a JSON object")
+            return value
+
+        regime_doc, classifier_doc = section("regime"), section("classifier")
         try:
             regime = RegimeConfig(
                 t_min=float(regime_doc.get("min", 0.0)),
                 t_max=None if regime_doc.get("max") is None else float(regime_doc["max"]),
             )
-            classifier = ClassifierConfig(**classifier_doc)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad regime config: {exc}") from exc
+        try:
+            classifier = ClassifierConfig(**{k: float(v) for k, v in classifier_doc.items()})
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad classifier config: {exc}") from exc
         return cls(
             cases=resolve("cases"),
@@ -126,15 +137,6 @@ def parse_group(text: str) -> Group:
         raise ConfigError(f"unknown group {text!r}, expected baa, hl, oth or w") from None
 
 
-def thread_count() -> int:
-    raw = os.environ.get("RANKDIFF_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"RANKDIFF_THREADS must be an integer, got {raw!r}") from None
-    return max(value, 1)
-
-
 @dataclass
 class LoadedInputs:
     cube: CaseCube
@@ -156,6 +158,26 @@ def validate(cfg: RunConfig) -> QualityReport:
     return load_inputs(cfg).report
 
 
+@dataclass(frozen=True)
+class Analysis:
+    regime: RegimeConfig                    # resolved: t_max is set
+    rd: np.ndarray                          # (M, N, K) rank differences
+    stats: dict[str, dict[Group, GroupStats]]
+    labels: dict[str, ClassLabel]
+
+
+def analyze(cfg: RunConfig, loaded: LoadedInputs) -> Analysis:
+    """Rank, difference, summarize and classify under the configured basis and regime."""
+    cube, pops = loaded.cube, loaded.pops
+    pop_rank = metrics.rank_population(pops)
+    case_rank = metrics.rank_cases(cube, basis=cfg.basis)
+    rd = metrics.rank_diff(pop_rank, case_rank)
+    regime = cfg.regime.resolved(cube.n_municipalities)
+    stats = metrics.group_stats(cube, pops, rd, regime)
+    labels = classify_mod.classify_municipalities(stats, cfg.group, cfg.classifier)
+    return Analysis(regime=regime, rd=rd, stats=stats, labels=labels)
+
+
 @dataclass
 class RunResult:
     out: Path
@@ -164,50 +186,73 @@ class RunResult:
     n_dashboards: int
 
 
+@dataclass
+class RenderResult:
+    path: Path
+    report: QualityReport
+
+
+def _write_text(path: Path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
+def _map_name(group: Group) -> str:
+    return f"map_{group.value.lower()}.svg"
+
+
+def _map_svg(cfg: RunConfig, loaded: LoadedInputs, analysis: Analysis) -> str:
+    choropleth = render.build_choropleth(loaded.boundaries, analysis.labels, cfg.group)
+    return render.render_choropleth(choropleth)
+
+
+def _dashboard_path(out: Path, mid: str) -> Path:
+    return out / "dashboards" / f"{mid}.svg"
+
+
+def _dashboard_svg(loaded: LoadedInputs, analysis: Analysis, mid: str) -> str:
+    model = render.build_dashboard(analysis.stats, loaded.cube, loaded.pops, mid, analysis.rd)
+    return render.render_dashboard(model)
+
+
 def run(cfg: RunConfig) -> RunResult:
     """Execute the full pipeline and write the output tree."""
     loaded = load_inputs(cfg)
-    cube, pops = loaded.cube, loaded.pops
+    analysis = analyze(cfg, loaded)
+    cube, out = loaded.cube, cfg.out
+    (out / "dashboards").mkdir(parents=True, exist_ok=True)
 
-    pop_rank = metrics.rank_population(pops)
-    case_rank = metrics.rank_cases(cube, basis=cfg.basis)
-    rd = metrics.rank_diff(pop_rank, case_rank)
-    regime = cfg.regime.resolved(cube.n_municipalities)
-    stats = metrics.group_stats(cube, pops, rd, regime)
-    labels = classify_mod.classify_municipalities(stats, cfg.group, cfg.classifier)
-
-    out = cfg.out
-    dashboards_dir = out / "dashboards"
-    dashboards_dir.mkdir(parents=True, exist_ok=True)
-
-    metrics.write_rd_csv(out / "rd.csv", cube, rd)
-    metrics.write_stats_json(out / "stats.json", cube, stats, regime, cfg.basis)
-    classify_mod.write_labels_csv(out / "labels.csv", labels, cfg.group)
-    with open(out / "quality.json", "w", encoding="utf-8", newline="") as handle:
-        handle.write(loaded.report.to_json())
+    metrics.write_rd_csv(out / "rd.csv", cube, analysis.rd)
+    metrics.write_stats_json(out / "stats.json", cube, analysis.stats, analysis.regime, cfg.basis)
+    classify_mod.write_labels_csv(out / "labels.csv", analysis.labels, cfg.group)
+    _write_text(out / "quality.json", loaded.report.to_json())
 
     ids = sorted(cube.ids())
-
-    def render_one(mid: str) -> tuple[str, str]:
-        model = render.build_dashboard(stats, cube, pops, mid, rd=rd)
-        return mid, render.render_dashboard(model)
-
-    threads = thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rendered = dict(pool.map(render_one, ids))
-    else:
-        rendered = dict(map(render_one, ids))
     for mid in ids:
-        with open(dashboards_dir / f"{mid}.svg", "w", encoding="utf-8", newline="") as handle:
-            handle.write(rendered[mid])
+        _write_text(_dashboard_path(out, mid), _dashboard_svg(loaded, analysis, mid))
+    map_name = _map_name(cfg.group)
+    _write_text(out / map_name, _map_svg(cfg, loaded, analysis))
+    _write_text(out / "index.html", render.render_index(
+        cube, analysis.stats, analysis.labels, cfg.group, map_name))
 
-    map_name = f"map_{cfg.group.value.lower()}.svg"
-    choropleth = render.build_choropleth(loaded.boundaries, labels, cfg.group)
-    with open(out / map_name, "w", encoding="utf-8", newline="") as handle:
-        handle.write(render.render_choropleth(choropleth))
+    return RunResult(out=out, report=loaded.report, labels=analysis.labels, n_dashboards=len(ids))
 
-    with open(out / "index.html", "w", encoding="utf-8", newline="") as handle:
-        handle.write(render.render_index(cube, stats, labels, cfg.group, map_name))
 
-    return RunResult(out=out, report=loaded.report, labels=labels, n_dashboards=len(ids))
+def render_map(cfg: RunConfig) -> RenderResult:
+    """Write only the classification choropleth of the output tree."""
+    loaded = load_inputs(cfg)
+    svg = _map_svg(cfg, loaded, analyze(cfg, loaded))
+    target = cfg.out / _map_name(cfg.group)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    _write_text(target, svg)
+    return RenderResult(path=target, report=loaded.report)
+
+
+def render_dashboard(cfg: RunConfig, mid: str) -> RenderResult:
+    """Write only municipality ``mid``'s dashboard of the output tree."""
+    loaded = load_inputs(cfg)
+    svg = _dashboard_svg(loaded, analyze(cfg, loaded), mid)
+    target = _dashboard_path(cfg.out, mid)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    _write_text(target, svg)
+    return RenderResult(path=target, report=loaded.report)

@@ -1,7 +1,7 @@
-"""Static SVG/HTML rendering of dashboards, rank overlays, and the map."""
+"""Static SVG/HTML rendering of dashboards, the index page, and the map."""
 
 from .choropleth import ChoroplethModel, build_choropleth, render_choropleth
-from .dashboard import DashboardModel, build_dashboard, render_dashboard, render_rank_overlay
+from .dashboard import DashboardModel, build_dashboard, render_dashboard
 from .index_page import render_index
 from .svg import CLASS_COLORS, GROUP_COLORS, pie_angles
 
@@ -13,7 +13,6 @@ __all__ = [
     "render_choropleth",
     "render_dashboard",
     "render_index",
-    "render_rank_overlay",
     "pie_angles",
     "CLASS_COLORS",
     "GROUP_COLORS",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RenderError
-from ..metrics import GroupStats, Special, rank_cases, rank_diff, rank_population
+from ..metrics import GroupStats, Special
 from ..model import GROUPS, MINORITY_GROUPS, CaseCube, DateAxis, Group, Municipality, PopulationTable
 from .svg import (
     GROUP_COLORS,
@@ -68,12 +68,12 @@ def build_dashboard(
     cube: CaseCube,
     pops: PopulationTable,
     municipality_id: str,
-    rd: np.ndarray | None = None,
+    rd: np.ndarray,
 ) -> DashboardModel:
     """Assemble the render-ready model for one municipality.
 
-    ``rd`` may be passed to reuse a precomputed rank-difference tensor;
-    otherwise it is derived from the cube with the raw daily basis.
+    ``rd`` is the (M, N, K) rank-difference tensor that ``stats`` was
+    computed from, under whichever basis the analysis used.
     """
     try:
         i = cube.index_of(municipality_id)
@@ -81,8 +81,6 @@ def build_dashboard(
         raise RenderError(f"unknown municipality id {municipality_id!r}") from None
     if municipality_id not in stats:
         raise RenderError(f"no statistics for municipality {municipality_id!r}")
-    if rd is None:
-        rd = rank_diff(rank_population(pops), rank_cases(cube))
 
     case_totals = cube.counts[i].sum(axis=0)
     return DashboardModel(
@@ -203,54 +201,4 @@ def render_dashboard(model: DashboardModel) -> str:
         " positive values mean more cases than population rank predicts",
         size=10, fill="#888888",
     )
-    return canvas.to_svg()
-
-
-def render_rank_overlay(
-    pop_rank: np.ndarray,
-    case_rank: np.ndarray,
-    day: int,
-    group: Group,
-) -> str:
-    """Population-rank line vs day-``day`` case-rank scatter for one group.
-
-    Municipalities are placed on the x axis in population-rank order, so the
-    population rank traces the identity line; case ranks scatter around it.
-    ``day`` is 1-based.
-    """
-    m = pop_rank.shape[0]
-    k = GROUPS.index(group)
-    if not 1 <= day <= case_rank.shape[1]:
-        raise RenderError(f"day {day} outside 1..{case_rank.shape[1]}")
-    order = np.argsort(pop_rank[:, k], kind="stable")
-
-    width, height = 560, 460
-    canvas = SvgCanvas(width, height)
-    canvas.rect(0, 0, width, height, fill="#ffffff")
-    canvas.text(20, 28, f"rank comparison, {group.value}, day {day}", size=15, weight="bold")
-    x0, y0, w, h = 60, 60, 460, 340
-    canvas.rect(x0, y0, w, h, fill="#fafafa", stroke="#cccccc")
-
-    def sx(index: int) -> float:
-        return x0 + (w * (index - 1) / (m - 1) if m > 1 else w / 2.0)
-
-    def sy(rank: float) -> float:
-        return y0 + h - (h * (rank - 1) / (m - 1) if m > 1 else h / 2.0)
-
-    line = [(sx(pos + 1), sy(float(pop_rank[i, k]))) for pos, i in enumerate(order)]
-    if m > 1:
-        canvas.polyline(line, stroke="#4477aa", stroke_width=1.5)
-    for pos, i in enumerate(order):
-        canvas.circle(sx(pos + 1), sy(float(case_rank[i, day - 1, k])), 3.0,
-                      fill="none", stroke="#ee7733", stroke_width=1.2)
-
-    canvas.text(x0 + w / 2, y0 + h + 32, "municipalities ordered by group population size",
-                size=11, anchor="middle", fill="#444444")
-    canvas.text(x0 - 34, y0 + h / 2, "rank", size=11, fill="#444444")
-    canvas.text(x0 - 6, sy(1) + 4, "1", size=10, anchor="end", fill="#888888")
-    canvas.text(x0 - 6, sy(m) + 4, f"{m}", size=10, anchor="end", fill="#888888")
-    canvas.line(x0 + w - 150, y0 + 16, x0 + w - 120, y0 + 16, stroke="#4477aa", stroke_width=1.5)
-    canvas.text(x0 + w - 114, y0 + 20, "population rank", size=10)
-    canvas.circle(x0 + w - 135, y0 + 34, 3.0, fill="none", stroke="#ee7733", stroke_width=1.2)
-    canvas.text(x0 + w - 114, y0 + 38, "case rank", size=10)
     return canvas.to_svg()

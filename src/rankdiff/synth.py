@@ -18,9 +18,8 @@ import numpy as np
 from .errors import SynthError
 from .ingest import write_cases_csv, write_populations_csv
 from .model import K, CaseCube, DateAxis, Municipality, PopulationTable
-from .oracle import oracle_stats
 
-__all__ = ["SynthSpec", "generate", "grid_boundaries", "write_fixture", "oracle_stats"]
+__all__ = ["SynthSpec", "generate", "grid_boundaries", "write_fixture"]
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,14 @@ class TestValidate:
         assert cli.main(["validate", "--config", str(config)]) == 2
         assert "rankdiff: cli:" in capsys.readouterr().err
 
+    def test_malformed_regime_exit_2(self, clean_fixture, capsys):
+        config, _ = clean_fixture
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["regime"] = {"min": "abc"}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "rankdiff: cli:" in capsys.readouterr().err
+
 
 class TestRun:
     def test_full_tree_and_idempotence(self, clean_fixture):
@@ -238,23 +246,20 @@ class TestRenderCommands:
         assert (out / "dashboards" / "m002.svg").exists()
         assert not (out / "dashboards" / "m001.svg").exists()
 
+    def test_single_files_match_run(self, clean_fixture, tmp_path):
+        config, out = clean_fixture
+        flags = ["--config", str(config), "--basis", "ma7", "--group", "hl"]
+        assert cli.main(["run", *flags]) == 0
+        ran = tree_bytes(out)
+        alone = tmp_path / "alone"
+        assert cli.main(["render-dashboard", *flags, "--id", "m002", "--out", str(alone)]) == 0
+        assert cli.main(["render-map", *flags, "--out", str(alone)]) == 0
+        assert tree_bytes(alone) == {
+            name: ran[name] for name in ("dashboards/m002.svg", "map_hl.svg")
+        }
+
     def test_render_unknown_id_exit_2(self, clean_fixture, capsys):
         config, _ = clean_fixture
         assert cli.main(["render-dashboard", "--config", str(config), "--id", "zz"]) == 2
         assert "rankdiff: render:" in capsys.readouterr().err
 
-
-class TestThreadEnv:
-    def test_parallel_render_identical(self, clean_fixture, monkeypatch):
-        config, out = clean_fixture
-        cli.main(["run", "--config", str(config)])
-        serial = tree_bytes(out)
-        monkeypatch.setenv("RANKDIFF_THREADS", "4")
-        cli.main(["run", "--config", str(config)])
-        assert tree_bytes(out) == serial
-
-    def test_bad_thread_env_exit_2(self, clean_fixture, monkeypatch, capsys):
-        config, _ = clean_fixture
-        monkeypatch.setenv("RANKDIFF_THREADS", "many")
-        assert cli.main(["run", "--config", str(config)]) == 2
-        assert "rankdiff: cli:" in capsys.readouterr().err

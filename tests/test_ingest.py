@@ -41,6 +41,8 @@ class TestLoadCases:
         assert cube.counts[cube.index_of("b"), 1, 1] == 7
         assert cube.counts[cube.index_of("a"), 0, 3] == 3
         assert cube.counts.sum() == 10
+        with pytest.raises(KeyError):
+            cube.index_of("c")
 
     def test_cumulative_differencing(self, write_file):
         overrides = {("a", 1, "BAA"): 5, ("a", 2, "BAA"): 5, ("a", 3, "BAA"): 8}

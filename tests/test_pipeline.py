@@ -6,7 +6,7 @@ from rankdiff.classify import ClassifierConfig
 from rankdiff.errors import ConfigError
 from rankdiff.metrics import RegimeConfig
 from rankdiff.model import Group
-from rankdiff.pipeline import RunConfig, parse_basis, parse_group, thread_count
+from rankdiff.pipeline import RunConfig, parse_basis, parse_group
 
 
 def test_config_paths_resolve_relative_to_file(tmp_path):
@@ -68,6 +68,23 @@ def test_missing_key_rejected(tmp_path):
         RunConfig.from_file(config)
 
 
+@pytest.mark.parametrize("doc,match", [
+    (["cases", "populations", "boundaries"], "JSON object"),
+    ({"regime": {"min": "abc"}}, "regime"),
+    ({"regime": {"max": [1]}}, "regime"),
+    ({"regime": [0.0, 5.0]}, "regime"),
+    ({"classifier": "strict"}, "classifier"),
+    ({"classifier": {"g0_skew_max": "abc"}}, "classifier"),
+])
+def test_malformed_config_rejected(tmp_path, doc, match):
+    if isinstance(doc, dict):
+        doc = {"cases": "c.csv", "populations": "p.csv", "boundaries": "b.geojson", **doc}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=match):
+        RunConfig.from_file(config)
+
+
 def test_unknown_classifier_key_rejected(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -95,14 +112,3 @@ def test_parse_group():
     with pytest.raises(ConfigError, match="group"):
         parse_group("all")
 
-
-def test_thread_count(monkeypatch):
-    monkeypatch.delenv("RANKDIFF_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("RANKDIFF_THREADS", "6")
-    assert thread_count() == 6
-    monkeypatch.setenv("RANKDIFF_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("RANKDIFF_THREADS", "lots")
-    with pytest.raises(ConfigError, match="RANKDIFF_THREADS"):
-        thread_count()

@@ -1,4 +1,3 @@
-import re
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ from rankdiff.render import (
     render_choropleth,
     render_dashboard,
     render_index,
-    render_rank_overlay,
 )
 from rankdiff.render.svg import CLASS_COLORS, pie_angles
 
@@ -113,12 +111,6 @@ class TestDashboardModel:
         with pytest.raises(RenderError, match="unknown municipality"):
             build_dashboard(stats, cube, pops, "nowhere", rd=rd)
 
-    def test_render_without_precomputed_rd_matches(self):
-        stats, cube, pops, rd = golden_inputs()
-        with_rd = render_dashboard(build_dashboard(stats, cube, pops, "alpha", rd=rd))
-        without = render_dashboard(build_dashboard(stats, cube, pops, "alpha"))
-        assert with_rd == without
-
 
 class TestDeterminismAndGolden:
     def test_same_model_same_bytes(self):
@@ -137,45 +129,6 @@ class TestDeterminismAndGolden:
     def test_wedge_angles_sum_to_circle(self, shares):
         total = sum(sweep for _, sweep in pie_angles(shares))
         assert total == pytest.approx(360.0, abs=0.1)
-
-
-def parse_polyline_points(svg: str) -> list[tuple[float, float]]:
-    match = re.search(r'<polyline points="([^"]+)"', svg)
-    assert match
-    return [tuple(map(float, pair.split(","))) for pair in match.group(1).split()]
-
-
-def parse_circles(svg: str) -> list[tuple[float, float]]:
-    return [
-        (float(cx), float(cy))
-        for cx, cy in re.findall(r'<circle cx="([0-9.]+)" cy="([0-9.]+)"', svg)
-    ]
-
-
-class TestRankOverlay:
-    def test_identity_day_scatter_on_line(self):
-        pop_rank = np.array([[1], [2], [3], [4]])
-        case_rank = pop_rank[:, None, :]
-        svg = render_rank_overlay(pop_rank, case_rank, 1, Group.BAA)
-        line = parse_polyline_points(svg)
-        circles = parse_circles(svg)[:-1]  # last circle is the legend swatch
-        assert circles == line
-
-    def test_swapped_pair_two_points_off_line(self):
-        pop_rank = np.array([[1], [2], [3], [4]])
-        case_rank = pop_rank[:, None, :].copy()
-        case_rank[0, 0, 0], case_rank[1, 0, 0] = 2, 1
-        svg = render_rank_overlay(pop_rank, case_rank, 1, Group.BAA)
-        line = parse_polyline_points(svg)
-        circles = parse_circles(svg)[:-1]
-        off = [c for c, l in zip(circles, line) if c != l]
-        assert len(off) == 2
-
-    def test_day_out_of_range(self):
-        pop_rank = np.array([[1], [2]])
-        case_rank = pop_rank[:, None, :]
-        with pytest.raises(RenderError, match="day"):
-            render_rank_overlay(pop_rank, case_rank, 2, Group.BAA)
 
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
