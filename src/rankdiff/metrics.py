@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -180,20 +182,40 @@ def statewide_aggregate(cube: CaseCube) -> np.ndarray:
     return cube.counts.sum(axis=0, dtype=np.int64)
 
 
-def persistence_index(series: Iterable[float], regime: RegimeConfig) -> float:
-    """Percent of days the rank difference sits inside (t_min, t_max]."""
+def _persistence_pcts(x: np.ndarray, regime: RegimeConfig) -> np.ndarray:
+    """Percent of values inside (t_min, t_max] along the last axis of ``x``."""
     if regime.t_max is None:
         raise MetricsError("regime upper bound unresolved; call RegimeConfig.resolved(M) first")
-    t_min, t_max = regime.t_min, regime.t_max
-    n = 0
-    hits = 0
-    for value in series:
-        n += 1
-        if t_min < value <= t_max:
-            hits += 1
+    n = x.shape[-1]
     if n == 0:
         raise MetricsError("persistence_index needs a non-empty series")
+    hits = ((x > regime.t_min) & (x <= regime.t_max)).sum(axis=-1)
     return 100.0 * hits / n
+
+
+def _skewnesses(x: np.ndarray) -> list[float | None]:
+    """Adjusted skewness along the last axis of a C-contiguous float64 ``x``.
+
+    Each reduction runs over one contiguous series, so it sums in the same
+    order as it would over that series alone. The last step stays a scalar
+    expression: NumPy's array ``**`` can round differently from the scalar one.
+    """
+    n = x.shape[-1]
+    if n < 3:
+        return [None] * math.prod(x.shape[:-1])
+    d = x - x.mean(axis=-1, keepdims=True)
+    dd = d * d
+    m2 = dd.mean(axis=-1)
+    m3 = (dd * d).mean(axis=-1)
+    adjust = np.sqrt(n * (n - 1.0)) / (n - 2.0)
+    return [
+        None if s2 == 0.0 else float(adjust * s3 / s2**1.5) for s2, s3 in zip(m2.flat, m3.flat)
+    ]
+
+
+def persistence_index(series: Sequence[float] | np.ndarray, regime: RegimeConfig) -> float:
+    """Percent of days the rank difference sits inside (t_min, t_max]."""
+    return float(_persistence_pcts(np.asarray(series, dtype=np.float64), regime))
 
 
 def skewness(series: Sequence[float] | np.ndarray) -> float | None:
@@ -202,18 +224,7 @@ def skewness(series: Sequence[float] | np.ndarray) -> float | None:
     m2 and m3 are central sample moments. Returns None when the series is
     shorter than 3 or constant (m2 = 0), where the coefficient is undefined.
     """
-    x = np.asarray(series, dtype=np.float64)
-    n = x.size
-    if n < 3:
-        return None
-    mean = x.mean()
-    d = x - mean
-    m2 = np.mean(d * d)
-    if m2 == 0.0:
-        return None
-    m3 = np.mean(d * d * d)
-    adjust = np.sqrt(n * (n - 1.0)) / (n - 2.0)
-    return float(adjust * m3 / m2**1.5)
+    return _skewnesses(np.ascontiguousarray(series, dtype=np.float64).reshape(1, -1))[0]
 
 
 def special_case(cases_total: int, population: int) -> Special:
@@ -262,23 +273,25 @@ def group_stats(
     regime = regime.resolved(cube.n_municipalities)
     if rd.shape != cube.counts.shape:
         raise MetricsError(f"rd shape {rd.shape} does not match cube {cube.counts.shape}")
-    totals = cube.counts.sum(axis=1, dtype=np.int64)
+    totals = cube.counts.sum(axis=1, dtype=np.int64).tolist()
+    populations = pops.pops.tolist()
+    series = np.ascontiguousarray(rd.transpose(0, 2, 1), dtype=np.float64)
+    persistence = _persistence_pcts(series, regime).tolist()
+    skews = _skewnesses(series)
     w = GROUPS.index(Group.W)
     out: dict[str, dict[Group, GroupStats]] = {}
     for i, muni in enumerate(cube.municipalities):
         per_group: dict[Group, GroupStats] = {}
         for k, g in enumerate(GROUPS):
-            series = rd[i, :, k]
             if g in MINORITY_GROUPS:
                 h, special = relative_change(
-                    int(totals[i, k]), int(pops.pops[i, k]),
-                    int(totals[i, w]), int(pops.pops[i, w]),
+                    totals[i][k], populations[i][k], totals[i][w], populations[i][w]
                 )
             else:
                 h, special = None, Special.NORMAL
             per_group[g] = GroupStats(
-                persistence_pct=persistence_index(series, regime),
-                skewness=skewness(series),
+                persistence_pct=persistence[i][k],
+                skewness=skews[i * K + k],
                 relative_change_pct=h,
                 special=special,
             )
@@ -289,14 +302,14 @@ def group_stats(
 def write_rd_csv(path: str | Path, cube: CaseCube, rd: np.ndarray) -> None:
     """Long-form export: municipality_id,group,day,rd with day 1-based."""
     order = sorted(range(cube.n_municipalities), key=lambda i: cube.municipalities[i].id)
+    days = range(1, cube.n_days + 1)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["municipality_id", "group", "day", "rd"])
         for i in order:
             mid = cube.municipalities[i].id
-            for k, g in enumerate(GROUPS):
-                for j in range(cube.n_days):
-                    writer.writerow([mid, g.value, j + 1, int(rd[i, j, k])])
+            for g, values in zip(GROUPS, rd[i].T.tolist()):
+                writer.writerows(zip(repeat(mid), repeat(g.value), days, values))
 
 
 def stats_document(

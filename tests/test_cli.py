@@ -103,6 +103,107 @@ class TestValidate:
         assert "rankdiff: cli:" in capsys.readouterr().err
 
 
+def write_inputs(tmp_path: Path, cases: str | None = None, pops: str | None = None,
+                 geo: str | None = None) -> Path:
+    """A valid two-municipality, two-day input set; any file can be replaced."""
+    files = {
+        "cases": ("cases.csv", cases or cases_csv_text(full_cases_rows(["a", "b"], 2, value=1))),
+        "populations": ("pops.csv", pops or pops_csv_text(
+            [("a", "W", 10), ("a", "BAA", 5), ("b", "W", 20), ("b", "BAA", 2)])),
+        "boundaries": ("b.geojson", geo or geojson_text(
+            [square_feature("a"), square_feature("b", 2.0)])),
+    }
+    paths = {}
+    for key, (name, text) in files.items():
+        paths[key] = tmp_path / name
+        paths[key].write_text(text, encoding="utf-8")
+    return write_config(tmp_path, paths)
+
+
+def polygon(ring) -> str:
+    feature = square_feature("a")
+    feature["geometry"]["coordinates"] = [ring]
+    return geojson_text([feature, square_feature("b", 2.0)])
+
+
+class TestMalformedInputs:
+    """Malformed input files end in exit 2 with a ``rankdiff: ingest:`` message."""
+
+    @pytest.mark.parametrize("name,row,n_fields", [
+        ("cases.csv", 4, 5), ("cases.csv", 1, 7), ("pops.csv", 1, 2), ("pops.csv", 0, 4),
+    ])
+    def test_wrong_field_count(self, tmp_path, capsys, name, row, n_fields):
+        """One record cut short by a field, or given one field too many."""
+        if name == "cases.csv":
+            key, rows, to_text, width = "cases", full_cases_rows(["a", "b"], 2), cases_csv_text, 6
+        else:
+            key, rows, to_text, width = "pops", [("a", "W", 10), ("b", "W", 20)], pops_csv_text, 3
+        rows[row] = (rows[row] + ("x",))[:n_fields]
+        config = write_inputs(tmp_path, **{key: to_text(rows)})
+        assert cli.main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"rankdiff: ingest: {tmp_path / name}:{row + 2}: "
+            f"expected {width} fields, got {n_fields}\n"
+        )
+
+    @pytest.mark.parametrize("data,message", [
+        pytest.param(b"\xff\xfe", ": not UTF-8 text: 'utf-8' codec can't decode", id="not-utf8"),
+        pytest.param(b"x" * 200_000, ":3: field larger than field limit", id="csv-error"),
+    ])
+    def test_unreadable_cases_text(self, tmp_path, capsys, data, message):
+        config = write_inputs(tmp_path)
+        rows = cases_csv_text(full_cases_rows(["a", "b"], 2, value=1)).splitlines(keepends=True)
+        (tmp_path / "cases.csv").write_bytes(
+            "".join(rows[:2]).encode() + data + "".join(rows[2:]).encode())
+        assert cli.main(["validate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rankdiff: ingest: {tmp_path / 'cases.csv'}")
+        assert message in err
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        assert cli.main(["run", "--config", str(write_inputs(plain))]) == 0
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        config = write_inputs(
+            bom,
+            cases="\ufeff" + cases_csv_text(full_cases_rows(["a", "b"], 2, value=1)),
+            pops="\ufeff" + pops_csv_text(
+                [("a", "W", 10), ("a", "BAA", 5), ("b", "W", 20), ("b", "BAA", 2)]),
+        )
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert tree_bytes(bom / "out") == tree_bytes(plain / "out")
+
+    @pytest.mark.parametrize("geo,message", [
+        pytest.param(geojson_text([{"type": "Feature", "id": "a", "properties": {},
+                                    "geometry": {"type": "Polygon"}}]),
+                     "feature 'a' has no coordinates", id="no-coordinates"),
+        pytest.param(polygon([[0, 0], [1, 0], [0], [0, 0]]),
+                     "feature 'a' has a malformed position [0]", id="short-position"),
+        pytest.param(polygon([[0, 0], [1, 0], ["x", 1], [0, 0]]),
+                     "malformed position ['x', 1]", id="text-position"),
+        pytest.param(polygon([[0, 0], [1, 0], 7, [0, 0]]), "malformed position 7",
+                     id="scalar-position"),
+        pytest.param(polygon([[0, 0], [1, float("nan")], [1, 1], [0, 0]]),
+                     "feature 'a' has a non-finite coordinate [1, nan]", id="nan"),
+        pytest.param(polygon([[0, 0], [float("inf"), 0], [1, 1], [0, 0]]),
+                     "non-finite coordinate [inf, 0]", id="inf"),
+        pytest.param(geojson_text([{"type": "Feature", "id": "a", "properties": {},
+                                    "geometry": {"type": "MultiPolygon", "coordinates": [5]}}]),
+                     "feature 'a' has malformed coordinates: 5 is not an array", id="scalar-polygon"),
+        pytest.param(geojson_text(["a"]), "feature #0 is not a JSON object", id="text-feature"),
+        pytest.param("[]", "expected a GeoJSON FeatureCollection", id="top-level-array"),
+    ])
+    def test_malformed_boundaries(self, tmp_path, capsys, geo, message):
+        config = write_inputs(tmp_path, geo=geo)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rankdiff: ingest: {tmp_path / 'b.geojson'}: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRun:
     def test_full_tree_and_idempotence(self, clean_fixture):
         config, out = clean_fixture

@@ -99,6 +99,12 @@ class TestLoadCases:
         with pytest.raises(IngestError, match=">= 0"):
             load_cases(write_file("cases.csv", cases_csv_text(rows)))
 
+    def test_count_beyond_int64_rejected(self, write_file):
+        rows = full_cases_rows(["a"], 1)
+        rows[2] = rows[2][:5] + (2**63,)
+        with pytest.raises(IngestError, match=f"cases.csv:4: column 'count' must be <= {2**63 - 1}, "):
+            load_cases(write_file("cases.csv", cases_csv_text(rows)))
+
     def test_conflicting_name_is_error(self, write_file):
         rows = full_cases_rows(["a"], 1)
         rows[3] = (rows[3][0], "a", "Elsewhere", "Test County", rows[3][4], 0)
@@ -152,6 +158,106 @@ class TestLoadCases:
         daily = load_cases(path, schema="widhs-cumulative", report=report)
         assert not report.clamps
         assert np.array_equal(np.cumsum(daily.counts, axis=1), cumulative)
+
+
+def _raises(path, **kwargs) -> str:
+    with pytest.raises(IngestError) as info:
+        load_cases(path, **kwargs)
+    return str(info.value)
+
+
+class TestCaseDiagnostics:
+    """Exact texts of the cases-file errors; ``:line`` counts the header as 1."""
+
+    def test_duplicate_names_first_repeating_record(self, write_file):
+        rows = full_cases_rows(["a", "b"], 2)
+        rows.insert(8, rows[5])   # the first record that repeats a key ...
+        rows.insert(12, rows[1])  # ... even though this key appeared earlier
+        path = write_file("cases.csv", cases_csv_text(rows))
+        assert _raises(path) == f"{path}:10: duplicate row for (a, 2020-10-02, HL)"
+
+    def test_missing_count_and_preview_in_roster_day_group_order(self, write_file):
+        dropped = {("a", "2020-10-03", "W"), ("b", "2020-10-02", "HL"), ("c", "2020-10-01", "BAA"),
+                   ("b", "2020-10-02", "BAA"), ("a", "2020-10-01", "OTH"),
+                   ("c", "2020-10-03", "W"), ("a", "2020-10-02", "BAA")}
+        rows = [r for r in full_cases_rows(["b", "a", "c"], 3) if (r[1], r[0], r[4]) not in dropped]
+        path = write_file("cases.csv", cases_csv_text(rows))
+        assert _raises(path) == (
+            f"{path}: 7 missing (municipality, date, group) cells; first: "
+            "(b, 2020-10-02, BAA), (b, 2020-10-02, HL), (a, 2020-10-01, OTH), "
+            "(a, 2020-10-02, BAA), (a, 2020-10-03, W)"
+        )
+
+    def test_conflicting_name(self, write_file):
+        rows = full_cases_rows(["a", "b"], 1)
+        rows[6] = (rows[6][0], "a", "Elsewhere", "Test County", rows[6][4], 0)
+        path = write_file("cases.csv", cases_csv_text(rows))
+        assert _raises(path) == (
+            f"{path}:8: municipality 'a' has conflicting name/county "
+            "'Elsewhere'/'Test County' vs 'Town a'/'Test County'"
+        )
+
+    def test_wrong_header(self, write_file):
+        path = write_file("cases.csv", "date,id,grp,count\n")
+        assert _raises(path) == (
+            f"{path}: header date,id,grp,count does not match expected columns "
+            "date,municipality_id,municipality_name,county,group,count"
+        )
+
+    def test_empty_file(self, write_file):
+        path = write_file("cases.csv", "")
+        assert _raises(path) == (
+            f"{path}: empty file, expected header "
+            "date,municipality_id,municipality_name,county,group,count"
+        )
+
+    def test_header_only(self, write_file):
+        path = write_file("cases.csv", cases_csv_text([]))
+        assert _raises(path) == f"{path}: no data rows"
+
+    def test_permuted_header_columns(self, write_file):
+        rows = full_cases_rows(["a"], 2, overrides={("a", 2, "HL"): 4})
+        lines = ["county,count,group,date,municipality_name,municipality_id"]
+        lines += [f"{c},{n},{g},{d},{name},{mid}" for d, mid, name, c, g, n in rows]
+        cube = load_cases(write_file("cases.csv", "\n".join(lines) + "\n"))
+        assert cube.counts[0, 1, 1] == 4 and cube.counts.sum() == 4
+        assert cube.municipalities[0].name == "Town a"
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 10_000))
+    def test_row_order_does_not_matter(self, seed, tmp_path):
+        """Shuffled data rows give the same cube (up to roster order) and, with
+        the holes in one municipality, the same missing-cell message."""
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        cube = make_cube(rng.integers(0, 9, size=(m, n, 4)))
+        path = tmp_path / "cases.csv"
+        write_cases_csv(cube, path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+
+        def load_rows(lines):
+            path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+            return load_cases(path)
+
+        again = load_rows(list(rng.permutation(rows)))
+        order = [again.index_of(mid) for mid in cube.ids()]
+        assert again.axis == cube.axis
+        assert [again.municipalities[i] for i in order] == list(cube.municipalities)
+        assert np.array_equal(again.counts[order], cube.counts)
+
+        victim = cube.ids()[int(rng.integers(m))]
+        own = [r for r in rows if r.split(",")[1] == victim]
+        if len(own) < 2:
+            return
+        drop = set(rng.choice(len(own), size=int(rng.integers(1, len(own))), replace=False).tolist())
+        holed = [r for r in rows if r not in {own[i] for i in drop}]
+        messages = []
+        for lines in (holed, list(rng.permutation(holed))):
+            with pytest.raises(IngestError) as info:
+                load_rows(lines)
+            messages.append(str(info.value))
+        assert "missing (municipality, date, group) cells" in messages[0]
+        assert messages[0] == messages[1]
 
 
 class TestLoadPopulations:

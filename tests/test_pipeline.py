@@ -1,12 +1,15 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from rankdiff.classify import ClassifierConfig
 from rankdiff.errors import ConfigError
 from rankdiff.metrics import RegimeConfig
 from rankdiff.model import Group
-from rankdiff.pipeline import RunConfig, parse_basis, parse_group
+from rankdiff.pipeline import RunConfig, parse_basis, parse_group, run
+from rankdiff.synth import SynthSpec, write_fixture
 
 
 def test_config_paths_resolve_relative_to_file(tmp_path):
@@ -112,3 +115,34 @@ def test_parse_group():
     with pytest.raises(ConfigError, match="group"):
         parse_group("all")
 
+
+
+def _wide_shaped_spec():
+    """A seeded roster shaped like the ``wide`` benchmark workload, small enough
+    for tier 1: lognormal populations, many zero days and rank ties, a short
+    window. In 73 of its 1 200 series, NumPy's array ``m2 ** 1.5`` rounds
+    differently from the scalar one, so the skewness digits pin the scalar
+    expression."""
+    m, n_days = 300, 7
+    rng = np.random.default_rng(2022)
+    totals = np.maximum(rng.lognormal(np.log(8000.0), 1.2, size=m), 200.0)
+    shares = rng.dirichlet((2.0, 3.0, 1.5, 10.0), size=m)
+    pops = np.maximum(np.rint(totals[:, None] * shares), 1).astype(np.int64)
+    return SynthSpec(m=m, n_days=n_days, populations=tuple(map(tuple, pops.tolist())),
+                     lam=tuple((1.0,) * 4 for _ in range(m)), seed=11, base_rate=3e-4)
+
+
+GOLDEN_DIGESTS = {
+    "rd.csv": "d5cc9208e7d4f5476c74c7dd689729d933f09276d4335f772a7f259500ce93f5",
+    "stats.json": "7c6025badd5ac4ca216d4c441b6360bd70327bb0713dbc9cdeac52ae27db28f5",
+}
+
+
+def test_golden_digests(tmp_path):
+    paths = write_fixture(_wide_shaped_spec(), tmp_path / "fx")
+    cfg = RunConfig(cases=paths["cases"], populations=paths["populations"],
+                    boundaries=paths["boundaries"], out=tmp_path / "out")
+    run(cfg)
+    digests = {name: hashlib.sha256((cfg.out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_DIGESTS}
+    assert digests == GOLDEN_DIGESTS
