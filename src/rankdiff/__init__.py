@@ -25,7 +25,6 @@ from .metrics import (
 )
 from .model import (
     GROUPS,
-    BoundarySet,
     CaseCube,
     DateAxis,
     Group,
@@ -40,7 +39,6 @@ from .synth import SynthSpec, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySet",
     "CaseCube",
     "ClassLabel",
     "ClassifierConfig",

@@ -34,7 +34,6 @@ from .model import (
     GROUP_INDEX,
     GROUPS,
     K,
-    BoundarySet,
     CaseCube,
     ClampEvent,
     DateAxis,
@@ -56,7 +55,7 @@ OTH_COMPONENTS = ("OTH", "ASIAN", "HPI", "AIAN")
 EXCLUDED_POP_GROUPS = ("MO", "UNK")
 POP_SOURCE_GROUPS = ("BAA", "HL", "W") + OTH_COMPONENTS + EXCLUDED_POP_GROUPS
 
-INT64_MAX = int(np.iinfo(np.int64).max)  # counts and populations are stored as int64
+INT64_MAX = int(np.iinfo(np.int64).max)  # counts, populations and their totals are int64
 
 
 def _csv_records(path: Path, columns: list[str]):
@@ -125,9 +124,9 @@ def _parse_date(raw: str, path: Path, line: int) -> dt.date:
 
 def _parse_group(raw: str, path: Path, line: int) -> int:
     try:
-        return GROUP_INDEX[Group.from_label(raw)]
-    except IngestError as exc:
-        raise IngestError(f"{path}:{line}: {exc}") from None
+        return GROUP_INDEX[Group(raw.strip().upper())]
+    except ValueError:
+        raise IngestError(f"{path}:{line}: unknown group label {raw!r}") from None
 
 
 def load_cases(
@@ -235,7 +234,16 @@ def load_cases(
     counts = counts.reshape(shape)
     if schema == "widhs-cumulative":
         counts = _cumulative_to_daily(counts, [m.id for m in municipalities], axis, report)
+    _check_totals(path, "cases", municipalities, (row.ravel().tolist() for row in counts))
     return CaseCube(axis=axis, municipalities=tuple(municipalities), counts=counts)
+
+
+def _check_totals(path: Path, what: str, municipalities: Sequence[Municipality], rows) -> None:
+    """Reject a municipality whose values sum past int64, so its later sums fit."""
+    for muni, row in zip(municipalities, rows):
+        total = sum(row)
+        if total > INT64_MAX:
+            raise IngestError(f"{path}: total {what} of {muni.id} is {total}, beyond {INT64_MAX}")
 
 
 def _cumulative_to_daily(
@@ -307,13 +315,13 @@ def load_populations(
             + ("..." if len(missing) > 10 else "")
         )
 
-    pops = np.zeros((len(municipalities), K), dtype=np.int64)
-    for i, muni in enumerate(municipalities):
-        for k, g in enumerate(GROUPS):
-            if g is Group.OTH:
-                pops[i, k] = sum(raw.get((muni.id, c), 0) for c in OTH_COMPONENTS)
-            else:
-                pops[i, k] = raw.get((muni.id, g.value), 0)
+    rows = [
+        [sum(raw.get((muni.id, c), 0) for c in OTH_COMPONENTS) if g is Group.OTH
+         else raw.get((muni.id, g.value), 0) for g in GROUPS]
+        for muni in municipalities
+    ]
+    _check_totals(path, "population", municipalities, rows)
+    pops = np.array(rows, dtype=np.int64).reshape(len(municipalities), K)
 
     if report is not None:
         for g, total in excluded.items():
@@ -387,12 +395,12 @@ def load_boundaries(
     path: str | Path,
     municipalities: Sequence[Municipality],
     report: QualityReport | None = None,
-) -> BoundarySet:
-    """Parse a GeoJSON FeatureCollection into a BoundarySet keyed by id.
+) -> dict[str, list[Ring]]:
+    """Parse a GeoJSON FeatureCollection into polygon rings keyed by feature id.
 
-    Features whose id is not in the roster are retained but reported as
-    unmatched; roster municipalities without geometry are reported as missing.
-    Neither condition is fatal.
+    Features whose id is not in the roster are kept in the result; their ids
+    go to the report's ``unmatched_geometry_ids``. Roster ids without a
+    feature go to its ``missing_geometry_ids``. Neither condition is fatal.
     """
     path = Path(path)
     try:
@@ -421,13 +429,11 @@ def load_boundaries(
         rings = _collect_rings(geometry, fid, path, report)
         shapes.setdefault(fid, []).extend(rings)
 
-    roster_ids = [m.id for m in municipalities]
-    unmatched = tuple(sorted(set(shapes) - set(roster_ids)))
-    missing = tuple(mid for mid in sorted(roster_ids) if mid not in shapes)
     if report is not None:
-        report.unmatched_geometry_ids.extend(unmatched)
-        report.missing_geometry_ids.extend(missing)
-    return BoundarySet(shapes=shapes, unmatched_ids=unmatched, missing_ids=missing)
+        roster_ids = {m.id for m in municipalities}
+        report.unmatched_geometry_ids.extend(sorted(set(shapes) - roster_ids))
+        report.missing_geometry_ids.extend(sorted(roster_ids - set(shapes)))
+    return shapes
 
 
 def write_cases_csv(cube: CaseCube, path: str | Path) -> None:
@@ -436,13 +442,14 @@ def write_cases_csv(cube: CaseCube, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CASES_COLUMNS)
+        dates = [day.isoformat() for day in cube.axis.dates()]
+        groups = [g.value for g in GROUPS]
         for i, muni in enumerate(cube.municipalities):
-            for j, day in enumerate(cube.axis.dates()):
-                for k, g in enumerate(GROUPS):
-                    writer.writerow(
-                        [day.isoformat(), muni.id, muni.name, muni.county,
-                         g.value, int(cube.counts[i, j, k])]
-                    )
+            writer.writerows(
+                (date, muni.id, muni.name, muni.county, g, v)
+                for date, values in zip(dates, cube.counts[i].tolist())
+                for g, v in zip(groups, values)
+            )
 
 
 def write_populations_csv(table: PopulationTable, path: str | Path) -> None:

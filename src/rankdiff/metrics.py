@@ -74,32 +74,26 @@ class GroupStats:
         }
 
 
-def _id_positions(municipalities) -> np.ndarray:
-    """Position of each municipality in ascending-id order (tie-break key)."""
-    ids = [m.id for m in municipalities]
-    pos = np.empty(len(ids), dtype=np.int64)
-    pos[np.argsort(np.array(ids))] = np.arange(len(ids))
-    return pos
+def _dense_ranks(values: np.ndarray, ids: Sequence[str]) -> np.ndarray:
+    """Dense ranks 1..M along axis 0: descending value, ties by ascending id.
 
-
-def _rank_slice(values: np.ndarray, id_pos: np.ndarray) -> np.ndarray:
-    """Dense ranks 1..M: descending value, ties by ascending municipality id."""
+    A stable sort by descending value of the rows taken in ascending-id order
+    leaves tied rows in id order. ``ids`` names the rows of ``values``.
+    """
     if values.dtype.kind == "u":
         values = values.astype(np.int64)  # unsigned would wrap under negation
-    order = np.lexsort((id_pos, -values))
-    ranks = np.empty(len(values), dtype=np.int64)
-    ranks[order] = np.arange(1, len(values) + 1)
+    by_id = np.argsort(np.array(ids))
+    order = by_id[np.argsort(-values[by_id], axis=0, kind="stable")]
+    m = len(by_id)
+    ranks = np.empty(values.shape, dtype=np.int64)
+    positions = np.arange(1, m + 1).reshape((m,) + (1,) * (values.ndim - 1))
+    np.put_along_axis(ranks, order, positions, axis=0)
     return ranks
 
 
 def rank_population(pops: PopulationTable) -> np.ndarray:
     """Rank municipalities 1..M by descending group population, per group."""
-    id_pos = _id_positions(pops.municipalities)
-    m = len(pops.municipalities)
-    out = np.empty((m, K), dtype=np.int64)
-    for k in range(K):
-        out[:, k] = _rank_slice(pops.pops[:, k], id_pos)
-    return out
+    return _dense_ranks(pops.pops, [m.id for m in pops.municipalities])
 
 
 def _basis_values(cube: CaseCube, basis: str) -> np.ndarray:
@@ -118,14 +112,7 @@ def rank_cases(cube: CaseCube, basis: str = "raw_daily") -> np.ndarray:
     ``basis`` selects the ranked quantity: the raw daily count, its trailing
     7-day mean, or the cumulative-to-date total.
     """
-    values = _basis_values(cube, basis)
-    id_pos = _id_positions(cube.municipalities)
-    m, n, _ = values.shape
-    out = np.empty((m, n, K), dtype=np.int64)
-    for j in range(n):
-        for k in range(K):
-            out[:, j, k] = _rank_slice(values[:, j, k], id_pos)
-    return out
+    return _dense_ranks(_basis_values(cube, basis), cube.ids())
 
 
 def rank_diff(pop_rank: np.ndarray, case_rank: np.ndarray) -> np.ndarray:
@@ -319,6 +306,7 @@ def stats_document(
     basis: str,
 ) -> dict:
     """JSON-ready stats document keyed by municipality id."""
+    regime = regime.resolved(cube.n_municipalities)
     municipalities = {}
     for muni in cube.municipalities:
         municipalities[muni.id] = {

@@ -26,13 +26,6 @@ class Group(str, Enum):
     OTH = "OTH"
     W = "W"
 
-    @classmethod
-    def from_label(cls, label: str) -> "Group":
-        try:
-            return cls(label.strip().upper())
-        except ValueError:
-            raise IngestError(f"unknown group label {label!r}") from None
-
 
 GROUPS: tuple[Group, ...] = tuple(Group)
 K = len(GROUPS)
@@ -149,23 +142,6 @@ class PopulationTable:
 
 # A polygon ring is a closed sequence of (longitude, latitude) pairs in degrees.
 Ring = list[tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class BoundarySet:
-    """Polygon geometry keyed by municipality id.
-
-    ``unmatched_ids`` holds feature ids present in the source file but absent
-    from the roster; their geometry is retained in ``shapes``.
-    ``missing_ids`` holds roster ids for which the file had no feature.
-    """
-
-    shapes: dict[str, list[Ring]]
-    unmatched_ids: tuple[str, ...]
-    missing_ids: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.shapes)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ single file of that tree from the same analysis, so their bytes match
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from . import ingest, metrics, render
 from .classify import ClassifierConfig, ClassLabel
 from .errors import ConfigError
 from .metrics import GroupStats, RegimeConfig
-from .model import BoundarySet, CaseCube, Group, PopulationTable, QualityReport
+from .model import CaseCube, Group, PopulationTable, QualityReport, Ring
 
 BASIS_ALIASES = {"raw": "raw_daily", "raw_daily": "raw_daily", "ma7": "ma7",
                  "cumulative": "cumulative"}
@@ -76,9 +77,10 @@ class RunConfig:
 
         regime_doc, classifier_doc = section("regime"), section("classifier")
         try:
-            regime = RegimeConfig(
-                t_min=float(regime_doc.get("min", 0.0)),
-                t_max=None if regime_doc.get("max") is None else float(regime_doc["max"]),
+            regime = _regime(
+                float(regime_doc.get("min", 0.0)),
+                None if regime_doc.get("max") is None else float(regime_doc["max"]),
+                str(path),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad regime config: {exc}") from exc
@@ -111,15 +113,25 @@ class RunConfig:
         if basis is not None:
             cfg = replace(cfg, basis=parse_basis(basis))
         if regime_min is not None or regime_max is not None:
-            cfg = replace(cfg, regime=RegimeConfig(
-                t_min=cfg.regime.t_min if regime_min is None else regime_min,
-                t_max=cfg.regime.t_max if regime_max is None else regime_max,
+            cfg = replace(cfg, regime=_regime(
+                cfg.regime.t_min if regime_min is None else regime_min,
+                cfg.regime.t_max if regime_max is None else regime_max,
+                "--regime-min/--regime-max",
             ))
         if group is not None:
             cfg = replace(cfg, group=parse_group(group))
         if out is not None:
             cfg = replace(cfg, out=Path(out).resolve())
         return cfg
+
+
+def _regime(t_min: float, t_max: float | None, source: str) -> RegimeConfig:
+    """Regime from config-file or flag bounds, which stats.json must print as JSON numbers."""
+    for name, value in (("min", t_min), ("max", t_max)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{source}: regime {name} must be a finite number, got {value}; "
+                              "use null for max to mean M, the number of municipalities")
+    return RegimeConfig(t_min=t_min, t_max=t_max)
 
 
 def parse_basis(text: str) -> str:
@@ -141,7 +153,7 @@ def parse_group(text: str) -> Group:
 class LoadedInputs:
     cube: CaseCube
     pops: PopulationTable
-    boundaries: BoundarySet
+    boundaries: dict[str, list[Ring]]
     report: QualityReport
 
 
@@ -160,7 +172,6 @@ def validate(cfg: RunConfig) -> QualityReport:
 
 @dataclass(frozen=True)
 class Analysis:
-    regime: RegimeConfig                    # resolved: t_max is set
     rd: np.ndarray                          # (M, N, K) rank differences
     stats: dict[str, dict[Group, GroupStats]]
     labels: dict[str, ClassLabel]
@@ -172,10 +183,9 @@ def analyze(cfg: RunConfig, loaded: LoadedInputs) -> Analysis:
     pop_rank = metrics.rank_population(pops)
     case_rank = metrics.rank_cases(cube, basis=cfg.basis)
     rd = metrics.rank_diff(pop_rank, case_rank)
-    regime = cfg.regime.resolved(cube.n_municipalities)
-    stats = metrics.group_stats(cube, pops, rd, regime)
+    stats = metrics.group_stats(cube, pops, rd, cfg.regime)
     labels = classify_mod.classify_municipalities(stats, cfg.group, cfg.classifier)
-    return Analysis(regime=regime, rd=rd, stats=stats, labels=labels)
+    return Analysis(rd=rd, stats=stats, labels=labels)
 
 
 @dataclass
@@ -219,11 +229,12 @@ def run(cfg: RunConfig) -> RunResult:
     """Execute the full pipeline and write the output tree."""
     loaded = load_inputs(cfg)
     analysis = analyze(cfg, loaded)
+    map_svg = _map_svg(cfg, loaded, analysis)  # drawn first: a map that fails leaves no tree
     cube, out = loaded.cube, cfg.out
     (out / "dashboards").mkdir(parents=True, exist_ok=True)
 
     metrics.write_rd_csv(out / "rd.csv", cube, analysis.rd)
-    metrics.write_stats_json(out / "stats.json", cube, analysis.stats, analysis.regime, cfg.basis)
+    metrics.write_stats_json(out / "stats.json", cube, analysis.stats, cfg.regime, cfg.basis)
     classify_mod.write_labels_csv(out / "labels.csv", analysis.labels, cfg.group)
     _write_text(out / "quality.json", loaded.report.to_json())
 
@@ -231,7 +242,7 @@ def run(cfg: RunConfig) -> RunResult:
     for mid in ids:
         _write_text(_dashboard_path(out, mid), _dashboard_svg(loaded, analysis, mid))
     map_name = _map_name(cfg.group)
-    _write_text(out / map_name, _map_svg(cfg, loaded, analysis))
+    _write_text(out / map_name, map_svg)
     _write_text(out / "index.html", render.render_index(
         cube, analysis.stats, analysis.labels, cfg.group, map_name))
 

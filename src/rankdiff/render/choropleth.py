@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from ..classify import ClassLabel
 from ..errors import RenderError
-from ..model import BoundarySet, Group, Ring
+from ..model import Group, Ring
 from .svg import CLASS_COLORS, SvgCanvas, fnum
 
 
@@ -23,7 +23,7 @@ class ChoroplethModel:
 
 
 def build_choropleth(
-    boundaries: BoundarySet,
+    boundaries: dict[str, list[Ring]],
     labels: dict[str, ClassLabel],
     group: Group,
 ) -> ChoroplethModel:
@@ -33,7 +33,7 @@ def build_choropleth(
     missing = []
     for mid in sorted(labels):
         label = labels[mid]
-        rings = boundaries.shapes.get(mid)
+        rings = boundaries.get(mid)
         if rings is None:
             missing.append(mid)
             continue

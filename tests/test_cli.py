@@ -102,6 +102,13 @@ class TestValidate:
         assert cli.main(["run", "--config", str(config)]) == 2
         assert "rankdiff: cli:" in capsys.readouterr().err
 
+    def test_non_finite_regime_flag_exit_2(self, clean_fixture, capsys):
+        config, out = clean_fixture
+        assert cli.main(["run", "--config", str(config), "--regime-max", "inf"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "rankdiff: cli: --regime-min/--regime-max: regime max must be a finite number")
+        assert not out.exists()
+
 
 def write_inputs(tmp_path: Path, cases: str | None = None, pops: str | None = None,
                  geo: str | None = None) -> Path:
@@ -145,6 +152,32 @@ class TestMalformedInputs:
             f"rankdiff: ingest: {tmp_path / name}:{row + 2}: "
             f"expected {width} fields, got {n_fields}\n"
         )
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([("a", "ASIAN", 2**63 - 1), ("a", "HPI", 1)], id="oth-sources"),
+        pytest.param([("a", "W", 2**63 - 1), ("a", "BAA", 1)], id="groups"),
+    ])
+    def test_population_total_beyond_int64(self, tmp_path, capsys, rows):
+        """A population total past int64 is an input error, not a crash or a wrapped total."""
+        config = write_inputs(tmp_path, pops=pops_csv_text(rows + [("b", "W", 20)]))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"rankdiff: ingest: {tmp_path / 'pops.csv'}: total population of a is {2**63}, "
+            f"beyond {2**63 - 1}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_case_total_beyond_int64(self, tmp_path, capsys):
+        """Cumulative ranks and dashboard totals sum a municipality's cases in int64."""
+        cases = cases_csv_text(full_cases_rows(
+            ["a", "b"], 2, overrides={("a", 1, "W"): 2**63 - 1, ("a", 2, "W"): 2**63 - 1}))
+        config = write_inputs(tmp_path, cases=cases)
+        assert cli.main(["run", "--config", str(config), "--basis", "cumulative"]) == 2
+        assert capsys.readouterr().err == (
+            f"rankdiff: ingest: {tmp_path / 'cases.csv'}: total cases of a is {2**64 - 2}, "
+            f"beyond {2**63 - 1}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("data,message", [
         pytest.param(b"\xff\xfe", ": not UTF-8 text: 'utf-8' codec can't decode", id="not-utf8"),
@@ -260,7 +293,8 @@ class TestRun:
             for entry in muni["groups"].values():
                 assert entry["persistence_pct"] == 100.0
         # independent check: default persistence equals a direct recount of rd.csv
-        rows = list(csv.DictReader(open(out / "rd.csv", encoding="utf-8")))
+        with open(out / "rd.csv", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
         hits: dict[tuple[str, str], int] = {}
         for row in rows:
             key = (row["municipality_id"], row["group"])
@@ -282,6 +316,13 @@ class TestRun:
         assert cli.main(["run", "--config", str(config)]) == 1
         report = json.loads((tmp_path / "out" / "quality.json").read_text(encoding="utf-8"))
         assert report["missing_geometry_ids"] == ["m002"]
+
+    def test_no_roster_geometry_writes_nothing(self, tmp_path, capsys):
+        """The map is drawn before the first write, so its failure leaves no tree."""
+        config = write_inputs(tmp_path, geo=geojson_text([square_feature("zz")]))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "rankdiff: render: choropleth has no geometry to draw" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_basis_exit_2(self, clean_fixture, capsys):
         config, _ = clean_fixture

@@ -333,33 +333,33 @@ class TestLoadPopulations:
 class TestLoadBoundaries:
     def test_single_square(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a")]))
-        bset = load_boundaries(path, make_municipalities(["a"]))
-        assert len(bset) == 1
-        assert bset.shapes["a"][0][0] == bset.shapes["a"][0][-1]
-        assert bset.unmatched_ids == ()
-        assert bset.missing_ids == ()
+        report = QualityReport()
+        shapes = load_boundaries(path, make_municipalities(["a"]), report=report)
+        assert len(shapes) == 1
+        assert shapes["a"][0][0] == shapes["a"][0][-1]
+        assert report.unmatched_geometry_ids == []
+        assert report.missing_geometry_ids == []
 
     def test_unclosed_ring_autoclosed(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a", closed=False)]))
         report = QualityReport()
-        bset = load_boundaries(path, make_municipalities(["a"]), report=report)
-        ring = bset.shapes["a"][0]
+        shapes = load_boundaries(path, make_municipalities(["a"]), report=report)
+        ring = shapes["a"][0]
         assert ring[0] == ring[-1]
         assert any("auto-closed" in w for w in report.warnings)
 
     def test_unmatched_feature_retained(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a"), square_feature("zz", 2.0)]))
         report = QualityReport()
-        bset = load_boundaries(path, make_municipalities(["a"]), report=report)
-        assert bset.unmatched_ids == ("zz",)
-        assert "zz" in bset.shapes
+        shapes = load_boundaries(path, make_municipalities(["a"]), report=report)
+        assert "zz" in shapes
         assert report.unmatched_geometry_ids == ["zz"]
 
     def test_missing_geometry_reported(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a")]))
         report = QualityReport()
-        bset = load_boundaries(path, make_municipalities(["a", "b"]), report=report)
-        assert bset.missing_ids == ("b",)
+        shapes = load_boundaries(path, make_municipalities(["a", "b"]), report=report)
+        assert "b" not in shapes
         assert report.missing_geometry_ids == ["b"]
 
     def test_non_polygon_rejected(self, write_file):
@@ -382,17 +382,17 @@ class TestLoadBoundaries:
                 ],
             },
         }
-        bset = load_boundaries(write_file("b.geojson", geojson_text([feature])),
-                               make_municipalities(["a"]))
-        assert len(bset.shapes["a"]) == 2
+        shapes = load_boundaries(write_file("b.geojson", geojson_text([feature])),
+                                 make_municipalities(["a"]))
+        assert len(shapes["a"]) == 2
 
     def test_id_from_properties(self, write_file):
         feature = square_feature("ignored")
         del feature["id"]
         feature["properties"] = {"GEOID": "g77"}
-        bset = load_boundaries(write_file("b.geojson", geojson_text([feature])),
-                               make_municipalities(["g77"]))
-        assert "g77" in bset.shapes
+        shapes = load_boundaries(write_file("b.geojson", geojson_text([feature])),
+                                 make_municipalities(["g77"]))
+        assert "g77" in shapes
 
     def test_not_a_collection(self, write_file):
         path = write_file("b.geojson", '{"type": "Feature"}')

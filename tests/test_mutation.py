@@ -1,0 +1,183 @@
+"""Mutation property: damaged inputs end in exit 0, 1 or 2, never a traceback.
+
+Each example starts from a valid synthetic fixture (M=3, N=4), applies a few
+mutations to the case, population, boundary or config file, and runs
+``rankdiff run`` through ``cli.main``. A run that completes must write a
+``stats.json`` that is strict JSON (no NaN or Infinity), and dashboards whose
+totals are non-negative and whose pie shares lie in [0, 100].
+"""
+
+import contextlib
+import io
+import json
+import re
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rankdiff import cli
+from rankdiff.synth import SynthSpec, write_fixture
+
+SPEC = SynthSpec(
+    m=3,
+    n_days=4,
+    populations=((20, 30, 10, 100), (0, 5, 5, 50), (40, 10, 10, 300)),
+    lam=((1.0,) * 4,) * 3,
+    seed=5,
+    base_rate=0.05,
+)
+INT64_MAX = 2**63 - 1
+
+CELL_VALUES = ("abc", "", " ", "NaN", "inf", "-Infinity", "1e3", "1.5", "-1", "-0",
+               "\ufeff3", "0x10", str(INT64_MAX), str(INT64_MAX + 1), "2020-13-01",
+               "2020-09-30", "m999", "oth", "MO")
+HEADER_NAMES = ("", "Date", "count ", "population", "municipality_id")
+APPENDED_ROWS = ("m001,HPI,1", "m001,ASIAN,7", "m999,W,5", "m001,MO,3",
+                 "2020-10-01,m001,Synthville 1,Synth County,BAA,1", "x")
+GEOMETRY_DAMAGE = ("drop-geometry", "null-geometry", "point", "drop-coordinates",
+                   "empty-coordinates", "scalar-coordinates", "text-position", "nan-position",
+                   "short-ring", "unclosed-ring", "drop-id", "foreign-id", "numeric-id",
+                   "not-object", "duplicate-feature")
+REGIME_VALUES = (None, -5, 0, 2.5, 3, 1e9, float("inf"), float("-inf"), float("nan"), "inf",
+                 "abc")
+
+csv_mutation = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 99)),
+    st.tuples(st.just("drop-column"), st.integers(0, 5)),
+    st.tuples(st.just("rename-column"), st.integers(0, 5), st.sampled_from(HEADER_NAMES)),
+    st.tuples(st.just("cell"), st.integers(1, 60), st.integers(0, 5), st.sampled_from(CELL_VALUES)),
+    st.tuples(st.just("duplicate-row"), st.integers(1, 60)),
+    st.tuples(st.just("append"), st.sampled_from(APPENDED_ROWS)),
+)
+mutation = st.one_of(
+    st.tuples(st.sampled_from(("cases", "populations")), csv_mutation),
+    st.tuples(st.just("boundaries"), st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 99)),
+        st.tuples(st.just("damage"), st.integers(0, 2), st.sampled_from(GEOMETRY_DAMAGE)),
+    )),
+    st.tuples(st.just("config"), st.tuples(st.sampled_from(("min", "max")),
+                                          st.sampled_from(REGIME_VALUES))),
+)
+
+
+@lru_cache(maxsize=1)
+def base_files() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_fixture(SPEC, tmp)
+        return {key: path.read_text(encoding="utf-8") for key, path in paths.items()}
+
+
+def mutate_csv(text: str, op: str, *args) -> str:
+    if op == "truncate":
+        return text[: len(text) * args[0] // 100]
+    if op == "append":
+        return text + args[0] + "\n"
+    rows = [line.split(",") for line in text.splitlines()]
+    if not rows:
+        return text
+    if op == "drop-column":
+        rows = [row[:args[0]] + row[args[0] + 1:] for row in rows]
+    elif op == "rename-column":
+        rows[0][args[0] % len(rows[0])] = args[1]
+    elif op == "cell":
+        row = rows[args[0] % len(rows)]
+        row[args[1] % len(row)] = args[2]
+    elif op == "duplicate-row":
+        row = args[0] % len(rows)
+        rows.insert(row, list(rows[row]))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def damage_geojson(text: str, op: str, *args) -> str:
+    if op == "truncate":
+        return text[: len(text) * args[0] // 100]
+    index, kind = args
+    try:
+        doc = json.loads(text)
+        features = doc["features"]
+        feature = features[index]
+        geometry = feature["geometry"]
+        ring = geometry["coordinates"][0]
+    except (ValueError, LookupError, TypeError):   # damaged by an earlier mutation
+        return text
+    if not isinstance(ring, list):                  # a Point's coordinates
+        return text
+    if kind == "drop-geometry":
+        del feature["geometry"]
+    elif kind == "null-geometry":
+        feature["geometry"] = None
+    elif kind == "point":
+        feature["geometry"] = {"type": "Point", "coordinates": [0.0, 0.0]}
+    elif kind == "drop-coordinates":
+        del geometry["coordinates"]
+    elif kind == "empty-coordinates":
+        geometry["coordinates"] = []
+    elif kind == "scalar-coordinates":
+        geometry["coordinates"] = 5
+    elif kind == "text-position":
+        ring[1] = ["x", 0.0]
+    elif kind == "nan-position":
+        ring[1] = [float("nan"), 0.0]
+    elif kind == "short-ring":
+        del ring[2:]
+    elif kind == "unclosed-ring":
+        ring.pop()
+    elif kind == "drop-id":
+        feature.pop("id", None)
+        feature["properties"] = {}
+    elif kind == "foreign-id":
+        feature["id"] = "zz"
+    elif kind == "numeric-id":
+        feature["id"] = 7
+    elif kind == "not-object":
+        features[index] = "x"
+    elif kind == "duplicate-feature":
+        features.append(feature)
+    return json.dumps(doc)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"stats.json holds the non-JSON constant {name}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(mutation, min_size=1, max_size=3))
+@example([("config", ("max", float("inf")))])
+@example([("populations", ("cell", 3, 2, str(INT64_MAX))),
+          ("populations", ("append", "m001,HPI,1"))])
+@example([("populations", ("cell", 4, 2, str(INT64_MAX)))])
+@example([("cases", ("cell", 4, 5, str(INT64_MAX))), ("cases", ("cell", 8, 5, str(INT64_MAX)))])
+def test_mutated_inputs_end_in_an_exit_code(mutations):
+    files = dict(base_files())
+    regime = {}
+    for target, (op, *args) in mutations:
+        if target == "config":
+            regime[op] = args[0]
+        elif target == "boundaries":
+            files[target] = damage_geojson(files[target], op, *args)
+        else:
+            files[target] = mutate_csv(files[target], op, *args)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for key, text in files.items():
+            (root / f"{key}.txt").write_text(text, encoding="utf-8")
+        config = root / "config.json"
+        config.write_text(json.dumps({
+            "cases": "cases.txt", "populations": "populations.txt",
+            "boundaries": "boundaries.txt", "out": "out", "regime": regime,
+        }), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", "--config", str(config)])
+        assert code in (0, 1, 2)
+        if code != 2:
+            stats = (root / "out" / "stats.json").read_text(encoding="utf-8")
+            json.loads(stats, parse_constant=_reject_constant)
+            for svg in (root / "out" / "dashboards").glob("*.svg"):
+                text = svg.read_text(encoding="utf-8")
+                totals = re.findall(r">total (?:population|cases) (-?[\d,]+)<", text)
+                assert len(totals) == 2 and all(int(t.replace(",", "")) >= 0 for t in totals)
+                shares = re.findall(r">(-?\d+\.\d\d)%<", text)
+                assert all(0.0 <= float(v) <= 100.0 for v in shares)

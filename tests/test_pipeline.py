@@ -78,12 +78,18 @@ def test_missing_key_rejected(tmp_path):
     ({"regime": [0.0, 5.0]}, "regime"),
     ({"classifier": "strict"}, "classifier"),
     ({"classifier": {"g0_skew_max": "abc"}}, "classifier"),
+    ({"regime": {"max": "inf"}}, "regime max must be a finite number, got inf; use null"),
+    ({"regime": {"min": float("-inf")}}, "regime min must be a finite number"),
+    ({"regime": {"min": 0.0, "max": float("nan")}}, "regime max must be a finite number"),
+    pytest.param('{"cases": "c.csv", "populations": "p.csv", "boundaries": "b.geojson", '
+                 '"regime": {"max": 1e999}}', "regime max must be a finite number",
+                 id="literal-1e999"),
 ])
 def test_malformed_config_rejected(tmp_path, doc, match):
     if isinstance(doc, dict):
         doc = {"cases": "c.csv", "populations": "p.csv", "boundaries": "b.geojson", **doc}
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc), encoding="utf-8")
+    config.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     with pytest.raises(ConfigError, match=match):
         RunConfig.from_file(config)
 

@@ -6,7 +6,7 @@ import pytest
 from rankdiff.classify import ClassLabel
 from rankdiff.errors import RenderError
 from rankdiff.metrics import RegimeConfig, group_stats, rank_cases, rank_diff, rank_population
-from rankdiff.model import BoundarySet, Group
+from rankdiff.model import Group
 from rankdiff.render import (
     build_choropleth,
     build_dashboard,
@@ -136,8 +136,8 @@ SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
 
 class TestChoropleth:
     def test_single_square(self):
-        bset = BoundarySet(shapes={"a": [SQUARE]}, unmatched_ids=(), missing_ids=())
-        model = build_choropleth(bset, {"a": ClassLabel.G2}, Group.BAA)
+        shapes = {"a": [SQUARE]}
+        model = build_choropleth(shapes, {"a": ClassLabel.G2}, Group.BAA)
         svg = render_choropleth(model)
         assert svg.count("<path") == 1
         assert CLASS_COLORS[ClassLabel.G2] in svg
@@ -147,41 +147,39 @@ class TestChoropleth:
             "a": [SQUARE],
             "b": [[(2.0, 0.0), (3.0, 0.0), (3.0, 1.0), (2.0, 0.0)]],
         }
-        bset = BoundarySet(shapes=shapes, unmatched_ids=(), missing_ids=())
         labels = {"a": ClassLabel.G0, "b": ClassLabel.G0}
-        svg = render_choropleth(build_choropleth(bset, labels, Group.BAA))
+        svg = render_choropleth(build_choropleth(shapes, labels, Group.BAA))
         assert svg.count(f'fill="{CLASS_COLORS[ClassLabel.G0]}"') >= 3  # 2 shapes + legend
 
     def test_missing_geometry_footnote(self):
-        bset = BoundarySet(shapes={"a": [SQUARE]}, unmatched_ids=(), missing_ids=("ghost",))
+        shapes = {"a": [SQUARE]}
         labels = {"a": ClassLabel.G0, "ghost": ClassLabel.G1}
-        model = build_choropleth(bset, labels, Group.BAA)
+        model = build_choropleth(shapes, labels, Group.BAA)
         assert model.missing == ("ghost",)
         svg = render_choropleth(model)
         assert "no geometry for 1 municipality: ghost" in svg
 
     def test_unmatched_features_not_drawn(self):
         shapes = {"a": [SQUARE], "zz": [[(9.0, 9.0), (10.0, 9.0), (10.0, 10.0), (9.0, 9.0)]]}
-        bset = BoundarySet(shapes=shapes, unmatched_ids=("zz",), missing_ids=())
-        model = build_choropleth(bset, {"a": ClassLabel.G0}, Group.BAA)
+        model = build_choropleth(shapes, {"a": ClassLabel.G0}, Group.BAA)
         assert len(model.entries) == 1
 
     def test_legend_counts(self):
-        bset = BoundarySet(shapes={"a": [SQUARE]}, unmatched_ids=(), missing_ids=())
-        model = build_choropleth(bset, {"a": ClassLabel.G3}, Group.BAA)
+        shapes = {"a": [SQUARE]}
+        model = build_choropleth(shapes, {"a": ClassLabel.G3}, Group.BAA)
         counts = {label: n for label, _, n in model.legend}
         assert counts[ClassLabel.G3] == 1
         assert counts[ClassLabel.G0] == 0
 
     def test_no_geometry_at_all(self):
-        bset = BoundarySet(shapes={}, unmatched_ids=(), missing_ids=("a",))
-        model = build_choropleth(bset, {"a": ClassLabel.G0}, Group.BAA)
+        shapes = {}
+        model = build_choropleth(shapes, {"a": ClassLabel.G0}, Group.BAA)
         with pytest.raises(RenderError, match="no geometry"):
             render_choropleth(model)
 
     def test_determinism(self):
-        bset = BoundarySet(shapes={"a": [SQUARE]}, unmatched_ids=(), missing_ids=())
-        model = build_choropleth(bset, {"a": ClassLabel.G1}, Group.HL)
+        shapes = {"a": [SQUARE]}
+        model = build_choropleth(shapes, {"a": ClassLabel.G1}, Group.HL)
         assert render_choropleth(model) == render_choropleth(model)
 
 

@@ -199,7 +199,8 @@ class TestOracle:
 
         import rankdiff.oracle as oracle_mod
 
-        tree = ast.parse(open(oracle_mod.__file__, encoding="utf-8").read())
+        with open(oracle_mod.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 assert "metrics" not in (node.module or "")
