@@ -33,6 +33,7 @@ from .errors import IngestError
 from .model import (
     GROUP_INDEX,
     GROUPS,
+    INT64_MAX,
     K,
     CaseCube,
     ClampEvent,
@@ -55,7 +56,6 @@ OTH_COMPONENTS = ("OTH", "ASIAN", "HPI", "AIAN")
 EXCLUDED_POP_GROUPS = ("MO", "UNK")
 POP_SOURCE_GROUPS = ("BAA", "HL", "W") + OTH_COMPONENTS + EXCLUDED_POP_GROUPS
 
-INT64_MAX = int(np.iinfo(np.int64).max)  # counts, populations and their totals are int64
 
 
 def _csv_records(path: Path, columns: list[str]):

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MetricsError
-from .model import GROUPS, K, MINORITY_GROUPS, CaseCube, Group, PopulationTable
+from .model import GROUPS, INT64_MAX, K, MINORITY_GROUPS, CaseCube, Group, PopulationTable
 
 BASES = ("raw_daily", "ma7", "cumulative")
 
@@ -143,6 +143,8 @@ def moving_average_7d(
     ``scale_by_population`` values are divided by the statewide group
     population and expressed in percent.
     """
+    if statewide:  # the running sums below reach each group's total over all cells
+        _check_sums(cube.counts.sum(axis=(0, 1), dtype=object), "cases total")
     counts = cube.counts.sum(axis=0) if statewide else cube.counts
     sums = np.cumsum(counts, axis=-2, dtype=np.int64)
     n = cube.n_days
@@ -154,6 +156,7 @@ def moving_average_7d(
     if scale_by_population:
         if pops is None:
             raise MetricsError("scale_by_population requires a PopulationTable")
+        _check_sums(pops.pops.sum(axis=0, dtype=object), "population")
         totals = pops.pops.sum(axis=0)
         zero = [GROUPS[k].value for k in range(K) if totals[k] == 0]
         if zero:
@@ -164,9 +167,18 @@ def moving_average_7d(
     return ma
 
 
+def _check_sums(sums: np.ndarray, what: str) -> None:
+    """Raise naming each group, the last axis of the exact ``sums``, where one passes int64."""
+    over = [g.value for k, g in enumerate(GROUPS) if max(sums[..., k].flat) > INT64_MAX]
+    if over:
+        raise MetricsError(f"statewide {what} beyond {INT64_MAX} for " + ", ".join(over))
+
+
 def statewide_aggregate(cube: CaseCube) -> np.ndarray:
     """Daily counts summed over all municipalities, shape (N, K)."""
-    return cube.counts.sum(axis=0, dtype=np.int64)
+    sums = cube.counts.sum(axis=0, dtype=object)  # Python ints, exact
+    _check_sums(sums, "daily cases")
+    return sums.astype(np.int64)
 
 
 def _persistence_pcts(x: np.ndarray, regime: RegimeConfig) -> np.ndarray:

@@ -34,6 +34,8 @@ GROUP_INDEX: dict[Group, int] = {g: i for i, g in enumerate(GROUPS)}
 # Minority groups compared against the W reference in relative-change stats.
 MINORITY_GROUPS: tuple[Group, ...] = (Group.BAA, Group.HL, Group.OTH)
 
+INT64_MAX = int(np.iinfo(np.int64).max)  # counts, populations and their totals are int64
+
 
 @dataclass(frozen=True)
 class Municipality:

@@ -241,6 +241,10 @@ def run(cfg: RunConfig) -> RunResult:
     ids = sorted(cube.ids())
     for mid in ids:
         _write_text(_dashboard_path(out, mid), _dashboard_svg(loaded, analysis, mid))
+    written = {_dashboard_path(out, mid).name for mid in ids}
+    for path in (out / "dashboards").glob("*.svg"):
+        if path.name not in written and path.is_file():
+            path.unlink()  # left by an earlier run over a larger roster
     map_name = _map_name(cfg.group)
     _write_text(out / map_name, map_svg)
     _write_text(out / "index.html", render.render_index(

@@ -12,6 +12,7 @@ rank-difference panels side by side below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .svg import (
     draw_pie,
     draw_star,
     draw_triangle,
+    fnum,
 )
 
 SPECIAL_NOTES = {
@@ -47,11 +49,10 @@ class DashboardModel:
     rd_bound: int                            # M - 1, y-axis limit for rd panels
 
 
-def _shares(values: np.ndarray) -> dict[Group, float] | None:
-    total = int(values.sum())
+def _shares(values: list[int], total: int) -> dict[Group, float] | None:
     if total == 0:
         return None
-    return {g: float(values[k]) / total * 100.0 for k, g in enumerate(GROUPS)}
+    return {g: float(v) / total * 100.0 for g, v in zip(GROUPS, values)}
 
 
 def build_dashboard(
@@ -71,20 +72,49 @@ def build_dashboard(
     except KeyError:
         raise RenderError(f"unknown municipality id {municipality_id!r}") from None
 
-    case_totals = cube.counts[i].sum(axis=0)
+    populations = pops.pops[i].tolist()
+    case_totals = cube.counts[i].sum(axis=0).tolist()
+    pop_total, case_total = sum(populations), sum(case_totals)
     return DashboardModel(
         municipality=cube.municipalities[i],
         axis=cube.axis,
-        pop_shares=_shares(pops.pops[i]),
-        case_shares=_shares(case_totals),
-        pop_total=int(pops.pops[i].sum()),
-        case_total=int(case_totals.sum()),
-        rd_series={
-            g: tuple(int(v) for v in rd[i, :, GROUPS.index(g)]) for g in MINORITY_GROUPS
-        },
+        pop_shares=_shares(populations, pop_total),
+        case_shares=_shares(case_totals, case_total),
+        pop_total=pop_total,
+        case_total=case_total,
+        rd_series={g: tuple(rd[i, :, GROUPS.index(g)].tolist()) for g in MINORITY_GROUPS},
         stats={g: stats[municipality_id][g] for g in MINORITY_GROUPS},
         rd_bound=max(cube.n_municipalities - 1, 1),
     )
+
+
+# A run draws three panel x geometries and one y geometry; 8 leaves room for
+# the geometries of other runs in the same process.
+@lru_cache(maxsize=8)
+def _panel_xs(x: float, w: float, n: int) -> tuple[str, ...]:
+    """Formatted x of each of the ``n`` days in a panel at ``x`` of width ``w``."""
+    return tuple(fnum(x + w * j / (n - 1)) for j in range(n))
+
+
+class _PanelYs(dict):
+    """Formatted y of each rd value in a panel, filled as values first occur.
+
+    At most 2 * bound + 1 entries, so one dashboard formats only the values
+    it draws and a run formats each value once per panel geometry.
+    """
+
+    def __init__(self, mid: float, h: float, bound: int) -> None:
+        super().__init__()
+        self.mid, self.h, self.bound = mid, h, bound
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = fnum(self.mid - (value / self.bound) * (self.h / 2.0))
+        return text
+
+
+@lru_cache(maxsize=8)
+def _panel_ys(mid: float, h: float, bound: int) -> _PanelYs:
+    return _PanelYs(mid, h, bound)
 
 
 def _legend_rows(canvas: SvgCanvas, x: float, y: float, model: DashboardModel) -> None:
@@ -111,15 +141,13 @@ def _rd_panel(canvas: SvgCanvas, x: float, y: float, w: float, h: float,
     canvas.text(x - 4, y + h + 2, f"-{bound}", size=9, fill="#888888", anchor="end")
 
     n = len(series)
-    points = []
-    for j, value in enumerate(series):
-        px = x + (w * j / (n - 1) if n > 1 else w / 2.0)
-        py = mid - (value / bound) * (h / 2.0)
-        points.append((px, py))
     if n > 1:
-        canvas.polyline(points, stroke=GROUP_COLORS[group], stroke_width=1.2)
+        ys = _panel_ys(mid, h, bound)
+        canvas.polyline(_panel_xs(x, w, n), map(ys.__getitem__, series),
+                        stroke=GROUP_COLORS[group], stroke_width=1.2)
     else:
-        canvas.circle(points[0][0], points[0][1], 2.0, fill=GROUP_COLORS[group])
+        canvas.circle(x + w / 2.0, mid - (series[0] / bound) * (h / 2.0), 2.0,
+                      fill=GROUP_COLORS[group])
 
     # badges under the panel
     by = y + h + 18

@@ -3,11 +3,19 @@
 Documents are assembled as plain strings with fixed-precision coordinates so
 identical inputs always produce byte-identical files. No external resources
 are referenced; text uses generic font families.
+
+Most ``text``, ``rect`` and ``line`` elements of a dashboard are the same in
+every dashboard of a run, so their strings come from bounded LRU caches keyed
+by the element's arguments. A cached fragment is a pure function of its
+arguments (typed, so ``1`` and ``1.0`` are separate keys), so warm and cold
+caches give the same bytes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 from ..classify import ClassLabel
 from ..model import Group
@@ -41,35 +49,60 @@ def escape(text: str) -> str:
     )
 
 
+# Enough for every distinct element of one dashboard's frame, so a run of
+# dashboards keeps the frame cached while one-off elements cycle through.
+_FRAGMENTS = 512
+
+
+@lru_cache(maxsize=_FRAGMENTS, typed=True)
+def _rect(x: float, y: float, w: float, h: float, fill: str, stroke: str,
+          stroke_width: float, rx: float) -> str:
+    extra = f' rx="{fnum(rx)}"' if rx else ""
+    return (
+        f'<rect x="{fnum(x)}" y="{fnum(y)}" width="{fnum(w)}" height="{fnum(h)}"'
+        f' fill="{fill}" stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
+    )
+
+
+@lru_cache(maxsize=_FRAGMENTS, typed=True)
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, stroke_width: float,
+          dash: str | None) -> str:
+    extra = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="{fnum(x1)}" y1="{fnum(y1)}" x2="{fnum(x2)}" y2="{fnum(y2)}"'
+        f' stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
+    )
+
+
+@lru_cache(maxsize=_FRAGMENTS, typed=True)
+def _text(x: float, y: float, content: str, size: int, fill: str, anchor: str,
+          weight: str) -> str:
+    return (
+        f'<text x="{fnum(x)}" y="{fnum(y)}" font-size="{size}" fill="{fill}"'
+        f' text-anchor="{anchor}" font-weight="{weight}"'
+        f' font-family="Helvetica, Arial, sans-serif">{escape(content)}</text>'
+    )
+
+
 class SvgCanvas:
     def __init__(self, width: int, height: int) -> None:
         self.width = width
         self.height = height
         self.parts: list[str] = []
 
-    def add(self, element: str) -> None:
-        self.parts.append(element)
-
     def rect(self, x: float, y: float, w: float, h: float, fill: str = "none",
              stroke: str = "none", stroke_width: float = 1.0, rx: float = 0.0) -> None:
-        extra = f' rx="{fnum(rx)}"' if rx else ""
-        self.add(
-            f'<rect x="{fnum(x)}" y="{fnum(y)}" width="{fnum(w)}" height="{fnum(h)}"'
-            f' fill="{fill}" stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
-        )
+        self.parts.append(_rect(x, y, w, h, fill, stroke, stroke_width, rx))
 
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str = "#000000",
              stroke_width: float = 1.0, dash: str | None = None) -> None:
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
-        self.add(
-            f'<line x1="{fnum(x1)}" y1="{fnum(y1)}" x2="{fnum(x2)}" y2="{fnum(y2)}"'
-            f' stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
-        )
+        self.parts.append(_line(x1, y1, x2, y2, stroke, stroke_width, dash))
 
-    def polyline(self, points: list[tuple[float, float]], stroke: str,
+    def polyline(self, xs: Sequence[str], ys: Iterable[str], stroke: str,
                  stroke_width: float = 1.0) -> None:
-        coords = " ".join(f"{fnum(x)},{fnum(y)}" for x, y in points)
-        self.add(
+        """Polyline through the points (xs[j], ys[j]), given as ``fnum`` strings."""
+        coords = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
+        self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{fnum(stroke_width)}"/>'
         )
@@ -77,31 +110,27 @@ class SvgCanvas:
     def polygon(self, points: list[tuple[float, float]], fill: str,
                 stroke: str = "none", stroke_width: float = 1.0) -> None:
         coords = " ".join(f"{fnum(x)},{fnum(y)}" for x, y in points)
-        self.add(
+        self.parts.append(
             f'<polygon points="{coords}" fill="{fill}" stroke="{stroke}"'
             f' stroke-width="{fnum(stroke_width)}"/>'
         )
 
     def path(self, d: str, fill: str, stroke: str = "none", stroke_width: float = 1.0) -> None:
-        self.add(
+        self.parts.append(
             f'<path d="{d}" fill="{fill}" stroke="{stroke}"'
             f' stroke-width="{fnum(stroke_width)}" fill-rule="evenodd"/>'
         )
 
     def circle(self, cx: float, cy: float, r: float, fill: str,
                stroke: str = "none", stroke_width: float = 1.0) -> None:
-        self.add(
+        self.parts.append(
             f'<circle cx="{fnum(cx)}" cy="{fnum(cy)}" r="{fnum(r)}" fill="{fill}"'
             f' stroke="{stroke}" stroke-width="{fnum(stroke_width)}"/>'
         )
 
     def text(self, x: float, y: float, content: str, size: int = 12, fill: str = "#222222",
              anchor: str = "start", weight: str = "normal") -> None:
-        self.add(
-            f'<text x="{fnum(x)}" y="{fnum(y)}" font-size="{size}" fill="{fill}"'
-            f' text-anchor="{anchor}" font-weight="{weight}"'
-            f' font-family="Helvetica, Arial, sans-serif">{escape(content)}</text>'
-        )
+        self.parts.append(_text(x, y, content, size, fill, anchor, weight))
 
     def to_svg(self) -> str:
         header = (
@@ -132,6 +161,7 @@ def draw_pie(canvas: SvgCanvas, cx: float, cy: float, r: float,
              shares: list[tuple[str, float]]) -> None:
     """Draw one pie from (color, percent) wedges; zero wedges are skipped."""
     angles = pie_angles([s for _, s in shares])
+    centre, radius = f"{fnum(cx)} {fnum(cy)}", fnum(r)
     for (color, share), (start, sweep) in zip(shares, angles):
         if share <= 0.0:
             continue
@@ -142,8 +172,8 @@ def draw_pie(canvas: SvgCanvas, cx: float, cy: float, r: float,
         x2, y2 = _arc_point(cx, cy, r, start + sweep)
         large = 1 if sweep > 180.0 else 0
         d = (
-            f"M {fnum(cx)} {fnum(cy)} L {fnum(x1)} {fnum(y1)} "
-            f"A {fnum(r)} {fnum(r)} 0 {large} 1 {fnum(x2)} {fnum(y2)} Z"
+            f"M {centre} L {fnum(x1)} {fnum(y1)} "
+            f"A {radius} {radius} 0 {large} 1 {fnum(x2)} {fnum(y2)} Z"
         )
         canvas.path(d, fill=color, stroke="#ffffff", stroke_width=1.0)
 

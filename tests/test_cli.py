@@ -253,6 +253,24 @@ class TestRun:
         assert tree_bytes(out) == first
         assert tree_bytes(config.parent / "fx") == inputs_before
 
+    def test_rerun_smaller_roster_removes_stale_dashboards(self, tmp_path):
+        def config(name: str, m: int, out: str) -> Path:
+            paths = write_fixture(fixture_spec(m=m), tmp_path / name)
+            return write_config(tmp_path / name, paths, out=str(tmp_path / out))
+
+        six, four = config("six", 6, "out"), config("four", 4, "out")
+        fresh = config("fresh", 4, "fresh-out")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(six)]) == 0
+        (out / "dashboards" / "notes.txt").write_text("kept", encoding="utf-8")
+        (out / "dashboards" / "old").mkdir()
+        (out / "dashboards" / "old" / "m005.svg").write_text("kept", encoding="utf-8")
+        assert cli.main(["run", "--config", str(four)]) == 0
+        assert cli.main(["run", "--config", str(fresh)]) == 0
+
+        kept = {"dashboards/notes.txt": b"kept", "dashboards/old/m005.svg": b"kept"}
+        assert tree_bytes(out) == {**tree_bytes(tmp_path / "fresh-out"), **kept}
+
     def test_rd_csv_shape(self, clean_fixture):
         config, out = clean_fixture
         cli.main(["run", "--config", str(config)])

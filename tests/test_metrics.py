@@ -21,7 +21,7 @@ from rankdiff.metrics import (
     special_case,
     statewide_aggregate,
 )
-from rankdiff.model import GROUPS, Group
+from rankdiff.model import GROUPS, INT64_MAX, Group
 from rankdiff.synth import SynthSpec, generate
 
 from conftest import make_cube, make_pops, random_cube, random_pops_for
@@ -230,6 +230,26 @@ class TestMovingAverage:
         with pytest.raises(MetricsError, match="BAA"):
             moving_average_7d(cube, scale_by_population=True, statewide=True, pops=pops)
 
+    def test_statewide_sum_beyond_int64_errors(self):
+        counts = np.zeros((2, 2, 4), dtype=np.int64)
+        counts[:, 0, 0] = INT64_MAX // 2 + 1
+        with pytest.raises(MetricsError, match=rf"cases total beyond {INT64_MAX} for BAA$"):
+            moving_average_7d(make_cube(counts), statewide=True)
+
+    def test_statewide_running_sum_beyond_int64_errors(self):
+        """Each day's statewide sum fits; their running sum over days does not."""
+        counts = np.zeros((2, 2, 4), dtype=np.int64)
+        counts[0, 0, 1] = counts[1, 1, 1] = INT64_MAX // 2 + 1
+        assert statewide_aggregate(make_cube(counts))[:, 1].tolist() == [INT64_MAX // 2 + 1] * 2
+        with pytest.raises(MetricsError, match=r"statewide cases total beyond \d+ for HL$"):
+            moving_average_7d(make_cube(counts), statewide=True)
+
+    def test_statewide_population_beyond_int64_errors(self):
+        cube = make_cube(np.zeros((2, 3, 4), dtype=int))
+        pops = make_pops([[1, 1, INT64_MAX, 1], [1, 1, 1, 1]])
+        with pytest.raises(MetricsError, match=r"statewide population beyond \d+ for OTH$"):
+            moving_average_7d(cube, scale_by_population=True, statewide=True, pops=pops)
+
     def test_scale_requires_pops(self):
         cube = make_cube(np.zeros((1, 3, 4), dtype=int))
         with pytest.raises(MetricsError, match="PopulationTable"):
@@ -370,6 +390,18 @@ class TestStatewideAggregate:
 
     def test_zero_cube(self):
         assert not statewide_aggregate(make_cube(np.zeros((3, 4, 4), dtype=int))).any()
+
+    def test_sum_beyond_int64_errors(self):
+        counts = np.zeros((2, 1, 4), dtype=np.int64)
+        counts[:, 0, 0] = INT64_MAX // 2 + 1
+        counts[:, 0, 3] = INT64_MAX // 2
+        with pytest.raises(MetricsError, match=rf"daily cases beyond {INT64_MAX} for BAA$"):
+            statewide_aggregate(make_cube(counts))
+
+    def test_sum_up_to_int64_max(self):
+        counts = np.zeros((2, 1, 4), dtype=np.int64)
+        counts[:, 0, 0] = [INT64_MAX // 2, INT64_MAX // 2 + 1]
+        assert statewide_aggregate(make_cube(counts))[0].tolist() == [INT64_MAX, 0, 0, 0]
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))

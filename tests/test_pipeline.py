@@ -144,11 +144,71 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_golden_digests(tmp_path):
-    paths = write_fixture(_wide_shaped_spec(), tmp_path / "fx")
+def _run_fixture(spec: SynthSpec, tmp_path) -> RunConfig:
+    paths = write_fixture(spec, tmp_path / "fx")
     cfg = RunConfig(cases=paths["cases"], populations=paths["populations"],
                     boundaries=paths["boundaries"], out=tmp_path / "out")
     run(cfg)
+    return cfg
+
+
+def test_golden_digests(tmp_path):
+    cfg = _run_fixture(_wide_shaped_spec(), tmp_path)
     digests = {name: hashlib.sha256((cfg.out / name).read_bytes()).hexdigest()
                for name in GOLDEN_DIGESTS}
     assert digests == GOLDEN_DIGESTS
+
+
+def _long_series_spec():
+    """M=8, N=90 at a low rate, populations rising with the id in every group
+    except HL of m003, which is zero (a cross marker). On a day where m001
+    has at least as many cases as every other town, the id tie-break ranks it
+    first, so rd reaches +(M-1); on the same kind of day m008, the largest,
+    ranks last, so rd reaches -(M-1)."""
+    m = 8
+    pops = [(50 * i, 0 if i == 3 else 80 * i, 30 * i, 400 * i) for i in range(1, m + 1)]
+    return SynthSpec(m=m, n_days=90, populations=tuple(pops), lam=((1.0,) * 4,) * m,
+                     seed=5, base_rate=2e-3)
+
+
+def _uniform_spec(m: int, n_days: int) -> SynthSpec:
+    pops = tuple((300 + 7 * i, 500 + 11 * i, 200 + 3 * i, 4000 + 13 * i) for i in range(m))
+    return SynthSpec(m=m, n_days=n_days, populations=pops, lam=((1.0,) * 4,) * m,
+                     seed=3, base_rate=5e-3)
+
+
+DASHBOARD_SPECS = {
+    "wide": _wide_shaped_spec,
+    "long-series": _long_series_spec,
+    "one-day": lambda: _uniform_spec(5, 1),            # each series is a circle, not a polyline
+    "one-municipality": lambda: _uniform_spec(1, 10),  # rd_bound clamps to 1
+}
+
+DASHBOARD_DIGESTS = {
+    "wide": "d2469b091e1fc4480ac1913e4dd8f34e0a458c68974f5c196ed6e03662e8895d",
+    "long-series": "bb036de977f9fa8c69b7458028c51c28b19852cc24ffc1d80db14023e277bacb",
+    "one-day": "6649ad46039e940bf8a3f59fe009534b3f39f4b3e41120b6279e6061eae7a09a",
+    "one-municipality": "a0e4df2e68b0061efda536d4dfb4036929bc2a67b71b48be25779a4fa92abdbd",
+}
+
+
+def _rendered_digest(out) -> str:
+    """sha256 over every dashboard (sorted by id), the BAA map and the index page."""
+    files = sorted((out / "dashboards").glob("*.svg")) + [out / "map_baa.svg", out / "index.html"]
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(f"{path.name}\0".encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DASHBOARD_SPECS))
+def test_dashboard_digests(tmp_path, name):
+    spec = DASHBOARD_SPECS[name]()
+    cfg = _run_fixture(spec, tmp_path)
+    if name == "long-series":
+        rd = [int(line.rsplit(",", 1)[1])
+              for line in (cfg.out / "rd.csv").read_text(encoding="utf-8").splitlines()[1:]]
+        assert (min(rd), max(rd)) == (1 - spec.m, spec.m - 1)
+    assert len(list((cfg.out / "dashboards").iterdir())) == spec.m
+    assert _rendered_digest(cfg.out) == DASHBOARD_DIGESTS[name]

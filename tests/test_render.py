@@ -14,6 +14,7 @@ from rankdiff.render import (
     render_dashboard,
     render_index,
 )
+from rankdiff.render import dashboard, svg
 from rankdiff.render.svg import CLASS_COLORS, pie_angles
 
 from conftest import make_cube, make_pops
@@ -116,6 +117,13 @@ class TestDeterminismAndGolden:
     def test_same_model_same_bytes(self):
         model = golden_model()
         assert render_dashboard(model) == render_dashboard(model)
+
+    def test_cache_state_does_not_change_bytes(self):
+        model = golden_model()
+        warm = render_dashboard(model)
+        for cached in (svg._text, svg._rect, svg._line, dashboard._panel_xs, dashboard._panel_ys):
+            cached.cache_clear()
+        assert render_dashboard(model) == warm
 
     def test_golden(self):
         assert GOLDEN.exists(), "golden missing; regenerate via tests/make_golden.py"
