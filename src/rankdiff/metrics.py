@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -100,6 +101,7 @@ def _basis_values(cube: CaseCube, basis: str) -> np.ndarray:
     if basis == "raw_daily":
         return cube.counts
     if basis == "cumulative":
+        _check_series_totals(cube)
         return np.cumsum(cube.counts, axis=1, dtype=np.int64)
     if basis == "ma7":
         return moving_average_7d(cube)
@@ -144,7 +146,9 @@ def moving_average_7d(
     population and expressed in percent.
     """
     if statewide:  # the running sums below reach each group's total over all cells
-        _check_sums(cube.counts.sum(axis=(0, 1), dtype=object), "cases total")
+        _check_sums(cube.counts.sum(axis=(0, 1), dtype=object), "statewide cases total")
+    else:
+        _check_series_totals(cube)
     counts = cube.counts.sum(axis=0) if statewide else cube.counts
     sums = np.cumsum(counts, axis=-2, dtype=np.int64)
     n = cube.n_days
@@ -156,7 +160,7 @@ def moving_average_7d(
     if scale_by_population:
         if pops is None:
             raise MetricsError("scale_by_population requires a PopulationTable")
-        _check_sums(pops.pops.sum(axis=0, dtype=object), "population")
+        _check_sums(pops.pops.sum(axis=0, dtype=object), "statewide population")
         totals = pops.pops.sum(axis=0)
         zero = [GROUPS[k].value for k in range(K) if totals[k] == 0]
         if zero:
@@ -171,13 +175,20 @@ def _check_sums(sums: np.ndarray, what: str) -> None:
     """Raise naming each group, the last axis of the exact ``sums``, where one passes int64."""
     over = [g.value for k, g in enumerate(GROUPS) if max(sums[..., k].flat) > INT64_MAX]
     if over:
-        raise MetricsError(f"statewide {what} beyond {INT64_MAX} for " + ", ".join(over))
+        raise MetricsError(f"{what} beyond {INT64_MAX} for " + ", ".join(over))
+
+
+def _check_series_totals(cube: CaseCube) -> None:
+    """Raise where one municipality's cases over all days, which bound its running sums
+    over days, pass int64. A float64 sum far below the limit settles it without exact sums."""
+    if cube.counts.sum(axis=1, dtype=np.float64).max(initial=0.0) >= 2.0**62:
+        _check_sums(cube.counts.sum(axis=1, dtype=object), "cases total of a municipality")
 
 
 def statewide_aggregate(cube: CaseCube) -> np.ndarray:
     """Daily counts summed over all municipalities, shape (N, K)."""
     sums = cube.counts.sum(axis=0, dtype=object)  # Python ints, exact
-    _check_sums(sums, "daily cases")
+    _check_sums(sums, "statewide daily cases")
     return sums.astype(np.int64)
 
 
@@ -311,31 +322,30 @@ def write_rd_csv(path: str | Path, cube: CaseCube, rd: np.ndarray) -> None:
                 writer.writerows(zip(repeat(mid), repeat(g.value), days, values))
 
 
-def stats_document(
-    cube: CaseCube,
-    stats: dict[str, dict[Group, GroupStats]],
-    regime: RegimeConfig,
-    basis: str,
-) -> dict:
-    """JSON-ready stats document keyed by municipality id."""
-    regime = regime.resolved(cube.n_municipalities)
-    municipalities = {}
-    for muni in cube.municipalities:
-        municipalities[muni.id] = {
-            "name": muni.name,
-            "county": muni.county,
-            "groups": {g.value: s.to_dict() for g, s in stats[muni.id].items()},
-        }
-    return {
-        "window": {
-            "start": cube.axis.start.isoformat(),
-            "end": cube.axis.end.isoformat(),
-            "n_days": cube.n_days,
-        },
-        "basis": basis,
-        "regime": {"t_min": regime.t_min, "t_max": regime.t_max},
-        "municipalities": municipalities,
-    }
+# stats.json is pinned to the bytes of json.dump(doc, indent=2, sort_keys=True)
+# plus a newline. That encoder runs in pure Python whenever ``indent`` is set,
+# so each municipality's record, whose keys are fixed, is filled into this
+# template instead: strings through the same ASCII escaper, floats through
+# float.__repr__ as json does, None as null. Keys appear in sorted order.
+_GROUP_RECORD = """\
+        %s: {
+          "persistence_pct": %s,
+          "relative_change": %s,
+          "skewness": %s,
+          "special": %s
+        }"""
+_RECORD = (
+    '    %s: {\n      "county": %s,\n      "groups": {\n'
+    + ",\n".join([_GROUP_RECORD] * K)
+    + '\n      },\n      "name": %s\n    }'
+)
+_SORTED_GROUPS = sorted(GROUPS, key=lambda g: g.value)
+_GROUP_KEYS = [encode_basestring_ascii(g.value) for g in _SORTED_GROUPS]
+_SPECIALS = {s: encode_basestring_ascii(s.value) for s in Special}
+
+
+def _json_float(value: float | None) -> str:
+    return "null" if value is None else float.__repr__(value)
 
 
 def write_stats_json(
@@ -345,7 +355,28 @@ def write_stats_json(
     regime: RegimeConfig,
     basis: str,
 ) -> None:
-    doc = stats_document(cube, stats, regime, basis)
+    """Per-municipality statistics keyed by id, with the window, basis and regime."""
+    regime = regime.resolved(cube.n_municipalities)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write('{\n  "basis": %s,\n  "municipalities": {' % encode_basestring_ascii(basis))
+        separator = "\n"
+        for muni in sorted(cube.municipalities, key=lambda m: m.id):
+            values = [encode_basestring_ascii(muni.id), encode_basestring_ascii(muni.county)]
+            per_group = stats[muni.id]
+            for key, g in zip(_GROUP_KEYS, _SORTED_GROUPS):
+                s = per_group[g]
+                values += (key, float.__repr__(s.persistence_pct),
+                           _json_float(s.relative_change_pct), _json_float(s.skewness),
+                           _SPECIALS[s.special])
+            values.append(encode_basestring_ascii(muni.name))
+            handle.write(separator)
+            handle.write(_RECORD % tuple(values))
+            separator = ",\n"
+        handle.write(
+            ("\n  },\n" if cube.municipalities else "},\n")
+            + '  "regime": {\n    "t_max": %s,\n    "t_min": %s\n  },\n'
+            '  "window": {\n    "end": %s,\n    "n_days": %s,\n    "start": %s\n  }\n}\n'
+            % (json.dumps(regime.t_max), json.dumps(regime.t_min),
+               encode_basestring_ascii(cube.axis.end.isoformat()), json.dumps(cube.n_days),
+               encode_basestring_ascii(cube.axis.start.isoformat()))
+        )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import classify as classify_mod
 from . import ingest, metrics, render
 from .classify import ClassifierConfig, ClassLabel
-from .errors import ConfigError
+from .errors import ConfigError, IngestError
 from .metrics import GroupStats, RegimeConfig
 from .model import CaseCube, Group, PopulationTable, QualityReport, Ring
 
@@ -158,10 +159,19 @@ class LoadedInputs:
 
 
 def load_inputs(cfg: RunConfig) -> LoadedInputs:
+    """Load the three inputs and reject what no later step could use.
+
+    These are the last checks that need the inputs themselves, so ``validate``
+    rejects every input that ``run`` would.
+    """
     report = QualityReport()
     cube = ingest.load_cases(cfg.cases, schema=cfg.cases_schema, report=report)
     pops = ingest.load_populations(cfg.populations, cube.municipalities, report=report)
     boundaries = ingest.load_boundaries(cfg.boundaries, cube.municipalities, report=report)
+    cfg.regime.resolved(cube.n_municipalities)  # a null max means M, which may not exceed min
+    if not any(boundaries.get(m.id) for m in cube.municipalities):
+        raise IngestError(f"{cfg.boundaries}: no feature matches a roster id, "
+                          "so the map has no geometry to draw")
     return LoadedInputs(cube=cube, pops=pops, boundaries=boundaries, report=report)
 
 
@@ -202,7 +212,7 @@ class RenderResult:
     report: QualityReport
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: str | Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
 
@@ -216,8 +226,12 @@ def _map_svg(cfg: RunConfig, loaded: LoadedInputs, analysis: Analysis) -> str:
     return render.render_choropleth(choropleth)
 
 
-def _dashboard_path(out: Path, mid: str) -> Path:
-    return out / "dashboards" / f"{mid}.svg"
+def _dashboards_dir(out: Path) -> str:
+    return os.path.join(out, "dashboards")
+
+
+def _dashboard_path(dashboards: str, mid: str) -> str:
+    return os.path.join(dashboards, f"{mid}.svg")
 
 
 def _dashboard_svg(loaded: LoadedInputs, analysis: Analysis, mid: str) -> str:
@@ -231,7 +245,8 @@ def run(cfg: RunConfig) -> RunResult:
     analysis = analyze(cfg, loaded)
     map_svg = _map_svg(cfg, loaded, analysis)  # drawn first: a map that fails leaves no tree
     cube, out = loaded.cube, cfg.out
-    (out / "dashboards").mkdir(parents=True, exist_ok=True)
+    dashboards = _dashboards_dir(out)
+    os.makedirs(dashboards, exist_ok=True)
 
     metrics.write_rd_csv(out / "rd.csv", cube, analysis.rd)
     metrics.write_stats_json(out / "stats.json", cube, analysis.stats, cfg.regime, cfg.basis)
@@ -239,12 +254,16 @@ def run(cfg: RunConfig) -> RunResult:
     _write_text(out / "quality.json", loaded.report.to_json())
 
     ids = sorted(cube.ids())
+    written = set()
     for mid in ids:
-        _write_text(_dashboard_path(out, mid), _dashboard_svg(loaded, analysis, mid))
-    written = {_dashboard_path(out, mid).name for mid in ids}
-    for path in (out / "dashboards").glob("*.svg"):
-        if path.name not in written and path.is_file():
-            path.unlink()  # left by an earlier run over a larger roster
+        path = _dashboard_path(dashboards, mid)
+        _write_text(path, _dashboard_svg(loaded, analysis, mid))
+        written.add(os.path.basename(path))
+    with os.scandir(dashboards) as entries:  # left by an earlier run over a larger roster
+        stale = [entry.path for entry in entries if entry.name.endswith(".svg")
+                 and entry.name not in written and entry.is_file()]
+    for path in stale:
+        os.unlink(path)
     map_name = _map_name(cfg.group)
     _write_text(out / map_name, map_svg)
     _write_text(out / "index.html", render.render_index(
@@ -267,7 +286,7 @@ def render_dashboard(cfg: RunConfig, mid: str) -> RenderResult:
     """Write only municipality ``mid``'s dashboard of the output tree."""
     loaded = load_inputs(cfg)
     svg = _dashboard_svg(loaded, analyze(cfg, loaded), mid)
-    target = _dashboard_path(cfg.out, mid)
+    target = Path(_dashboard_path(_dashboards_dir(cfg.out), mid))
     target.parent.mkdir(parents=True, exist_ok=True)
     _write_text(target, svg)
     return RenderResult(path=target, report=loaded.report)

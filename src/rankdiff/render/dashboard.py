@@ -7,6 +7,14 @@ skewness badges, and the relative-change line with its special-case marker
 
 Panel arrangement is this renderer's own choice: pies on top, the three
 rank-difference panels side by side below.
+
+Everything a dashboard shares with the others of its run (background, date
+line, headers, legend swatches, panel frames and ±bound labels, badge boxes,
+footer) is drawn once by ``_frame`` and kept pre-joined, as the segments
+between the slots where ``render_dashboard`` draws one municipality's
+fragments. A frame segment is a pure function of ``(axis, rd_bound)``, and
+so are the cached panel x and y strings of their arguments, so warm and cold
+caches give the same bytes.
 """
 
 from __future__ import annotations
@@ -117,7 +125,40 @@ def _panel_ys(mid: float, h: float, bound: int) -> _PanelYs:
     return _PanelYs(mid, h, bound)
 
 
-def _legend_rows(canvas: SvgCanvas, x: float, y: float, model: DashboardModel) -> None:
+# The fixed layout, shared by ``_frame`` and ``render_dashboard``.
+WIDTH, HEIGHT = 880, 560
+LEGEND_X, LEGEND_Y = 450, 120
+PANEL_Y, PANEL_W, PANEL_H = 300, 250, 150
+
+
+def _panel_x(column: int) -> int:
+    return 30 + column * 290
+
+
+_SLOT = "\x00"  # where render_dashboard fills in one municipality's fragments
+
+
+# One run draws one frame; 8 leaves room for the frames of other runs.
+@lru_cache(maxsize=8)
+def _frame(axis: DateAxis, bound: int) -> tuple[str, ...]:
+    """The parts every dashboard of a run shares, as the joined segments that
+    surround the municipality's fragments (the slots)."""
+    canvas = SvgCanvas(WIDTH, HEIGHT)
+
+    def slot() -> None:
+        canvas.parts.append(_SLOT)
+
+    canvas.rect(0, 0, WIDTH, HEIGHT, fill="#ffffff")
+    slot()  # title and id
+    canvas.text(860, 32, f"{axis.start.isoformat()} to {axis.end.isoformat()} ({axis.n_days} days)",
+                size=12, fill="#666666", anchor="end")
+    canvas.text(860, 52, "daily new confirmed or probable cases", size=11,
+                fill="#888888", anchor="end")
+    canvas.text(120, 92, "population", size=13, anchor="middle", weight="bold")
+    canvas.text(320, 92, "cases", size=13, anchor="middle", weight="bold")
+    slot()  # the two pies
+
+    x, y = LEGEND_X, LEGEND_Y
     canvas.text(x + 18, y - 14, "group", size=11, fill="#666666")
     canvas.text(x + 80, y - 14, "population", size=11, fill="#666666", anchor="end")
     canvas.text(x + 150, y - 14, "cases", size=11, fill="#666666", anchor="end")
@@ -125,97 +166,105 @@ def _legend_rows(canvas: SvgCanvas, x: float, y: float, model: DashboardModel) -
         ry = y + row * 20
         canvas.rect(x, ry - 10, 12, 12, fill=GROUP_COLORS[g])
         canvas.text(x + 18, ry, g.value, size=12)
-        pop = "n/a" if model.pop_shares is None else f"{model.pop_shares[g]:.2f}%"
-        case = "n/a" if model.case_shares is None else f"{model.case_shares[g]:.2f}%"
-        canvas.text(x + 80, ry, pop, size=12, anchor="end")
-        canvas.text(x + 150, ry, case, size=12, anchor="end")
+        slot()  # the group's shares; after the last group, the totals
 
-
-def _rd_panel(canvas: SvgCanvas, x: float, y: float, w: float, h: float,
-              group: Group, series: tuple[int, ...], stats: GroupStats, bound: int) -> None:
-    canvas.text(x, y - 8, f"{group.value} rank difference", size=12, weight="bold")
-    canvas.rect(x, y, w, h, fill="#fafafa", stroke="#cccccc")
+    y, w, h = PANEL_Y, PANEL_W, PANEL_H
     mid = y + h / 2.0
-    canvas.line(x, mid, x + w, mid, stroke="#999999", stroke_width=0.5, dash="3,3")
-    canvas.text(x - 4, y + 4, f"+{bound}", size=9, fill="#888888", anchor="end")
-    canvas.text(x - 4, y + h + 2, f"-{bound}", size=9, fill="#888888", anchor="end")
-
-    n = len(series)
-    if n > 1:
-        ys = _panel_ys(mid, h, bound)
-        canvas.polyline(_panel_xs(x, w, n), map(ys.__getitem__, series),
-                        stroke=GROUP_COLORS[group], stroke_width=1.2)
-    else:
-        canvas.circle(x + w / 2.0, mid - (series[0] / bound) * (h / 2.0), 2.0,
-                      fill=GROUP_COLORS[group])
-
-    # badges under the panel
-    by = y + h + 18
-    canvas.rect(x, by - 11, 86, 16, fill="#eef3f8", stroke="#b8c6d8", rx=3.0)
-    canvas.text(x + 4, by + 1, f"per {stats.persistence_pct:.1f}%", size=11)
-    skew = "n/a" if stats.skewness is None else f"{stats.skewness:.2f}"
-    canvas.text(x + 96, by + 1, f"skew {skew}", size=11)
-
-    hy = by + 20
-    canvas.text(x, hy, "vs W:", size=11, fill="#444444")
-    marker_x = x + 40
-    if stats.special is Special.UNDEFINED_ZERO_ZERO:
-        draw_cross(canvas, marker_x, hy - 4, 9)
-    elif stats.special is Special.POP_ZERO_CASES_NONZERO:
-        draw_star(canvas, marker_x, hy - 4, 12)
-    elif stats.special is Special.CASES_EXCEED_POP:
-        draw_triangle(canvas, marker_x, hy - 4, 10)
-    text_x = marker_x + 10 if stats.special is not Special.NORMAL else marker_x - 6
-    if stats.relative_change_pct is None:
-        note = SPECIAL_NOTES.get(stats.special, "undefined")
-        canvas.text(text_x, hy, note, size=10, fill="#666666")
-    else:
-        canvas.text(text_x, hy, f"{stats.relative_change_pct:+.1f}%", size=11, weight="bold")
-
-
-def render_dashboard(model: DashboardModel) -> str:
-    """Render the dashboard SVG; identical models yield identical bytes."""
-    canvas = SvgCanvas(880, 560)
-    canvas.rect(0, 0, 880, 560, fill="#ffffff")
-    muni = model.municipality
-    canvas.text(20, 32, f"{muni.name} ({muni.county})", size=20, weight="bold")
-    canvas.text(20, 52, f"id {muni.id}", size=12, fill="#666666")
-    canvas.text(
-        860, 32,
-        f"{model.axis.start.isoformat()} to {model.axis.end.isoformat()}"
-        f" ({model.axis.n_days} days)",
-        size=12, fill="#666666", anchor="end",
-    )
-    canvas.text(860, 52, "daily new confirmed or probable cases", size=11,
-                fill="#888888", anchor="end")
-
-    canvas.text(120, 92, "population", size=13, anchor="middle", weight="bold")
-    canvas.text(320, 92, "cases", size=13, anchor="middle", weight="bold")
-    if model.pop_shares is None:
-        canvas.circle(120, 170, 64, fill="#eeeeee", stroke="#cccccc")
-        canvas.text(120, 174, "n/a", size=13, anchor="middle", fill="#888888")
-    else:
-        draw_pie(canvas, 120, 170, 64,
-                 [(GROUP_COLORS[g], model.pop_shares[g]) for g in GROUPS])
-    if model.case_shares is None:
-        canvas.circle(320, 170, 64, fill="#eeeeee", stroke="#cccccc")
-        canvas.text(320, 174, "n/a", size=13, anchor="middle", fill="#888888")
-    else:
-        draw_pie(canvas, 320, 170, 64,
-                 [(GROUP_COLORS[g], model.case_shares[g]) for g in GROUPS])
-    _legend_rows(canvas, 450, 120, model)
-    canvas.text(450, 212, f"total population {model.pop_total:,}", size=11, fill="#666666")
-    canvas.text(450, 228, f"total cases {model.case_total:,}", size=11, fill="#666666")
-
-    panel_w, panel_h = 250, 150
     for column, g in enumerate(MINORITY_GROUPS):
-        x = 30 + column * 290
-        _rd_panel(canvas, x, 300, panel_w, panel_h, g,
-                  model.rd_series[g], model.stats[g], model.rd_bound)
+        x = _panel_x(column)
+        canvas.text(x, y - 8, f"{g.value} rank difference", size=12, weight="bold")
+        canvas.rect(x, y, w, h, fill="#fafafa", stroke="#cccccc")
+        canvas.line(x, mid, x + w, mid, stroke="#999999", stroke_width=0.5, dash="3,3")
+        canvas.text(x - 4, y + 4, f"+{bound}", size=9, fill="#888888", anchor="end")
+        canvas.text(x - 4, y + h + 2, f"-{bound}", size=9, fill="#888888", anchor="end")
+        slot()  # the rd series
+        by = y + h + 18
+        canvas.rect(x, by - 11, 86, 16, fill="#eef3f8", stroke="#b8c6d8", rx=3.0)
+        slot()  # persistence and skewness badges
+        canvas.text(x, by + 20, "vs W:", size=11, fill="#444444")
+        slot()  # the marker and the relative change
+
     canvas.text(
         20, 545,
         "rank difference = population-size rank minus daily case rank;"
         " positive values mean more cases than population rank predicts",
         size=10, fill="#888888",
     )
-    return canvas.to_svg()
+    return tuple(canvas.to_svg().split(f"\n{_SLOT}\n"))
+
+
+def _pie_or_disc(canvas: SvgCanvas, cx: float, shares: dict[Group, float] | None) -> None:
+    if shares is None:
+        canvas.circle(cx, 170, 64, fill="#eeeeee", stroke="#cccccc")
+        canvas.text(cx, 174, "n/a", size=13, anchor="middle", fill="#888888")
+    else:
+        draw_pie(canvas, cx, 170, 64, [(GROUP_COLORS[g], shares[g]) for g in GROUPS])
+
+
+def _share(shares: dict[Group, float] | None, g: Group) -> str:
+    return "n/a" if shares is None else f"{shares[g]:.2f}%"
+
+
+def render_dashboard(model: DashboardModel) -> str:
+    """Render the dashboard SVG; identical models yield identical bytes.
+
+    The fixed parts come pre-joined from ``_frame``; this draws only what
+    varies between municipalities, in the frame's slots, in the same order.
+    """
+    frame = iter(_frame(model.axis, model.rd_bound))
+    canvas = SvgCanvas(WIDTH, HEIGHT)
+    parts = canvas.parts
+    muni = model.municipality
+    parts.append(next(frame))
+    canvas.text(20, 32, f"{muni.name} ({muni.county})", size=20, weight="bold")
+    canvas.text(20, 52, f"id {muni.id}", size=12, fill="#666666")
+    parts.append(next(frame))
+    _pie_or_disc(canvas, 120, model.pop_shares)
+    _pie_or_disc(canvas, 320, model.case_shares)
+
+    for row, g in enumerate(GROUPS):
+        parts.append(next(frame))
+        ry = LEGEND_Y + row * 20
+        canvas.text(LEGEND_X + 80, ry, _share(model.pop_shares, g), size=12, anchor="end")
+        canvas.text(LEGEND_X + 150, ry, _share(model.case_shares, g), size=12, anchor="end")
+    canvas.text(LEGEND_X, 212, f"total population {model.pop_total:,}", size=11, fill="#666666")
+    canvas.text(LEGEND_X, 228, f"total cases {model.case_total:,}", size=11, fill="#666666")
+
+    bound, y, w, h = model.rd_bound, PANEL_Y, PANEL_W, PANEL_H
+    mid = y + h / 2.0
+    for column, g in enumerate(MINORITY_GROUPS):
+        x = _panel_x(column)
+        series, stats = model.rd_series[g], model.stats[g]
+        parts.append(next(frame))
+        if len(series) > 1:
+            ys = _panel_ys(mid, h, bound)
+            canvas.polyline(_panel_xs(x, w, len(series)), map(ys.__getitem__, series),
+                            stroke=GROUP_COLORS[g], stroke_width=1.2)
+        else:
+            canvas.circle(x + w / 2.0, mid - (series[0] / bound) * (h / 2.0), 2.0,
+                          fill=GROUP_COLORS[g])
+
+        parts.append(next(frame))
+        by = y + h + 18
+        canvas.text(x + 4, by + 1, f"per {stats.persistence_pct:.1f}%", size=11)
+        skew = "n/a" if stats.skewness is None else f"{stats.skewness:.2f}"
+        canvas.text(x + 96, by + 1, f"skew {skew}", size=11)
+
+        parts.append(next(frame))
+        hy = by + 20
+        marker_x = x + 40
+        if stats.special is Special.UNDEFINED_ZERO_ZERO:
+            draw_cross(canvas, marker_x, hy - 4, 9)
+        elif stats.special is Special.POP_ZERO_CASES_NONZERO:
+            draw_star(canvas, marker_x, hy - 4, 12)
+        elif stats.special is Special.CASES_EXCEED_POP:
+            draw_triangle(canvas, marker_x, hy - 4, 10)
+        text_x = marker_x + 10 if stats.special is not Special.NORMAL else marker_x - 6
+        if stats.relative_change_pct is None:
+            note = SPECIAL_NOTES.get(stats.special, "undefined")
+            canvas.text(text_x, hy, note, size=10, fill="#666666")
+        else:
+            canvas.text(text_x, hy, f"{stats.relative_change_pct:+.1f}%", size=11, weight="bold")
+
+    parts.append(next(frame))
+    return "\n".join(parts)

@@ -3,19 +3,12 @@
 Documents are assembled as plain strings with fixed-precision coordinates so
 identical inputs always produce byte-identical files. No external resources
 are referenced; text uses generic font families.
-
-Most ``text``, ``rect`` and ``line`` elements of a dashboard are the same in
-every dashboard of a run, so their strings come from bounded LRU caches keyed
-by the element's arguments. A cached fragment is a pure function of its
-arguments (typed, so ``1`` and ``1.0`` are separate keys), so warm and cold
-caches give the same bytes.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 
 from ..classify import ClassLabel
 from ..model import Group
@@ -49,41 +42,6 @@ def escape(text: str) -> str:
     )
 
 
-# Enough for every distinct element of one dashboard's frame, so a run of
-# dashboards keeps the frame cached while one-off elements cycle through.
-_FRAGMENTS = 512
-
-
-@lru_cache(maxsize=_FRAGMENTS, typed=True)
-def _rect(x: float, y: float, w: float, h: float, fill: str, stroke: str,
-          stroke_width: float, rx: float) -> str:
-    extra = f' rx="{fnum(rx)}"' if rx else ""
-    return (
-        f'<rect x="{fnum(x)}" y="{fnum(y)}" width="{fnum(w)}" height="{fnum(h)}"'
-        f' fill="{fill}" stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
-    )
-
-
-@lru_cache(maxsize=_FRAGMENTS, typed=True)
-def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, stroke_width: float,
-          dash: str | None) -> str:
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return (
-        f'<line x1="{fnum(x1)}" y1="{fnum(y1)}" x2="{fnum(x2)}" y2="{fnum(y2)}"'
-        f' stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
-    )
-
-
-@lru_cache(maxsize=_FRAGMENTS, typed=True)
-def _text(x: float, y: float, content: str, size: int, fill: str, anchor: str,
-          weight: str) -> str:
-    return (
-        f'<text x="{fnum(x)}" y="{fnum(y)}" font-size="{size}" fill="{fill}"'
-        f' text-anchor="{anchor}" font-weight="{weight}"'
-        f' font-family="Helvetica, Arial, sans-serif">{escape(content)}</text>'
-    )
-
-
 class SvgCanvas:
     def __init__(self, width: int, height: int) -> None:
         self.width = width
@@ -92,11 +50,19 @@ class SvgCanvas:
 
     def rect(self, x: float, y: float, w: float, h: float, fill: str = "none",
              stroke: str = "none", stroke_width: float = 1.0, rx: float = 0.0) -> None:
-        self.parts.append(_rect(x, y, w, h, fill, stroke, stroke_width, rx))
+        extra = f' rx="{fnum(rx)}"' if rx else ""
+        self.parts.append(
+            f'<rect x="{fnum(x)}" y="{fnum(y)}" width="{fnum(w)}" height="{fnum(h)}"'
+            f' fill="{fill}" stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
+        )
 
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str = "#000000",
              stroke_width: float = 1.0, dash: str | None = None) -> None:
-        self.parts.append(_line(x1, y1, x2, y2, stroke, stroke_width, dash))
+        extra = f' stroke-dasharray="{dash}"' if dash else ""
+        self.parts.append(
+            f'<line x1="{fnum(x1)}" y1="{fnum(y1)}" x2="{fnum(x2)}" y2="{fnum(y2)}"'
+            f' stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
+        )
 
     def polyline(self, xs: Sequence[str], ys: Iterable[str], stroke: str,
                  stroke_width: float = 1.0) -> None:
@@ -130,7 +96,11 @@ class SvgCanvas:
 
     def text(self, x: float, y: float, content: str, size: int = 12, fill: str = "#222222",
              anchor: str = "start", weight: str = "normal") -> None:
-        self.parts.append(_text(x, y, content, size, fill, anchor, weight))
+        self.parts.append(
+            f'<text x="{fnum(x)}" y="{fnum(y)}" font-size="{size}" fill="{fill}"'
+            f' text-anchor="{anchor}" font-weight="{weight}"'
+            f' font-family="Helvetica, Arial, sans-serif">{escape(content)}</text>'
+        )
 
     def to_svg(self) -> str:
         header = (

@@ -262,13 +262,16 @@ class TestRun:
         fresh = config("fresh", 4, "fresh-out")
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(six)]) == 0
-        (out / "dashboards" / "notes.txt").write_text("kept", encoding="utf-8")
-        (out / "dashboards" / "old").mkdir()
-        (out / "dashboards" / "old" / "m005.svg").write_text("kept", encoding="utf-8")
+        kept = {"dashboards/notes.txt": b"kept", "dashboards/old/m005.svg": b"kept",
+                "dashboards/UPPER.SVG": b"kept", "dashboards/m001.svg.bak": b"kept",
+                "dashboards/dir.svg/x": b"kept"}
+        for name, data in kept.items():
+            (out / name).parent.mkdir(exist_ok=True)
+            (out / name).write_bytes(data)
+        (out / "dashboards" / ".hidden.svg").write_text("stale", encoding="utf-8")
         assert cli.main(["run", "--config", str(four)]) == 0
         assert cli.main(["run", "--config", str(fresh)]) == 0
 
-        kept = {"dashboards/notes.txt": b"kept", "dashboards/old/m005.svg": b"kept"}
         assert tree_bytes(out) == {**tree_bytes(tmp_path / "fresh-out"), **kept}
 
     def test_rd_csv_shape(self, clean_fixture):
@@ -336,10 +339,13 @@ class TestRun:
         assert report["missing_geometry_ids"] == ["m002"]
 
     def test_no_roster_geometry_writes_nothing(self, tmp_path, capsys):
-        """The map is drawn before the first write, so its failure leaves no tree."""
+        """Loading rejects a map with nothing to draw, so no tree is written."""
         config = write_inputs(tmp_path, geo=geojson_text([square_feature("zz")]))
         assert cli.main(["run", "--config", str(config)]) == 2
-        assert "rankdiff: render: choropleth has no geometry to draw" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("rankdiff: ingest: ")
+        assert err.endswith("b.geojson: no feature matches a roster id, so the map has no "
+                            "geometry to draw\n")
         assert not (tmp_path / "out").exists()
 
     def test_bad_basis_exit_2(self, clean_fixture, capsys):

@@ -1,8 +1,12 @@
+import datetime as dt
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankdiff.errors import MetricsError
@@ -20,8 +24,9 @@ from rankdiff.metrics import (
     skewness,
     special_case,
     statewide_aggregate,
+    write_stats_json,
 )
-from rankdiff.model import GROUPS, INT64_MAX, Group
+from rankdiff.model import GROUPS, INT64_MAX, CaseCube, DateAxis, Group, Municipality
 from rankdiff.synth import SynthSpec, generate
 
 from conftest import make_cube, make_pops, random_cube, random_pops_for
@@ -250,6 +255,23 @@ class TestMovingAverage:
         with pytest.raises(MetricsError, match=r"statewide population beyond \d+ for OTH$"):
             moving_average_7d(cube, scale_by_population=True, statewide=True, pops=pops)
 
+    @pytest.mark.parametrize("basis", ["ma7", "cumulative"])
+    def test_running_sum_beyond_int64_errors(self, basis):
+        """One municipality's days each fit in int64; their running sum does not."""
+        counts = np.zeros((2, 2, 4), dtype=np.int64)
+        counts[0, :, 2] = 2**62
+        cube = make_cube(counts)
+        with pytest.raises(MetricsError,
+                           match=rf"cases total of a municipality beyond {INT64_MAX} for OTH$"):
+            rank_cases(cube, basis)
+
+    def test_running_sum_of_int64_max_accepted(self):
+        counts = np.zeros((2, 2, 4), dtype=np.int64)
+        counts[1, :, 3] = [2**62, 2**62 - 1]
+        cube = make_cube(counts)
+        assert moving_average_7d(cube)[1, :, 3].tolist() == [2.0**62, INT64_MAX / 2]
+        assert rank_cases(cube, "cumulative")[:, :, 3].tolist() == [[2, 2], [1, 1]]
+
     def test_scale_requires_pops(self):
         cube = make_cube(np.zeros((1, 3, 4), dtype=int))
         with pytest.raises(MetricsError, match="PopulationTable"):
@@ -455,3 +477,67 @@ class TestGroupStats:
             "relative_change": None,
             "special": "undefined_zero_zero",
         }
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -1e-310, -2.2250738585072014e-308, 1e308, -1e308, 100.0, 1e16,
+               0.1)
+json_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+optional_floats = st.one_of(st.none(), json_floats)
+json_texts = st.one_of(
+    st.sampled_from(('"', "\\", "\x00\x1f\t\n\x7f", "Łódź", "東京", "\u2028", "")),
+    st.text(max_size=6),
+)
+group_stats_lists = st.lists(
+    st.builds(GroupStats, json_floats, optional_floats, optional_floats, st.sampled_from(Special)),
+    min_size=4, max_size=4,
+)
+records = st.lists(
+    st.tuples(st.one_of(st.sampled_from(("m10", "m2", "m1")), st.text(min_size=1, max_size=4)),
+              json_texts, json_texts, group_stats_lists),
+    min_size=1, max_size=5, unique_by=lambda record: record[0],
+)
+regimes = st.sampled_from((RegimeConfig(), RegimeConfig(-0.0, None), RegimeConfig(-2.5, 7.0),
+                           RegimeConfig(-1e308, 1e308), RegimeConfig(0, 3)))
+SPECIAL_RECORD = ("m2", 'a "q" \\ \x01 é', "Ünty\n", [
+    GroupStats(-0.0, None, None, Special.UNDEFINED_ZERO_ZERO),
+    GroupStats(5e-324, 1e308, -1e308, Special.POP_ZERO_CASES_NONZERO),
+    GroupStats(100.0, 0.0, None, Special.CASES_EXCEED_POP),
+    GroupStats(12.5, -2.2250738585072014e-308, 1e16, Special.NORMAL),
+])
+
+
+class TestStatsJson:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(records, regimes, st.one_of(st.sampled_from(("raw_daily", "ma7", "cumulative")),
+                                       json_texts),
+           st.dates(max_value=dt.date(9999, 1, 1)), st.integers(1, 40))
+    @example([SPECIAL_RECORD, ("m10", "", "", SPECIAL_RECORD[3][::-1])], RegimeConfig(),
+             "raw_daily", dt.date(2020, 10, 1), 7)
+    @example([SPECIAL_RECORD], RegimeConfig(), "ma7", dt.date(2020, 10, 1), 1)
+    @example([], RegimeConfig(-1.0, 5.0), "ma7", dt.date(2020, 10, 1), 3)  # no municipality
+    def test_bytes_equal_json_dump(self, records, regime, basis, start, n_days):
+        """The per-record template writes what json.dump(indent=2, sort_keys=True) writes."""
+        municipalities = tuple(Municipality(mid, name, county) for mid, name, county, _ in records)
+        axis = DateAxis(start, n_days)
+        cube = CaseCube(axis, municipalities, np.zeros((len(records), n_days, 4), dtype=np.int64))
+        stats = {mid: dict(zip(GROUPS, values)) for mid, _, _, values in records}
+        ref = {
+            "window": {"start": start.isoformat(), "end": axis.end.isoformat(), "n_days": n_days},
+            "basis": basis,
+            "regime": {"t_min": regime.t_min,
+                       "t_max": float(len(records)) if regime.t_max is None else regime.t_max},
+            "municipalities": {
+                mid: {"name": name, "county": county, "groups": {
+                    g.value: {"persistence_pct": v.persistence_pct, "skewness": v.skewness,
+                              "relative_change": v.relative_change_pct, "special": v.special.value}
+                    for g, v in zip(GROUPS, values)
+                }}
+                for mid, name, county, values in records
+            },
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stats.json"
+            write_stats_json(path, cube, stats, regime, basis)
+            written = path.read_bytes()
+        assert written == (json.dumps(ref, indent=2, sort_keys=True) + "\n").encode("ascii")

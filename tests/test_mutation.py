@@ -2,9 +2,11 @@
 
 Each example starts from a valid synthetic fixture (M=3, N=4), applies a few
 mutations to the case, population, boundary or config file, and runs
-``rankdiff run`` through ``cli.main``. A run that completes must write a
-``stats.json`` that is strict JSON (no NaN or Infinity), and dashboards whose
-totals are non-negative and whose pie shares lie in [0, 100].
+``rankdiff validate`` and ``rankdiff run`` through ``cli.main``. ``validate``
+must exit as ``run`` does, with the same message when both reject the input.
+A run that completes must write a ``stats.json`` that is strict JSON (no NaN
+or Infinity), and dashboards whose totals are non-negative and whose pie
+shares lie in [0, 100].
 """
 
 import contextlib
@@ -150,6 +152,8 @@ def _reject_constant(name: str):
           ("populations", ("append", "m001,HPI,1"))])
 @example([("populations", ("cell", 4, 2, str(INT64_MAX)))])
 @example([("cases", ("cell", 4, 5, str(INT64_MAX))), ("cases", ("cell", 8, 5, str(INT64_MAX)))])
+@example([("config", ("min", 3))])  # a null max means M = 3, which does not exceed min
+@example([("boundaries", ("damage", i, "foreign-id")) for i in range(3)])  # no roster geometry
 def test_mutated_inputs_end_in_an_exit_code(mutations):
     files = dict(base_files())
     regime = {}
@@ -169,9 +173,17 @@ def test_mutated_inputs_end_in_an_exit_code(mutations):
             "cases": "cases.txt", "populations": "populations.txt",
             "boundaries": "boundaries.txt", "out": "out", "regime": regime,
         }), encoding="utf-8")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["run", "--config", str(config)])
+        codes, errors = [], []
+        for command in ("validate", "run"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                codes.append(cli.main([command, "--config", str(config)]))
+            errors.append(err.getvalue())
+        code = codes[1]
         assert code in (0, 1, 2)
+        assert codes[0] == code
+        if code == 2:
+            assert errors[0] == errors[1]
         if code != 2:
             stats = (root / "out" / "stats.json").read_text(encoding="utf-8")
             json.loads(stats, parse_constant=_reject_constant)

@@ -1,3 +1,5 @@
+import datetime as dt
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,10 @@ from rankdiff.render import (
     render_dashboard,
     render_index,
 )
-from rankdiff.render import dashboard, svg
+from rankdiff.render import dashboard
 from rankdiff.render.svg import CLASS_COLORS, pie_angles
 
-from conftest import make_cube, make_pops
+from conftest import START, make_cube, make_pops
 
 GOLDEN = Path(__file__).parent / "goldens" / "dashboard_golden.svg"
 
@@ -45,6 +47,16 @@ def golden_inputs():
 def golden_model():
     stats, cube, pops, rd = golden_inputs()
     return build_dashboard(stats, cube, pops, "alpha", rd=rd)
+
+
+def models_of(counts, populations, start=START):
+    """Dashboard models of every municipality of a cube with ids m0, m1, ..."""
+    ids = [f"m{i}" for i in range(len(populations))]
+    cube = make_cube(counts, ids=ids, start=start)
+    pops = make_pops(populations, ids=ids)
+    rd = rank_diff(rank_population(pops), rank_cases(cube))
+    stats = group_stats(cube, pops, rd, RegimeConfig())
+    return [build_dashboard(stats, cube, pops, mid, rd) for mid in ids]
 
 
 class TestDashboardModel:
@@ -119,11 +131,24 @@ class TestDeterminismAndGolden:
         assert render_dashboard(model) == render_dashboard(model)
 
     def test_cache_state_does_not_change_bytes(self):
-        model = golden_model()
-        warm = render_dashboard(model)
-        for cached in (svg._text, svg._rect, svg._line, dashboard._panel_xs, dashboard._panel_ys):
-            cached.cache_clear()
-        assert render_dashboard(model) == warm
+        """Dashboards of three runs, each with its own frame, rendered interleaved
+        with every cache warm match the same dashboards rendered from cold caches."""
+        stats, cube, pops, rd = golden_inputs()
+        runs = [
+            [build_dashboard(stats, cube, pops, mid, rd) for mid in cube.ids()],
+            models_of(np.arange(8).reshape(2, 1, 4), [[1, 2, 3, 4], [4, 3, 2, 1]]),     # N=1
+            models_of(np.ones((1, 4, 4), dtype=np.int64), [[5, 0, 5, 5]],               # M=1
+                      start=dt.date(2021, 2, 28)),
+        ]
+        assert len({(run[0].axis, run[0].rd_bound) for run in runs}) == 3
+        models = [m for batch in zip_longest(*runs) for m in batch if m is not None]
+        caches = (dashboard._panel_xs, dashboard._panel_ys, dashboard._frame)
+        cold = []
+        for model in models:
+            for cached in caches:
+                cached.cache_clear()
+            cold.append(render_dashboard(model))
+        assert [render_dashboard(model) for model in models] == cold
 
     def test_golden(self):
         assert GOLDEN.exists(), "golden missing; regenerate via tests/make_golden.py"
