@@ -14,15 +14,24 @@ record number counting the header; blank lines are not counted.
 The ``widhs-cumulative`` case schema has the same columns, but ``count`` is a
 cumulative-to-date total; daily new cases are recovered by first-differencing
 per municipality/group, clamping negative corrections to zero.
+
+Cases files are read one of two ways, with the same result. A file without
+quotes, whose lines end in ``\n`` or ``\r\n`` and hold exactly six fields,
+is split in blocks of whole lines with string and NumPy operations. Any other
+file, and any file with an error in it, is read by the streamed ``csv``
+reader, which words every diagnostic. What is accepted, and every message,
+is the ``csv`` reader's.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import json
 import math
 from array import array
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -56,6 +65,8 @@ OTH_COMPONENTS = ("OTH", "ASIAN", "HPI", "AIAN")
 EXCLUDED_POP_GROUPS = ("MO", "UNK")
 POP_SOURCE_GROUPS = ("BAA", "HL", "W") + OTH_COMPONENTS + EXCLUDED_POP_GROUPS
 
+BLOCK_BYTES = 1 << 16      # cases bytes read at a time, extended to the next line end
+_COMMA, _NEWLINE = ord(","), ord("\n")
 
 
 def _csv_records(path: Path, columns: list[str]):
@@ -129,46 +140,43 @@ def _parse_group(raw: str, path: Path, line: int) -> int:
         raise IngestError(f"{path}:{line}: unknown group label {raw!r}") from None
 
 
-def load_cases(
-    path: str | Path,
-    schema: str = "canonical",
-    report: QualityReport | None = None,
-) -> CaseCube:
-    """Parse a cases CSV into a validated CaseCube.
+class _Roster:
+    """Municipalities in order of first appearance, keyed by stripped id."""
 
-    Every (date, municipality, group) cell must be present exactly once; the
-    date range must be contiguous. Missing rows are an error, never imputed.
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.municipalities: list[Municipality] = []
+        self.position: dict[str, int] = {}
 
-    Rows are streamed once. Each distinct raw date, (id, name, county), group
-    and count string is parsed and checked once and mapped to an index; the
-    indices go into flat buffers, and one ``np.bincount`` over the cell index
-    finds duplicate and missing cells before one scatter fills the cube.
-    """
-    path = Path(path)
-    if schema not in CASE_SCHEMAS:
-        raise IngestError(f"unknown cases schema {schema!r}, expected one of {CASE_SCHEMAS}")
-
-    municipalities: list[Municipality] = []
-    position: dict[str, int] = {}
-
-    def add_municipality(raw_id: str, raw_name: str, raw_county: str, line: int) -> int:
+    def add(self, raw_id: str, raw_name: str, raw_county: str, line: int) -> int:
+        """Index of the municipality a record names; its name and county must not change."""
         mid = raw_id.strip()
         if not mid:
-            raise IngestError(f"{path}:{line}: municipality_id must be non-empty")
+            raise IngestError(f"{self.path}:{line}: municipality_id must be non-empty")
         name, county = raw_name.strip(), raw_county.strip()
-        i = position.get(mid)
+        i = self.position.get(mid)
         if i is None:
-            i = position[mid] = len(municipalities)
-            municipalities.append(Municipality(id=mid, name=name, county=county))
+            i = self.position[mid] = len(self.municipalities)
+            self.municipalities.append(Municipality(id=mid, name=name, county=county))
             return i
-        known = municipalities[i]
+        known = self.municipalities[i]
         if (known.name, known.county) != (name, county):
             raise IngestError(
-                f"{path}:{line}: municipality {mid!r} has conflicting "
+                f"{self.path}:{line}: municipality {mid!r} has conflicting "
                 f"name/county {name!r}/{county!r} vs {known.name!r}/{known.county!r}"
             )
         return i
 
+
+def _read_case_records(path: Path):
+    """The reference reader: stream the records of a cases file through ``csv``.
+
+    Returns the roster and four int64 arrays with one entry per data record:
+    day ordinal, roster index, group index and count. Each distinct raw date,
+    (id, name, county), group and count string is parsed and checked once.
+    Every diagnostic about a record's text comes from here.
+    """
+    roster = _Roster(path)
     day_of: dict[str, int] = {}            # raw date -> proleptic ordinal
     muni_of: dict[tuple[str, str, str], int] = {}
     group_of: dict[str, int] = {}
@@ -182,7 +190,7 @@ def load_cases(
         key = (raw_id, raw_name, raw_county)
         i = muni_of.get(key)
         if i is None:
-            i = muni_of[key] = add_municipality(raw_id, raw_name, raw_county, line)
+            i = muni_of[key] = roster.add(raw_id, raw_name, raw_county, line)
         k = group_of.get(raw_group)
         if k is None:
             k = group_of[raw_group] = _parse_group(raw_group, path, line)
@@ -193,11 +201,146 @@ def load_cases(
         munis.append(i)
         groups.append(k)
         values.append(count)
+    arrays = (np.frombuffer(a, dtype=np.int64) for a in (days, munis, groups, values))
+    return roster.municipalities, *arrays
 
-    if not days:
+
+def _whole_records(block: bytes, limit: int) -> bool:
+    """Whether every line of ``block``, a run of lines each ending in ``\\n``, has
+    exactly ``len(CASES_COLUMNS) - 1`` commas and at most ``limit`` bytes."""
+    data = np.frombuffer(block, dtype=np.uint8)
+    separators = np.flatnonzero((data == _COMMA) | (data == _NEWLINE))
+    width = len(CASES_COLUMNS)
+    ends = separators[width - 1 :: width]
+    # With as many newlines as lines, every width-th separator a newline leaves
+    # exactly width - 1 commas in each line.
+    return (
+        separators.size == width * block.count(b"\n")
+        and bool((data[ends] == _NEWLINE).all())
+        and int(np.diff(ends, prepend=-1).max()) <= limit + 1
+    )
+
+
+def _indices(column: list, known: dict, parse) -> np.ndarray:
+    """``known[value]`` for each value of ``column``, as int64.
+
+    Values not yet in ``known`` are parsed first, once each, in order of first
+    appearance.
+    """
+    try:
+        return np.fromiter(map(known.__getitem__, column), np.int64, len(column))
+    except KeyError:
+        for value in dict.fromkeys(column):
+            if value not in known:
+                known[value] = parse(value)
+        return np.fromiter(map(known.__getitem__, column), np.int64, len(column))
+
+
+def _read_case_blocks(path: Path):
+    """Parse a cases file in blocks of whole lines, without objects per record.
+
+    Returns what ``_read_case_records`` returns for the same file, or ``None``
+    to decline it: the caller then runs that reader, which also words every
+    error. Declined are files the block split could misread or that are in
+    error: a header that does not match, a ``"`` (csv quoting), a ``\\r`` not
+    followed by ``\\n``, a NUL byte, a blank line, a line with the wrong field
+    count or longer than ``csv.field_size_limit()``, bytes that are not UTF-8,
+    and any value that does not parse, an empty id or a name/county conflict.
+    Blank lines are declined so that record index + 2 stays the line number.
+    """
+    limit = csv.field_size_limit()
+    try:
+        handle = open(path, "rb")
+    except OSError:
+        return None
+    with handle:
+        newlines, last = 0, b""
+        for chunk in iter(partial(handle.read, BLOCK_BYTES), b""):
+            if b'"' in chunk or b"\0" in chunk:      # csv quoting; csv before 3.11 rejects NUL
+                return None
+            newlines += chunk.count(b"\n")
+            last = chunk[-1:]
+        rows = newlines + (last not in (b"", b"\n")) - 1   # data lines; the last may lack \n
+        if rows < 1:
+            return None
+        handle.seek(0)
+        # A header with a \r left in it cannot name exactly these columns.
+        header = handle.readline().removeprefix(codecs.BOM_UTF8)
+        try:
+            header = header.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8").split(",")
+        except UnicodeDecodeError:
+            return None
+        if sorted(header) != sorted(CASES_COLUMNS):
+            return None
+        order = [header.index(c) for c in CASES_COLUMNS]
+        width = len(CASES_COLUMNS)
+
+        roster = _Roster(path)
+        # Per column: the parsed value of each raw value seen so far, and the
+        # parser. Their messages carry no line, since an error declines the file.
+        interned = (
+            ({}, lambda raw: _parse_date(raw, path, 0).toordinal()),
+            ({}, lambda key: roster.add(*key, 0)),
+            ({}, partial(_parse_group, path=path, line=0)),
+            ({}, partial(_parse_int, path=path, line=0, column="count")),
+        )
+        # Day ordinal, roster index, group index and count of each record.
+        arrays = [np.empty(rows, dtype=np.int64) for _ in interned]
+        start = 0
+        while block := handle.read(BLOCK_BYTES) + handle.readline():
+            if not block.endswith(b"\n"):
+                block += b"\n"
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n")
+                if b"\r" in block:
+                    return None
+            if not _whole_records(block, limit):
+                return None
+            try:
+                fields = block.decode("utf-8").replace("\n", ",").split(",")
+            except UnicodeDecodeError:
+                return None
+            fields.pop()                                # after the last \n
+            stop = start + len(fields) // width
+            if stop > rows:                             # the file grew since it was counted
+                return None
+            dates, ids, names, counties, groups, counts = (fields[c::width] for c in order)
+            columns = (dates, list(zip(ids, names, counties)), groups, counts)
+            try:
+                for out, column, (known, parse) in zip(arrays, columns, interned):
+                    out[start:stop] = _indices(column, known, parse)
+            except IngestError:
+                return None
+            start = stop
+    if start != rows:
+        return None
+    return roster.municipalities, *arrays
+
+
+def load_cases(
+    path: str | Path,
+    schema: str = "canonical",
+    report: QualityReport | None = None,
+) -> CaseCube:
+    """Parse a cases CSV into a validated CaseCube.
+
+    Every (date, municipality, group) cell must be present exactly once; the
+    date range must be contiguous. Missing rows are an error, never imputed.
+
+    The file is read by ``_read_case_blocks`` or, where that declines it, by
+    the streamed ``csv`` reader ``_read_case_records``; both map each record
+    to indices in flat arrays. One ``np.bincount`` over the cell index then
+    finds duplicate and missing cells before one scatter fills the cube.
+    """
+    path = Path(path)
+    if schema not in CASE_SCHEMAS:
+        raise IngestError(f"unknown cases schema {schema!r}, expected one of {CASE_SCHEMAS}")
+    municipalities, ordinals, munis, groups, values = (
+        _read_case_blocks(path) or _read_case_records(path)
+    )
+    if not ordinals.size:
         raise IngestError(f"{path}: no data rows")
 
-    ordinals = np.frombuffer(days, dtype=np.int64)
     first = int(ordinals.min())
     axis = DateAxis(start=dt.date.fromordinal(first), n_days=int(ordinals.max()) - first + 1)
     shape = (len(municipalities), axis.n_days, K)
@@ -208,10 +351,10 @@ def load_cases(
         return f"({municipalities[i].id}, {day}, {GROUPS[k].value})"
 
     # Cell index (i·N + j)·K + k: C order of the cube, i.e. roster/day/group order.
-    cell = np.frombuffer(munis, dtype=np.int64) * axis.n_days
+    cell = munis * axis.n_days
     cell += ordinals - first
     cell *= K
-    cell += np.frombuffer(groups, dtype=np.int64)
+    cell += groups
     hits = np.bincount(cell, minlength=np.prod(shape))
     if hits.max() > 1:
         # The first record that repeats a key: in a stable sort by cell, every
@@ -230,7 +373,7 @@ def load_cases(
         )
 
     counts = np.empty(hits.size, dtype=np.int64)
-    counts[cell] = np.frombuffer(values, dtype=np.int64)
+    counts[cell] = values
     counts = counts.reshape(shape)
     if schema == "widhs-cumulative":
         counts = _cumulative_to_daily(counts, [m.id for m in municipalities], axis, report)
@@ -284,7 +427,7 @@ def load_populations(
     path = Path(path)
     raw: dict[tuple[str, str], int] = {}
     excluded: dict[str, int] = {g: 0 for g in EXCLUDED_POP_GROUPS}
-    unknown_ids: list[str] = []
+    unknown_ids: set[str] = set()
     roster_ids = {m.id for m in municipalities}
     for line, (raw_id, raw_group, raw_value) in _csv_records(path, POPS_COLUMNS):
         mid = raw_id.strip()
@@ -296,8 +439,7 @@ def load_populations(
             )
         value = _parse_int(raw_value, path, line, "population")
         if mid not in roster_ids:
-            if mid not in unknown_ids:
-                unknown_ids.append(mid)
+            unknown_ids.add(mid)
             continue
         key = (mid, label)
         if key in raw:

@@ -283,6 +283,7 @@ def group_stats(
     regime = regime.resolved(cube.n_municipalities)
     if rd.shape != cube.counts.shape:
         raise MetricsError(f"rd shape {rd.shape} does not match cube {cube.counts.shape}")
+    _check_series_totals(cube)
     totals = cube.counts.sum(axis=1, dtype=np.int64).tolist()
     populations = pops.pops.tolist()
     series = np.ascontiguousarray(rd.transpose(0, 2, 1), dtype=np.float64)

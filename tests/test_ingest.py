@@ -1,12 +1,19 @@
+import codecs
+import csv
 import datetime as dt
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from rankdiff import ingest
 from rankdiff.errors import IngestError
 from rankdiff.ingest import (
+    CASE_SCHEMAS,
     load_boundaries,
     load_cases,
     load_populations,
@@ -14,6 +21,7 @@ from rankdiff.ingest import (
     write_populations_csv,
 )
 from rankdiff.model import Group, QualityReport
+from rankdiff.synth import SynthSpec, generate
 
 from conftest import (
     cases_csv_text,
@@ -24,6 +32,7 @@ from conftest import (
     pops_csv_text,
     square_feature,
 )
+from test_mutation import base_files, csv_mutation, mutate_csv
 
 
 class TestLoadCases:
@@ -260,6 +269,185 @@ class TestCaseDiagnostics:
         assert messages[0] == messages[1]
 
 
+def _outcome(path, schema="canonical"):
+    """What ``load_cases`` makes of a file: the cube and its clamps, or the error text."""
+    report = QualityReport()
+    try:
+        cube = load_cases(path, schema=schema, report=report)
+    except IngestError as exc:
+        return str(exc)
+    return cube.axis, cube.municipalities, cube.counts.tolist(), report.clamps
+
+
+def _reference_outcome(path, schema="canonical"):
+    """The outcome when the block reader declines every file."""
+    with mock.patch.object(ingest, "_read_case_blocks", return_value=None):
+        return _outcome(path, schema)
+
+
+@pytest.fixture(scope="module")
+def synth_cases(tmp_path_factory) -> bytes:
+    """A canonical synthetic cases file of about 160 KB, so several blocks."""
+    m = 30
+    cube, _ = generate(SynthSpec(m=m, n_days=30, populations=((400, 300, 100, 2000),) * m,
+                                 lam=((1.0,) * 4,) * m, seed=11))
+    path = tmp_path_factory.mktemp("synth") / "cases.csv"
+    write_cases_csv(cube, path)
+    return path.read_bytes()
+
+
+def _permute_columns(data: bytes) -> bytes:
+    lines = data.decode("utf-8").splitlines()
+    return "".join(
+        ",".join(line.split(",")[c] for c in (5, 3, 4, 0, 2, 1)) + "\n" for line in lines
+    ).encode("utf-8")
+
+
+def _quote_names(data: bytes) -> bytes:
+    header, *lines = data.decode("utf-8").splitlines()
+    quoted = []
+    for line in lines:
+        fields = line.split(",")
+        fields[2] = f'"{fields[2]}"'
+        quoted.append(",".join(fields))
+    return "\n".join([header, *quoted, ""]).encode("utf-8")
+
+
+BLOCK_READER_FILES = {
+    "lf": lambda data: data,
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "bom": lambda data: codecs.BOM_UTF8 + data,
+    "bom-crlf": lambda data: codecs.BOM_UTF8 + data.replace(b"\n", b"\r\n"),
+    "permuted-header": _permute_columns,
+    "no-final-newline": lambda data: data.removesuffix(b"\n"),
+}
+STREAMED_READER_FILES = {
+    "quoted": _quote_names,
+    "blank-lines": lambda data: data.replace(b"\n", b"\n\n"),
+    "trailing-blank-line": lambda data: data + b"\n",
+    "lone-cr": lambda data: data.replace(b"\n", b"\r"),
+}
+
+FIELD_EDITS = ("quote-comma", "pad", "cr-suffix", "at-limit", "over-limit")
+BYTE_TOKENS = (b"\r", b"\r\n", b"\0", b"\n", b",", codecs.BOM_UTF8, b"\xff", b"\xc3")
+byte_mutation = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 100), st.sampled_from(BYTE_TOKENS)),
+    st.tuples(st.just("field"), st.integers(0, 60), st.integers(0, 5), st.sampled_from(FIELD_EDITS)),
+    st.tuples(st.just("blank"), st.integers(0, 60)),
+    st.tuples(st.sampled_from(("crlf", "bom", "drop-final-newline", "trailing-blank"))),
+)
+
+
+def mutate_bytes(data: bytes, op: str, *args) -> bytes:
+    if op == "insert":
+        at = len(data) * args[0] // 100
+        return data[:at] + args[1] + data[at:]
+    if op == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if op == "bom":
+        return codecs.BOM_UTF8 + data
+    if op == "drop-final-newline":
+        return data.removesuffix(b"\n")
+    if op == "trailing-blank":
+        return data + b"\n"
+    lines = data.split(b"\n")
+    row = args[0] % len(lines)
+    if op == "blank":
+        lines.insert(row, b"")
+        return b"\n".join(lines)
+    fields = lines[row].split(b",")
+    column, edit = args[1] % len(fields), args[2]
+    if edit == "quote-comma":
+        fields[column] = b'"' + fields[column] + b',x"'
+    elif edit == "pad":                         # differs from the other records only in whitespace
+        fields[column] = b" " + fields[column] + b"\t"
+    elif edit == "cr-suffix":                   # a line end to csv unless it ends the line
+        fields[column] += b"\r"
+    else:                                       # whitespace up to, or one past, the field limit
+        width = csv.field_size_limit() + (edit == "over-limit")
+        fields[column] = fields[column].rjust(width)
+    lines[row] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+class TestCaseReaders:
+    """Quote-free files take the block reader; the rest reach the streamed
+    ``csv`` reader, the reference. Either way the result is the reference's."""
+
+    @pytest.mark.parametrize("variant, schema", [
+        *((variant, "canonical") for variant in BLOCK_READER_FILES),
+        ("lf", "widhs-cumulative"),
+    ])
+    def test_block_reader_takes_canonical_files(self, variant, schema, synth_cases, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(synth_cases)
+        path = tmp_path / "variant.csv"
+        path.write_bytes(BLOCK_READER_FILES[variant](synth_cases))
+        expected = _reference_outcome(plain, schema)
+        assert not isinstance(expected, str)
+        with mock.patch.object(ingest, "_read_case_records",
+                               side_effect=AssertionError("streamed reader used")):
+            assert _outcome(path, schema) == expected
+
+    @pytest.mark.parametrize("variant", STREAMED_READER_FILES)
+    def test_streamed_reader_takes_the_rest(self, variant, synth_cases, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(synth_cases)
+        path = tmp_path / "variant.csv"
+        path.write_bytes(STREAMED_READER_FILES[variant](synth_cases))
+        expected = _reference_outcome(plain)
+        assert not isinstance(expected, str)
+        calls = []
+        records = ingest._read_case_records
+
+        def spy(path):
+            calls.append(path)
+            return records(path)
+
+        with mock.patch.object(ingest, "_read_case_records", spy):
+            assert _outcome(path) == expected
+        assert calls == [path]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text_mutations=st.lists(csv_mutation, max_size=2),
+           byte_mutations=st.lists(byte_mutation, max_size=3),
+           schema=st.sampled_from(CASE_SCHEMAS),
+           block_bytes=st.sampled_from((1, 50, 1 << 16)))
+    # Accepted by both readers.
+    @example([], [("crlf",), ("bom",), ("drop-final-newline",)], "canonical", 50)
+    @example([("duplicate-row", 9)], [("field", 7, 2, "pad")], "widhs-cumulative", 1)
+    # Declined by the block reader, one example per reason.
+    @example([("rename-column", 0, "Date")], [], "canonical", 1 << 16)
+    @example([], [("field", 5, 2, "quote-comma")], "canonical", 50)
+    @example([], [("insert", 50, b"\r")], "canonical", 50)
+    @example([], [("field", 6, 4, "cr-suffix")], "canonical", 1 << 16)
+    @example([], [("insert", 30, b"\0")], "canonical", 1 << 16)
+    @example([], [("blank", 7)], "canonical", 50)
+    @example([], [("trailing-blank",)], "canonical", 1 << 16)
+    @example([], [("insert", 40, b",")], "canonical", 1)
+    @example([], [("field", 3, 2, "at-limit")], "canonical", 1 << 16)
+    @example([], [("field", 3, 4, "over-limit")], "canonical", 50)
+    @example([], [("insert", 60, b"\xff")], "canonical", 1 << 16)
+    @example([], [("insert", 50, codecs.BOM_UTF8)], "canonical", 50)
+    @example([("cell", 7, 5, "abc")], [], "canonical", 1 << 16)
+    @example([("cell", 7, 1, " ")], [], "canonical", 50)
+    @example([("cell", 7, 2, "Elsewhere")], [], "canonical", 1)
+    def test_load_cases_equals_streamed_reader(self, text_mutations, byte_mutations, schema,
+                                               block_bytes):
+        text = base_files()["cases"]
+        for op, *args in text_mutations:
+            text = mutate_csv(text, op, *args)
+        data = text.encode("utf-8")
+        for op, *args in byte_mutations:
+            data = mutate_bytes(data, op, *args)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cases.csv"
+            path.write_bytes(data)
+            expected = _reference_outcome(path, schema)
+            with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+                assert _outcome(path, schema) == expected
+
+
 class TestLoadPopulations:
     def test_oth_merge(self, write_file):
         rows = [("a", "BAA", 1), ("a", "HL", 2), ("a", "W", 3),
@@ -319,6 +507,17 @@ class TestLoadPopulations:
                                  make_municipalities(["a"]), report=report)
         assert table.pops.shape == (1, 4)
         assert any("zz" in w for w in report.warnings)
+
+    def test_foreign_ids_warning_names_first_ten_sorted(self, write_file):
+        foreign = [f"z{n:04d}" for n in range(400, 0, -1)]
+        rows = [("a", "W", 5)] + [(mid, g, 1) for g in ("BAA", "ASIAN", "MO") for mid in foreign]
+        report = QualityReport()
+        load_populations(write_file("pops.csv", pops_csv_text(rows)),
+                         make_municipalities(["a"]), report=report)
+        assert report.warnings == [
+            "populations file lists ids not in the case roster (ignored): "
+            "z0001, z0002, z0003, z0004, z0005, z0006, z0007, z0008, z0009, z0010"
+        ]
 
     def test_roundtrip(self, tmp_path):
         from conftest import make_pops

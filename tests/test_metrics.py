@@ -468,6 +468,18 @@ class TestGroupStats:
         with pytest.raises(MetricsError, match="rd shape"):
             group_stats(cube, pops, np.zeros((1, 1, 4), dtype=int), RegimeConfig())
 
+    def test_cases_total_beyond_int64_errors(self):
+        """Each day fits in int64; a municipality's total over days, which the
+        relative change divides by its population, does not."""
+        counts = np.zeros((2, 2, 4), dtype=np.int64)
+        counts[0, :, 0] = 2**62
+        cube = make_cube(counts)
+        pops = make_pops([[10, 10, 10, 10], [10, 10, 10, 10]])
+        rd = rank_diff(rank_population(pops), rank_cases(cube))
+        with pytest.raises(MetricsError,
+                           match=rf"cases total of a municipality beyond {INT64_MAX} for BAA$"):
+            group_stats(cube, pops, rd, RegimeConfig())
+
     def test_serializable(self):
         stats = GroupStats(50.0, None, None, Special.UNDEFINED_ZERO_ZERO)
         doc = stats.to_dict()

@@ -119,6 +119,20 @@ class TestDashboardModel:
         assert model.stats[Group.OTH].skewness is None
         assert "skew n/a" in render_dashboard(model)
 
+    def test_case_totals_beyond_int64_are_exact(self):
+        """A hand-built cube whose BAA total over days passes int64 still gets
+        its exact total and shares, not a wrapped sum."""
+        counts = np.zeros((2, 2, 4), dtype=np.int64)
+        counts[0, :, 0] = 2**62
+        counts[0, 0, 3] = 2**62
+        cube = make_cube(counts, ids=["a", "b"])
+        pops = make_pops([[10, 10, 10, 10], [10, 10, 10, 10]], ids=["a", "b"])
+        stats = {"a": golden_inputs()[0]["alpha"]}   # any stats: group_stats rejects this cube
+        model = build_dashboard(stats, cube, pops, "a", rd=np.zeros(counts.shape, dtype=np.int64))
+        assert model.case_total == 3 * 2**62
+        assert model.case_shares[Group.BAA] == pytest.approx(200.0 / 3, abs=1e-12)
+        assert f"total cases {3 * 2**62:,}" in render_dashboard(model)
+
     def test_unknown_municipality(self):
         stats, cube, pops, rd = golden_inputs()
         with pytest.raises(RenderError, match="unknown municipality"):
