@@ -153,6 +153,10 @@ class _Roster:
         mid = raw_id.strip()
         if not mid:
             raise IngestError(f"{self.path}:{line}: municipality_id must be non-empty")
+        if "/" in mid or "\\" in mid:  # the id names a file under dashboards/
+            raise IngestError(
+                f"{self.path}:{line}: municipality_id {mid!r} must not contain '/' or '\\'"
+            )
         name, county = raw_name.strip(), raw_county.strip()
         i = self.position.get(mid)
         if i is None:
@@ -221,19 +225,21 @@ def _whole_records(block: bytes, limit: int) -> bool:
     )
 
 
-def _indices(column: list, known: dict, parse) -> np.ndarray:
-    """``known[value]`` for each value of ``column``, as int64.
+class _Interned(dict):
+    """The parsed value of each raw value looked up so far.
 
-    Values not yet in ``known`` are parsed first, once each, in order of first
-    appearance.
+    A value seen for the first time is parsed on lookup, so one pass of
+    ``__getitem__`` over a column parses each distinct value once, in order
+    of first appearance.
     """
-    try:
-        return np.fromiter(map(known.__getitem__, column), np.int64, len(column))
-    except KeyError:
-        for value in dict.fromkeys(column):
-            if value not in known:
-                known[value] = parse(value)
-        return np.fromiter(map(known.__getitem__, column), np.int64, len(column))
+
+    def __init__(self, parse) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, raw):
+        value = self[raw] = self.parse(raw)
+        return value
 
 
 def _read_case_blocks(path: Path):
@@ -245,7 +251,8 @@ def _read_case_blocks(path: Path):
     error: a header that does not match, a ``"`` (csv quoting), a ``\\r`` not
     followed by ``\\n``, a NUL byte, a blank line, a line with the wrong field
     count or longer than ``csv.field_size_limit()``, bytes that are not UTF-8,
-    and any value that does not parse, an empty id or a name/county conflict.
+    and any value that does not parse, an empty id, an id holding ``/`` or
+    ``\\``, or a name/county conflict.
     Blank lines are declined so that record index + 2 stays the line number.
     """
     limit = csv.field_size_limit()
@@ -276,13 +283,13 @@ def _read_case_blocks(path: Path):
         width = len(CASES_COLUMNS)
 
         roster = _Roster(path)
-        # Per column: the parsed value of each raw value seen so far, and the
-        # parser. Their messages carry no line, since an error declines the file.
+        # Per column: the parsed value of each raw value seen so far. The
+        # parsers' messages carry no line, since an error declines the file.
         interned = (
-            ({}, lambda raw: _parse_date(raw, path, 0).toordinal()),
-            ({}, lambda key: roster.add(*key, 0)),
-            ({}, partial(_parse_group, path=path, line=0)),
-            ({}, partial(_parse_int, path=path, line=0, column="count")),
+            _Interned(lambda raw: _parse_date(raw, path, 0).toordinal()),
+            _Interned(lambda key: roster.add(*key, 0)),
+            _Interned(partial(_parse_group, path=path, line=0)),
+            _Interned(partial(_parse_int, path=path, line=0, column="count")),
         )
         # Day ordinal, roster index, group index and count of each record.
         arrays = [np.empty(rows, dtype=np.int64) for _ in interned]
@@ -307,8 +314,9 @@ def _read_case_blocks(path: Path):
             dates, ids, names, counties, groups, counts = (fields[c::width] for c in order)
             columns = (dates, list(zip(ids, names, counties)), groups, counts)
             try:
-                for out, column, (known, parse) in zip(arrays, columns, interned):
-                    out[start:stop] = _indices(column, known, parse)
+                for out, column, known in zip(arrays, columns, interned):
+                    out[start:stop] = np.fromiter(map(known.__getitem__, column), np.int64,
+                                                  len(column))
             except IngestError:
                 return None
             start = stop
@@ -377,16 +385,25 @@ def load_cases(
     counts = counts.reshape(shape)
     if schema == "widhs-cumulative":
         counts = _cumulative_to_daily(counts, [m.id for m in municipalities], axis, report)
-    _check_totals(path, "cases", municipalities, (row.ravel().tolist() for row in counts))
+    _check_totals(path, "cases", municipalities, counts.reshape(shape[0], -1))
     return CaseCube(axis=axis, municipalities=tuple(municipalities), counts=counts)
 
 
-def _check_totals(path: Path, what: str, municipalities: Sequence[Municipality], rows) -> None:
-    """Reject a municipality whose values sum past int64, so its later sums fit."""
-    for muni, row in zip(municipalities, rows):
-        total = sum(row)
+def _check_totals(
+    path: Path, what: str, municipalities: Sequence[Municipality], rows: np.ndarray
+) -> None:
+    """Reject a municipality whose values sum past int64, so its later sums fit.
+
+    ``rows`` holds one row of non-negative integers per municipality. A
+    float64 sum screens each row; only rows whose screen reaches 2**62 are
+    summed exactly.
+    """
+    for i in np.flatnonzero(rows.sum(axis=1, dtype=np.float64) >= 2.0**62):
+        total = sum(rows[i].tolist())
         if total > INT64_MAX:
-            raise IngestError(f"{path}: total {what} of {muni.id} is {total}, beyond {INT64_MAX}")
+            raise IngestError(
+                f"{path}: total {what} of {municipalities[i].id} is {total}, beyond {INT64_MAX}"
+            )
 
 
 def _cumulative_to_daily(
@@ -457,13 +474,13 @@ def load_populations(
             + ("..." if len(missing) > 10 else "")
         )
 
-    rows = [
+    rows = np.array([
         [sum(raw.get((muni.id, c), 0) for c in OTH_COMPONENTS) if g is Group.OTH
          else raw.get((muni.id, g.value), 0) for g in GROUPS]
         for muni in municipalities
-    ]
+    ], dtype=object).reshape(len(municipalities), K)   # OTH may pass int64 before the check
     _check_totals(path, "population", municipalities, rows)
-    pops = np.array(rows, dtype=np.int64).reshape(len(municipalities), K)
+    pops = rows.astype(np.int64)
 
     if report is not None:
         for g, total in excluded.items():

@@ -8,11 +8,11 @@ is an exact permutation and daily rank differences sum to zero.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -311,16 +311,34 @@ def group_stats(
 
 
 def write_rd_csv(path: str | Path, cube: CaseCube, rd: np.ndarray) -> None:
-    """Long-form export: municipality_id,group,day,rd with day 1-based."""
+    """Long-form export: municipality_id,group,day,rd with day 1-based.
+
+    Bytes are those of a ``csv.writer`` row per (municipality, group, day) in
+    sorted id order. Each (municipality, group) series is written as one
+    string, joined from day strings and rd strings formatted once per run.
+    """
     order = sorted(range(cube.n_municipalities), key=lambda i: cube.municipalities[i].id)
-    days = range(1, cube.n_days + 1)
+    days = [f"{day}," for day in range(1, cube.n_days + 1)]
+    groups = [f",{g.value}," for g in GROUPS]
+    # Each id is quoted by csv.writer as the first of two fields; the second,
+    # empty, is stripped with its separator. (A lone empty field would be "".)
+    quoted = io.StringIO()
+    quote = csv.writer(quoted, lineterminator="\n").writerow
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["municipality_id", "group", "day", "rd"])
+        handle.write("municipality_id,group,day,rd\n")
+        if not rd.size:
+            return
+        low = int(rd.min())
+        texts = [str(value) for value in range(low, int(rd.max()) + 1)]  # indexed by rd - low
         for i in order:
-            mid = cube.municipalities[i].id
-            for g, values in zip(GROUPS, rd[i].T.tolist()):
-                writer.writerows(zip(repeat(mid), repeat(g.value), days, values))
+            quoted.seek(0)
+            quoted.truncate()
+            quote((cube.municipalities[i].id, ""))
+            mid = quoted.getvalue()[:-2]
+            for group, values in zip(groups, (rd[i] - low).T.tolist()):
+                prefix = mid + group
+                rows = map(str.__add__, days, map(texts.__getitem__, values))
+                handle.write(prefix + ("\n" + prefix).join(rows) + "\n")
 
 
 # stats.json is pinned to the bytes of json.dump(doc, indent=2, sort_keys=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from urllib.parse import quote
+
 from ..classify import ClassLabel
 from ..metrics import GroupStats
 from ..model import CaseCube, Group
@@ -33,7 +35,8 @@ def render_index(
                   else f"{s.relative_change_pct:+.1f}%")
         rows.append(
             "<tr>"
-            f'<td><a href="dashboards/{escape(muni.id)}.svg">{escape(muni.id)}</a></td>'
+            f'<td><a href="dashboards/{escape(quote(muni.id, safe=""))}.svg">'
+            f"{escape(muni.id)}</a></td>"
             f"<td>{escape(muni.name)}</td><td>{escape(muni.county)}</td>"
             f"<td>{labels[muni.id].value}</td>"
             f"<td>{s.persistence_pct:.1f}%</td><td>{skew}</td><td>{change}</td>"

@@ -237,6 +237,32 @@ class TestMalformedInputs:
         assert not (tmp_path / "out").exists()
 
 
+class TestIdsStayInTree:
+    """A municipality id names its dashboard file, so an id holding a path
+    separator is an input error, whichever command reads the cases file."""
+
+    @pytest.mark.parametrize("mid", ["../../escaped", "sub/../../escaped", "..\\..\\escaped"])
+    @pytest.mark.parametrize("command", ["validate", "run", "render-dashboard"])
+    def test_separator_in_id_exit_2(self, tmp_path, capsys, mid, command):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        config = write_inputs(
+            inputs,
+            cases=cases_csv_text(full_cases_rows(["a", mid], 2, value=1)),
+            pops=pops_csv_text([("a", "W", 10), ("a", "BAA", 5), (mid, "W", 20), (mid, "BAA", 2)]),
+            geo=geojson_text([square_feature("a"), square_feature(mid, 2.0)]),
+        )
+        before = set(tmp_path.rglob("*"))
+        flags = ["--id", mid] if command == "render-dashboard" else []
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"rankdiff: ingest: {inputs / 'cases.csv'}:10: municipality_id {mid!r} "
+            "must not contain '/' or '\\'\n"
+        )
+        assert {p for p in set(tmp_path.rglob("*")) - before if out not in p.parents} <= {out}
+
+
 class TestRun:
     def test_full_tree_and_idempotence(self, clean_fixture):
         config, out = clean_fixture

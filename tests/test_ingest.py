@@ -2,6 +2,7 @@ import codecs
 import csv
 import datetime as dt
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -113,6 +114,23 @@ class TestLoadCases:
         rows[2] = rows[2][:5] + (2**63,)
         with pytest.raises(IngestError, match=f"cases.csv:4: column 'count' must be <= {2**63 - 1}, "):
             load_cases(write_file("cases.csv", cases_csv_text(rows)))
+
+    @pytest.mark.parametrize("values, total", [
+        pytest.param((2**62, 2**62), 2**63, id="twice-2**62"),
+        pytest.param((2**62, 2**62 - 1), None, id="int64-max"),
+        pytest.param((2**63 - 1, 1), 2**63, id="int64-max-plus-1"),
+    ])
+    def test_case_total_beyond_int64_rejected(self, write_file, values, total):
+        """A municipality's total is summed exactly once its float64 sum reaches 2**62."""
+        overrides = {("b", 1, "BAA"): values[0], ("b", 2, "W"): values[1]}
+        path = write_file("cases.csv", cases_csv_text(
+            full_cases_rows(["a", "b"], 2, value=0, overrides=overrides)))
+        if total is None:
+            assert sum(load_cases(path).counts[1].ravel().tolist()) == 2**63 - 1
+            return
+        with pytest.raises(IngestError) as info:
+            load_cases(path)
+        assert str(info.value) == f"{path}: total cases of b is {total}, beyond {2**63 - 1}"
 
     def test_conflicting_name_is_error(self, write_file):
         rows = full_cases_rows(["a"], 1)
@@ -407,6 +425,41 @@ class TestCaseReaders:
         with mock.patch.object(ingest, "_read_case_records", spy):
             assert _outcome(path) == expected
         assert calls == [path]
+
+    def test_block_reader_parses_each_value_once(self, synth_cases, tmp_path):
+        """Over many blocks of a municipality-major file, where most blocks bring a
+        new municipality, each distinct raw date, (id, name, county), group and
+        count is parsed once, in order of first appearance."""
+        path = tmp_path / "cases.csv"
+        path.write_bytes(synth_cases)
+        header, *lines = synth_cases.decode("utf-8").splitlines()
+        assert header.split(",") == ingest.CASES_COLUMNS
+        records = [line.split(",") for line in lines]
+        expected = {
+            "date": list(dict.fromkeys(r[0] for r in records)),
+            "municipality": list(dict.fromkeys(tuple(r[1:4]) for r in records)),
+            "group": list(dict.fromkeys(r[4] for r in records)),
+            "count": list(dict.fromkeys(r[5] for r in records)),
+        }
+        calls = {key: [] for key in expected}
+
+        def spy(key, parse, raw_of):
+            def parse_and_record(*args, **kwargs):
+                calls[key].append(raw_of(args))
+                return parse(*args, **kwargs)
+            return parse_and_record
+
+        first = itemgetter(0)
+        with mock.patch.multiple(ingest, BLOCK_BYTES=4096,
+                                 _parse_date=spy("date", ingest._parse_date, first),
+                                 _parse_group=spy("group", ingest._parse_group, first),
+                                 _parse_int=spy("count", ingest._parse_int, first)), \
+                mock.patch.object(ingest._Roster, "add", spy(
+                    "municipality", ingest._Roster.add, lambda args: tuple(args[1:4]))):
+            read = ingest._read_case_blocks(path)
+        assert read is not None
+        assert calls == expected
+        assert read[0] == ingest._read_case_records(path)[0]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(text_mutations=st.lists(csv_mutation, max_size=2),

@@ -1,7 +1,9 @@
+import csv
 import datetime as dt
 import json
 import math
 import tempfile
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from rankdiff.metrics import (
     skewness,
     special_case,
     statewide_aggregate,
+    write_rd_csv,
     write_stats_json,
 )
 from rankdiff.model import GROUPS, INT64_MAX, CaseCube, DateAxis, Group, Municipality
@@ -553,3 +556,53 @@ class TestStatsJson:
             write_stats_json(path, cube, stats, regime, basis)
             written = path.read_bytes()
         assert written == (json.dumps(ref, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+def write_rd_csv_by_rows(path, cube, rd):
+    """The reference for ``write_rd_csv``: one ``csv.writer`` row per cell."""
+    order = sorted(range(cube.n_municipalities), key=lambda i: cube.municipalities[i].id)
+    days = range(1, cube.n_days + 1)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["municipality_id", "group", "day", "rd"])
+        for i in order:
+            mid = cube.municipalities[i].id
+            for g, values in zip(GROUPS, rd[i].T.tolist()):
+                writer.writerows(zip(repeat(mid), repeat(g.value), days, values))
+
+
+CSV_IDS = ("m10", "m2", "m1", "a,b", 'say "hi"', "two\nlines", "cr\r", " pad ", "Łódź", "東京")
+
+
+@st.composite
+def rd_tables(draw):
+    """Municipality ids in roster order and an (M, N, 4) rd within +-(M - 1)."""
+    ids = draw(st.lists(st.one_of(st.sampled_from(CSV_IDS), st.text(min_size=1, max_size=5)),
+                        max_size=5, unique=True))
+    m, n = len(ids), draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(-max(m - 1, 0), max(m - 1, 0)),
+                           min_size=m * n * 4, max_size=m * n * 4))
+    return ids, np.array(values, dtype=np.int64).reshape(m, n, 4)
+
+
+def _extremes(m: int, n: int) -> np.ndarray:
+    rd = np.zeros((m, n, 4), dtype=np.int64)
+    rd[..., 0], rd[..., 1] = m - 1, 1 - m
+    return rd
+
+
+class TestRdCsv:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rd_tables())
+    @example((["m2", "m10", "m1"], _extremes(3, 4)))                     # unsorted, rd at +-(M-1)
+    @example((list(CSV_IDS[::-1]), _extremes(len(CSV_IDS), 2)))
+    @example((["solo"], np.zeros((1, 1, 4), dtype=np.int64)))              # M=1, N=1
+    @example(([], np.zeros((0, 3, 4), dtype=np.int64)))                    # header only
+    def test_bytes_equal_csv_writer_rows(self, table):
+        ids, rd = table
+        cube = make_cube(np.zeros(rd.shape, dtype=np.int64), ids=ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            written, expected = Path(tmp) / "rd.csv", Path(tmp) / "expected.csv"
+            write_rd_csv(written, cube, rd)
+            write_rd_csv_by_rows(expected, cube, rd)
+            assert written.read_bytes() == expected.read_bytes()

@@ -154,6 +154,7 @@ def _reject_constant(name: str):
 @example([("cases", ("cell", 4, 5, str(INT64_MAX))), ("cases", ("cell", 8, 5, str(INT64_MAX)))])
 @example([("config", ("min", 3))])  # a null max means M = 3, which does not exceed min
 @example([("boundaries", ("damage", i, "foreign-id")) for i in range(3)])  # no roster geometry
+@example([("cases", ("cell", 4, 1, "../../escaped"))])  # an id that would leave dashboards/
 def test_mutated_inputs_end_in_an_exit_code(mutations):
     files = dict(base_files())
     regime = {}

@@ -17,7 +17,7 @@ from rankdiff.render import (
     render_index,
 )
 from rankdiff.render import dashboard
-from rankdiff.render.svg import CLASS_COLORS, pie_angles
+from rankdiff.render.svg import CLASS_COLORS, escape, pie_angles
 
 from conftest import START, make_cube, make_pops
 
@@ -239,3 +239,17 @@ class TestIndexPage:
         assert 'href="dashboards/alpha.svg"' in html
         assert html.count("<tr>") == 4  # header + 3 rows
         assert html == render_index(cube, stats, labels, Group.BAA, "map_baa.svg")
+
+    def test_dashboard_links_are_percent_encoded(self):
+        """An id is a file name in the link, so ``#``, ``?``, ``%`` and spaces are encoded."""
+        links = {"a b": "a%20b", "x#1": "x%231", "q?v=1": "q%3Fv%3D1", "50%": "50%25",
+                 '<&>"é': "%3C%26%3E%22%C3%A9"}
+        ids = list(links)
+        cube = make_cube(np.zeros((len(ids), 2, 4), dtype=np.int64), ids=ids)
+        pops = make_pops(np.ones((len(ids), 4), dtype=np.int64), ids=ids)
+        rd = rank_diff(rank_population(pops), rank_cases(cube))
+        stats = group_stats(cube, pops, rd, RegimeConfig())
+        html = render_index(cube, stats, dict.fromkeys(ids, ClassLabel.G0), Group.BAA,
+                            "map_baa.svg")
+        for mid, href in links.items():
+            assert f'<td><a href="dashboards/{href}.svg">{escape(mid)}</a></td>' in html
