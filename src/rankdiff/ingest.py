@@ -30,6 +30,7 @@ import csv
 import datetime as dt
 import json
 import math
+import re
 from array import array
 from functools import partial
 from operator import itemgetter
@@ -52,6 +53,7 @@ from .model import (
     PopulationTable,
     QualityReport,
     Ring,
+    check_totals,
 )
 
 CASE_SCHEMAS = ("canonical", "widhs-cumulative")
@@ -66,6 +68,7 @@ EXCLUDED_POP_GROUPS = ("MO", "UNK")
 POP_SOURCE_GROUPS = ("BAA", "HL", "W") + OTH_COMPONENTS + EXCLUDED_POP_GROUPS
 
 BLOCK_BYTES = 1 << 16      # cases bytes read at a time, extended to the next line end
+NAME_MAX = 255             # bytes in a file name, such as <id>.svg, on common file systems
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
@@ -141,12 +144,18 @@ def _parse_group(raw: str, path: Path, line: int) -> int:
 
 
 class _Roster:
-    """Municipalities in order of first appearance, keyed by stripped id."""
+    """Municipalities in order of first appearance, keyed by stripped id.
+
+    An id names the file ``dashboards/<id>.svg``, and an id, name and county
+    are written into SVG text, so each must be something both can carry.
+    """
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.municipalities: list[Municipality] = []
         self.position: dict[str, int] = {}
+        # Outside XML 1.0's Char: C0 controls but tab, LF and CR; U+FFFE, U+FFFF.
+        self.non_xml = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]").search
 
     def add(self, raw_id: str, raw_name: str, raw_county: str, line: int) -> int:
         """Index of the municipality a record names; its name and county must not change."""
@@ -160,6 +169,19 @@ class _Roster:
         name, county = raw_name.strip(), raw_county.strip()
         i = self.position.get(mid)
         if i is None:
+            size = len(mid.encode("utf-8")) + len(".svg")
+            if size > NAME_MAX:
+                raise IngestError(
+                    f"{self.path}:{line}: municipality_id {mid!r} makes a dashboard file name "
+                    f"of {size} bytes, beyond {NAME_MAX}"
+                )
+            for column, text in (("municipality_id", mid), ("municipality_name", name),
+                                 ("county", county)):
+                if self.non_xml(text):
+                    raise IngestError(
+                        f"{self.path}:{line}: {column} {text!r} holds a character "
+                        "that XML does not allow"
+                    )
             i = self.position[mid] = len(self.municipalities)
             self.municipalities.append(Municipality(id=mid, name=name, county=county))
             return i
@@ -181,30 +203,14 @@ def _read_case_records(path: Path):
     Every diagnostic about a record's text comes from here.
     """
     roster = _Roster(path)
-    day_of: dict[str, int] = {}            # raw date -> proleptic ordinal
-    muni_of: dict[tuple[str, str, str], int] = {}
-    group_of: dict[str, int] = {}
-    count_of: dict[str, int] = {}
+    day_of, muni_of, group_of, count_of = _case_columns(path, roster, lambda: line)
     days, munis, groups, values = array("q"), array("q"), array("q"), array("q")
     records = _csv_records(path, CASES_COLUMNS)
     for line, (raw_date, raw_id, raw_name, raw_county, raw_group, raw_count) in records:
-        day = day_of.get(raw_date)
-        if day is None:
-            day = day_of[raw_date] = _parse_date(raw_date, path, line).toordinal()
-        key = (raw_id, raw_name, raw_county)
-        i = muni_of.get(key)
-        if i is None:
-            i = muni_of[key] = roster.add(raw_id, raw_name, raw_county, line)
-        k = group_of.get(raw_group)
-        if k is None:
-            k = group_of[raw_group] = _parse_group(raw_group, path, line)
-        count = count_of.get(raw_count)
-        if count is None:
-            count = count_of[raw_count] = _parse_int(raw_count, path, line, "count")
-        days.append(day)
-        munis.append(i)
-        groups.append(k)
-        values.append(count)
+        days.append(day_of[raw_date])
+        munis.append(muni_of[raw_id, raw_name, raw_county])
+        groups.append(group_of[raw_group])
+        values.append(count_of[raw_count])
     arrays = (np.frombuffer(a, dtype=np.int64) for a in (days, munis, groups, values))
     return roster.municipalities, *arrays
 
@@ -242,6 +248,19 @@ class _Interned(dict):
         return value
 
 
+def _case_columns(path: Path, roster: _Roster, line) -> tuple[_Interned, ...]:
+    """How each cases column maps a raw value: a date to its proleptic ordinal, an
+    ``(id, name, county)`` triple to its roster index, a group label to its
+    group index and a count to its value. ``line()`` is the line an error names.
+    """
+    return (
+        _Interned(lambda raw: _parse_date(raw, path, line()).toordinal()),
+        _Interned(lambda key: roster.add(*key, line())),
+        _Interned(lambda raw: _parse_group(raw, path, line())),
+        _Interned(lambda raw: _parse_int(raw, path, line(), "count")),
+    )
+
+
 def _read_case_blocks(path: Path):
     """Parse a cases file in blocks of whole lines, without objects per record.
 
@@ -251,8 +270,7 @@ def _read_case_blocks(path: Path):
     error: a header that does not match, a ``"`` (csv quoting), a ``\\r`` not
     followed by ``\\n``, a NUL byte, a blank line, a line with the wrong field
     count or longer than ``csv.field_size_limit()``, bytes that are not UTF-8,
-    and any value that does not parse, an empty id, an id holding ``/`` or
-    ``\\``, or a name/county conflict.
+    and any value that does not parse or that ``_Roster.add`` rejects.
     Blank lines are declined so that record index + 2 stays the line number.
     """
     limit = csv.field_size_limit()
@@ -283,14 +301,8 @@ def _read_case_blocks(path: Path):
         width = len(CASES_COLUMNS)
 
         roster = _Roster(path)
-        # Per column: the parsed value of each raw value seen so far. The
-        # parsers' messages carry no line, since an error declines the file.
-        interned = (
-            _Interned(lambda raw: _parse_date(raw, path, 0).toordinal()),
-            _Interned(lambda key: roster.add(*key, 0)),
-            _Interned(partial(_parse_group, path=path, line=0)),
-            _Interned(partial(_parse_int, path=path, line=0, column="count")),
-        )
+        # The messages name no line, since an error declines the file.
+        interned = _case_columns(path, roster, lambda: 0)
         # Day ordinal, roster index, group index and count of each record.
         arrays = [np.empty(rows, dtype=np.int64) for _ in interned]
         start = 0
@@ -385,25 +397,10 @@ def load_cases(
     counts = counts.reshape(shape)
     if schema == "widhs-cumulative":
         counts = _cumulative_to_daily(counts, [m.id for m in municipalities], axis, report)
-    _check_totals(path, "cases", municipalities, counts.reshape(shape[0], -1))
-    return CaseCube(axis=axis, municipalities=tuple(municipalities), counts=counts)
-
-
-def _check_totals(
-    path: Path, what: str, municipalities: Sequence[Municipality], rows: np.ndarray
-) -> None:
-    """Reject a municipality whose values sum past int64, so its later sums fit.
-
-    ``rows`` holds one row of non-negative integers per municipality. A
-    float64 sum screens each row; only rows whose screen reaches 2**62 are
-    summed exactly.
-    """
-    for i in np.flatnonzero(rows.sum(axis=1, dtype=np.float64) >= 2.0**62):
-        total = sum(rows[i].tolist())
-        if total > INT64_MAX:
-            raise IngestError(
-                f"{path}: total {what} of {municipalities[i].id} is {total}, beyond {INT64_MAX}"
-            )
+    try:
+        return CaseCube(axis=axis, municipalities=tuple(municipalities), counts=counts)
+    except IngestError as exc:   # a municipality's total beyond int64
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def _cumulative_to_daily(
@@ -479,7 +476,7 @@ def load_populations(
          else raw.get((muni.id, g.value), 0) for g in GROUPS]
         for muni in municipalities
     ], dtype=object).reshape(len(municipalities), K)   # OTH may pass int64 before the check
-    _check_totals(path, "population", municipalities, rows)
+    check_totals(f"{path}: total population", municipalities, rows)
     pops = rows.astype(np.int64)
 
     if report is not None:

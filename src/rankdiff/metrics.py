@@ -101,7 +101,6 @@ def _basis_values(cube: CaseCube, basis: str) -> np.ndarray:
     if basis == "raw_daily":
         return cube.counts
     if basis == "cumulative":
-        _check_series_totals(cube)
         return np.cumsum(cube.counts, axis=1, dtype=np.int64)
     if basis == "ma7":
         return moving_average_7d(cube)
@@ -147,8 +146,6 @@ def moving_average_7d(
     """
     if statewide:  # the running sums below reach each group's total over all cells
         _check_sums(cube.counts.sum(axis=(0, 1), dtype=object), "statewide cases total")
-    else:
-        _check_series_totals(cube)
     counts = cube.counts.sum(axis=0) if statewide else cube.counts
     sums = np.cumsum(counts, axis=-2, dtype=np.int64)
     n = cube.n_days
@@ -176,13 +173,6 @@ def _check_sums(sums: np.ndarray, what: str) -> None:
     over = [g.value for k, g in enumerate(GROUPS) if max(sums[..., k].flat) > INT64_MAX]
     if over:
         raise MetricsError(f"{what} beyond {INT64_MAX} for " + ", ".join(over))
-
-
-def _check_series_totals(cube: CaseCube) -> None:
-    """Raise where one municipality's cases over all days, which bound its running sums
-    over days, pass int64. A float64 sum far below the limit settles it without exact sums."""
-    if cube.counts.sum(axis=1, dtype=np.float64).max(initial=0.0) >= 2.0**62:
-        _check_sums(cube.counts.sum(axis=1, dtype=object), "cases total of a municipality")
 
 
 def statewide_aggregate(cube: CaseCube) -> np.ndarray:
@@ -283,7 +273,6 @@ def group_stats(
     regime = regime.resolved(cube.n_municipalities)
     if rd.shape != cube.counts.shape:
         raise MetricsError(f"rd shape {rd.shape} does not match cube {cube.counts.shape}")
-    _check_series_totals(cube)
     totals = cube.counts.sum(axis=1, dtype=np.int64).tolist()
     populations = pops.pops.tolist()
     series = np.ascontiguousarray(rd.transpose(0, 2, 1), dtype=np.float64)

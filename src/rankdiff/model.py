@@ -83,9 +83,27 @@ def _unique_ids(municipalities: Sequence[Municipality]) -> dict[str, int]:
     return index
 
 
+def check_totals(what: str, municipalities: Sequence[Municipality], rows: np.ndarray) -> None:
+    """Reject a municipality whose values sum past int64, so its later sums fit.
+
+    ``rows`` holds one row of non-negative integers per municipality; the
+    error reads ``{what} of {id} is {total}, beyond {INT64_MAX}``. A float64
+    sum screens each row; only rows whose screen reaches 2**62 are summed
+    exactly.
+    """
+    for i in np.flatnonzero(rows.sum(axis=1, dtype=np.float64) >= 2.0**62):
+        total = sum(rows[i].tolist())
+        if total > INT64_MAX:
+            raise IngestError(f"{what} of {municipalities[i].id} is {total}, beyond {INT64_MAX}")
+
+
 @dataclass(frozen=True)
 class CaseCube:
-    """Daily new case counts, shape (M municipalities, N days, K groups)."""
+    """Daily new case counts, shape (M municipalities, N days, K groups).
+
+    Each municipality's counts sum to at most ``INT64_MAX``, so every int64
+    sum over one municipality's days or groups is exact.
+    """
 
     axis: DateAxis
     municipalities: tuple[Municipality, ...]
@@ -105,6 +123,7 @@ class CaseCube:
             raise IngestError(f"case counts must be integers, got dtype {self.counts.dtype}")
         if (self.counts < 0).any():
             raise IngestError("case counts must be non-negative")
+        check_totals("total cases", self.municipalities, self.counts.reshape(m, self.n_days * K))
         self.counts.setflags(write=False)
 
     @property

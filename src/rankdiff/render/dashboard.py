@@ -81,10 +81,7 @@ def build_dashboard(
         raise RenderError(f"unknown municipality id {municipality_id!r}") from None
 
     populations = pops.pops[i].tolist()
-    counts = cube.counts[i]
-    # Exact Python sums where an int64 sum over days might wrap.
-    exact = counts.sum(dtype=np.float64) >= 2.0**62
-    case_totals = counts.sum(axis=0, dtype=object if exact else np.int64).tolist()
+    case_totals = cube.counts[i].sum(axis=0, dtype=np.int64).tolist()
     pop_total, case_total = sum(populations), sum(case_totals)
     return DashboardModel(
         municipality=cube.municipalities[i],

@@ -1,11 +1,13 @@
 import csv
+import io
 import json
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
-from rankdiff import cli
+from rankdiff import cli, ingest
 from rankdiff.synth import SynthSpec, write_fixture
 
 from conftest import cases_csv_text, full_cases_rows, geojson_text, pops_csv_text, square_feature
@@ -237,9 +239,30 @@ class TestMalformedInputs:
         assert not (tmp_path / "out").exists()
 
 
+def csv_text(rows) -> str:
+    """Rows as ``csv.writer`` writes them, quoting fields that hold ``"`` or ``,``."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
+def write_named_inputs(tmp_path: Path, towns: dict[str, tuple[str, str]]) -> Path:
+    """A valid input set over ``towns``, a map from municipality id to (name, county)."""
+    cases = [row[:2] + towns[row[1]] + row[4:] for row in full_cases_rows(list(towns), 2, 1)]
+    pops = [(mid, group, 10) for mid in towns for group in ("W", "BAA")]
+    return write_inputs(
+        tmp_path,
+        cases=csv_text([ingest.CASES_COLUMNS, *cases]),
+        pops=csv_text([ingest.POPS_COLUMNS, *pops]),
+        geo=geojson_text([square_feature(mid, 2.0 * i) for i, mid in enumerate(towns)]),
+    )
+
+
 class TestIdsStayInTree:
-    """A municipality id names its dashboard file, so an id holding a path
-    separator is an input error, whichever command reads the cases file."""
+    """A municipality id names its dashboard file, and an id, name and county
+    are written into SVG text. An id that cannot name a file under dashboards/,
+    or text that XML cannot carry, is an input error, whichever command reads
+    the cases file."""
 
     @pytest.mark.parametrize("mid", ["../../escaped", "sub/../../escaped", "..\\..\\escaped"])
     @pytest.mark.parametrize("command", ["validate", "run", "render-dashboard"])
@@ -261,6 +284,49 @@ class TestIdsStayInTree:
             "must not contain '/' or '\\'\n"
         )
         assert {p for p in set(tmp_path.rglob("*")) - before if out not in p.parents} <= {out}
+
+    @pytest.mark.parametrize("mid, town, message", [
+        pytest.param("x" * 300, ("Town", "County"), f"municipality_id {'x' * 300!r} makes a "
+                     "dashboard file name of 304 bytes, beyond 255", id="300-bytes"),
+        pytest.param("é" * 126, ("Town", "County"), f"municipality_id {'é' * 126!r} makes a "
+                     "dashboard file name of 256 bytes, beyond 255", id="256-bytes"),
+        pytest.param("b\0", ("Town", "County"), "municipality_id 'b\\x00' holds a character "
+                     "that XML does not allow", id="nul-in-id"),
+        pytest.param("b\x02", ("Town", "County"), "municipality_id 'b\\x02' holds a character "
+                     "that XML does not allow", id="control-in-id"),
+        pytest.param("b", ("To\x01wn", "County"), "municipality_name 'To\\x01wn' holds a "
+                     "character that XML does not allow", id="control-in-name"),
+        pytest.param("b", ("Town\ufffe", "County"), "municipality_name 'Town\\ufffe' holds a "
+                     "character that XML does not allow", id="noncharacter-in-name"),
+        pytest.param("b", ("Town", "Co\x1bunty"), "county 'Co\\x1bunty' holds a character "
+                     "that XML does not allow", id="control-in-county"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run", "render-dashboard"])
+    def test_unwritable_text_exit_2(self, tmp_path, capsys, mid, town, message, command):
+        config = write_named_inputs(tmp_path, {"a": ("Town a", "County"), mid: town})
+        flags = ["--id", mid] if command == "render-dashboard" else []
+        assert cli.main([command, "--config", str(config), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"rankdiff: ingest: {tmp_path / 'cases.csv'}:10: {message}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_longest_ids_and_markup_in_text_run(self, tmp_path):
+        """An id whose file name takes exactly 255 bytes runs, and markup and
+        non-ASCII text in ids and names leave every SVG well-formed."""
+        towns = {"x" * 251: ("Long", "County"), "é" * 125 + "x": ("Étang", "Comté"),
+                 'a&b<c"d': ('A & B <"C">', "C&D <County>"),
+                 "zürich": ("Zürich", "Bezirk & <Land>")}
+        config = write_named_inputs(tmp_path, towns)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        for mid, (name, county) in towns.items():
+            dashboard = out / "dashboards" / f"{mid}.svg"
+            assert len(dashboard.name.encode("utf-8")) <= 255
+            text = "".join(ElementTree.parse(dashboard).getroot().itertext())
+            assert f"{name} ({county})" in text
+        assert len(list((out / "dashboards").iterdir())) == len(towns)
+        ElementTree.parse(out / "map_baa.svg")
 
 
 class TestRun:

@@ -35,6 +35,13 @@ from conftest import (
 )
 from test_mutation import base_files, csv_mutation, mutate_csv
 
+# A municipality's two nonzero counts, and the total an error names (None: accepted).
+CASE_TOTALS = [
+    pytest.param((2**62, 2**62), 2**63, id="twice-2**62"),
+    pytest.param((2**62, 2**62 - 1), None, id="int64-max"),
+    pytest.param((2**63 - 1, 1), 2**63, id="int64-max-plus-1"),
+]
+
 
 class TestLoadCases:
     def test_zero_cube(self, write_file):
@@ -115,11 +122,7 @@ class TestLoadCases:
         with pytest.raises(IngestError, match=f"cases.csv:4: column 'count' must be <= {2**63 - 1}, "):
             load_cases(write_file("cases.csv", cases_csv_text(rows)))
 
-    @pytest.mark.parametrize("values, total", [
-        pytest.param((2**62, 2**62), 2**63, id="twice-2**62"),
-        pytest.param((2**62, 2**62 - 1), None, id="int64-max"),
-        pytest.param((2**63 - 1, 1), 2**63, id="int64-max-plus-1"),
-    ])
+    @pytest.mark.parametrize("values, total", CASE_TOTALS)
     def test_case_total_beyond_int64_rejected(self, write_file, values, total):
         """A municipality's total is summed exactly once its float64 sum reaches 2**62."""
         overrides = {("b", 1, "BAA"): values[0], ("b", 2, "W"): values[1]}
@@ -131,6 +134,19 @@ class TestLoadCases:
         with pytest.raises(IngestError) as info:
             load_cases(path)
         assert str(info.value) == f"{path}: total cases of b is {total}, beyond {2**63 - 1}"
+
+    @pytest.mark.parametrize("values, total", CASE_TOTALS)
+    def test_cube_total_beyond_int64_rejected(self, values, total):
+        """A cube built in memory enforces the same bound, so every int64 sum
+        over one municipality's cells is exact."""
+        counts = np.zeros((2, 2, 4), dtype=np.int64)
+        counts[1, 0, 0], counts[1, 1, 3] = values
+        if total is None:
+            assert sum(make_cube(counts, ids=["a", "b"]).counts[1].ravel().tolist()) == 2**63 - 1
+            return
+        with pytest.raises(IngestError) as info:
+            make_cube(counts, ids=["a", "b"])
+        assert str(info.value) == f"total cases of b is {total}, beyond {2**63 - 1}"
 
     def test_conflicting_name_is_error(self, write_file):
         rows = full_cases_rows(["a"], 1)

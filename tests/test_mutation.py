@@ -5,8 +5,8 @@ mutations to the case, population, boundary or config file, and runs
 ``rankdiff validate`` and ``rankdiff run`` through ``cli.main``. ``validate``
 must exit as ``run`` does, with the same message when both reject the input.
 A run that completes must write a ``stats.json`` that is strict JSON (no NaN
-or Infinity), and dashboards whose totals are non-negative and whose pie
-shares lie in [0, 100].
+or Infinity), and dashboards that are well-formed XML, whose totals are
+non-negative and whose pie shares lie in [0, 100].
 """
 
 import contextlib
@@ -16,6 +16,7 @@ import re
 import tempfile
 from functools import lru_cache
 from pathlib import Path
+from xml.etree import ElementTree
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,10 @@ def _reject_constant(name: str):
 @example([("config", ("min", 3))])  # a null max means M = 3, which does not exceed min
 @example([("boundaries", ("damage", i, "foreign-id")) for i in range(3)])  # no roster geometry
 @example([("cases", ("cell", 4, 1, "../../escaped"))])  # an id that would leave dashboards/
+# m001, rows 1-16 of cases and 1-4 of populations, renamed to text XML cannot carry
+@example([("cases", ("cell", row, 1, "m\x00")) for row in range(1, 17)]
+         + [("populations", ("cell", row, 0, "m\x00")) for row in range(1, 5)])
+@example([("cases", ("cell", row, 2, "Synth\x01ville 1")) for row in range(1, 17)])
 def test_mutated_inputs_end_in_an_exit_code(mutations):
     files = dict(base_files())
     regime = {}
@@ -190,6 +195,7 @@ def test_mutated_inputs_end_in_an_exit_code(mutations):
             json.loads(stats, parse_constant=_reject_constant)
             for svg in (root / "out" / "dashboards").glob("*.svg"):
                 text = svg.read_text(encoding="utf-8")
+                ElementTree.fromstring(text)
                 totals = re.findall(r">total (?:population|cases) (-?[\d,]+)<", text)
                 assert len(totals) == 2 and all(int(t.replace(",", "")) >= 0 for t in totals)
                 shares = re.findall(r">(-?\d+\.\d\d)%<", text)

