@@ -15,6 +15,7 @@ verbal group descriptions and can be tuned per dataset.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -43,6 +44,9 @@ class ClassifierConfig:
     g2_per_max: float = 90.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():  # every comparison with NaN is false
+            if math.isnan(value):
+                raise ClassifyError(f"{name} is NaN; use a number, or inf or -inf for no bound")
         for lo, hi, name in (
             (self.g1_skew_min, self.g1_skew_max, "g1_skew"),
             (self.g2_skew_min, self.g2_skew_max, "g2_skew"),

@@ -28,7 +28,6 @@ from __future__ import annotations
 import codecs
 import csv
 import datetime as dt
-import json
 import math
 import re
 from array import array
@@ -39,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import IngestError, load_json
 from .model import (
     GROUP_INDEX,
     GROUPS,
@@ -559,13 +558,7 @@ def load_boundaries(
     feature go to its ``missing_geometry_ids``. Neither condition is fatal.
     """
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise IngestError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{path}: invalid JSON: {exc}") from exc
+    doc = load_json(path, IngestError)
 
     if (
         not isinstance(doc, dict)

@@ -19,7 +19,6 @@ single file of that tree from the same analysis, so their bytes match
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -30,7 +29,7 @@ import numpy as np
 from . import classify as classify_mod
 from . import ingest, metrics, render
 from .classify import ClassifierConfig, ClassLabel
-from .errors import ConfigError, IngestError
+from .errors import ConfigError, IngestError, load_json
 from .metrics import GroupStats, RegimeConfig
 from .model import CaseCube, Group, PopulationTable, QualityReport, Ring
 
@@ -54,13 +53,7 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         """Load a JSON config; relative paths resolve against the config file."""
         path = Path(path)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot open config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        doc = load_json(path, ConfigError, "config ")
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         base = path.parent

@@ -2,19 +2,18 @@
 
 A dashboard is a single self-contained SVG: population and case pies for the
 four groups, the rank-difference history for BAA/HL/OTH with persistence and
-skewness badges, and the relative-change line with its special-case marker
-(cross, star, or triangle) where the comparison is degenerate.
+skewness badges, and the relative change against W as a number, with a
+special-case marker (cross, star, or triangle) and a note where the
+comparison is degenerate.
 
 Panel arrangement is this renderer's own choice: pies on top, the three
 rank-difference panels side by side below.
 
-Everything a dashboard shares with the others of its run (background, date
-line, headers, legend swatches, panel frames and ±bound labels, badge boxes,
-footer) is drawn once by ``_frame`` and kept pre-joined, as the segments
-between the slots where ``render_dashboard`` draws one municipality's
-fragments. A frame segment is a pure function of ``(axis, rd_bound)``, and
-so are the cached panel x and y strings of their arguments, so warm and cold
-caches give the same bytes.
+``_frame`` draws everything a dashboard shares with the others of its run
+once, as a ``%`` template whose slots ``render_dashboard`` fills with one
+municipality's values. The template, the panel x strings and the rd-to-y
+dict are a pure function of ``(axis, rd_bound)``, so warm and cold caches
+give the same bytes.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .svg import (
     draw_pie,
     draw_star,
     draw_triangle,
+    escape,
     fnum,
 )
 
@@ -96,67 +96,37 @@ def build_dashboard(
     )
 
 
-# A run draws three panel x geometries and one y geometry; 8 leaves room for
-# the geometries of other runs in the same process.
-@lru_cache(maxsize=8)
-def _panel_xs(x: float, w: float, n: int) -> tuple[str, ...]:
-    """Formatted x of each of the ``n`` days in a panel at ``x`` of width ``w``."""
-    return tuple(fnum(x + w * j / (n - 1)) for j in range(n))
-
-
-class _PanelYs(dict):
-    """Formatted y of each rd value in a panel, filled as values first occur.
-
-    At most 2 * bound + 1 entries, so one dashboard formats only the values
-    it draws and a run formats each value once per panel geometry.
-    """
-
-    def __init__(self, mid: float, h: float, bound: int) -> None:
-        super().__init__()
-        self.mid, self.h, self.bound = mid, h, bound
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = fnum(self.mid - (value / self.bound) * (self.h / 2.0))
-        return text
-
-
-@lru_cache(maxsize=8)
-def _panel_ys(mid: float, h: float, bound: int) -> _PanelYs:
-    return _PanelYs(mid, h, bound)
-
-
 # The fixed layout, shared by ``_frame`` and ``render_dashboard``.
 WIDTH, HEIGHT = 880, 560
 LEGEND_X, LEGEND_Y = 450, 120
 PANEL_Y, PANEL_W, PANEL_H = 300, 250, 150
+PANEL_MID = PANEL_Y + PANEL_H / 2.0
 
 
 def _panel_x(column: int) -> int:
     return 30 + column * 290
 
 
-_SLOT = "\x00"  # where render_dashboard fills in one municipality's fragments
+_SLOT = "\x00"  # where render_dashboard fills in one municipality's values
 
 
 # One run draws one frame; 8 leaves room for the frames of other runs.
 @lru_cache(maxsize=8)
-def _frame(axis: DateAxis, bound: int) -> tuple[str, ...]:
-    """The parts every dashboard of a run shares, as the joined segments that
-    surround the municipality's fragments (the slots)."""
+def _frame(axis: DateAxis, bound: int) -> tuple[str, tuple[tuple[str, ...], ...], dict[int, str]]:
+    """What every dashboard of a run shares: the document as a ``%`` template
+    with one ``%s`` per slot, each panel's x strings, and the y string of
+    every rd value in ``[-bound, bound]``."""
     canvas = SvgCanvas(WIDTH, HEIGHT)
-
-    def slot() -> None:
-        canvas.parts.append(_SLOT)
-
     canvas.rect(0, 0, WIDTH, HEIGHT, fill="#ffffff")
-    slot()  # title and id
+    canvas.text(20, 32, f"{_SLOT} ({_SLOT})", size=20, weight="bold")
+    canvas.text(20, 52, f"id {_SLOT}", size=12, fill="#666666")
     canvas.text(860, 32, f"{axis.start.isoformat()} to {axis.end.isoformat()} ({axis.n_days} days)",
                 size=12, fill="#666666", anchor="end")
     canvas.text(860, 52, "daily new confirmed or probable cases", size=11,
                 fill="#888888", anchor="end")
     canvas.text(120, 92, "population", size=13, anchor="middle", weight="bold")
     canvas.text(320, 92, "cases", size=13, anchor="middle", weight="bold")
-    slot()  # the two pies
+    canvas.parts += (_SLOT, _SLOT)  # the two pies
 
     x, y = LEGEND_X, LEGEND_Y
     canvas.text(x + 18, y - 14, "group", size=11, fill="#666666")
@@ -166,23 +136,26 @@ def _frame(axis: DateAxis, bound: int) -> tuple[str, ...]:
         ry = y + row * 20
         canvas.rect(x, ry - 10, 12, 12, fill=GROUP_COLORS[g])
         canvas.text(x + 18, ry, g.value, size=12)
-        slot()  # the group's shares; after the last group, the totals
+        canvas.text(x + 80, ry, _SLOT, size=12, anchor="end")
+        canvas.text(x + 150, ry, _SLOT, size=12, anchor="end")
+    canvas.text(x, 212, f"total population {_SLOT}", size=11, fill="#666666")
+    canvas.text(x, 228, f"total cases {_SLOT}", size=11, fill="#666666")
 
     y, w, h = PANEL_Y, PANEL_W, PANEL_H
-    mid = y + h / 2.0
     for column, g in enumerate(MINORITY_GROUPS):
         x = _panel_x(column)
         canvas.text(x, y - 8, f"{g.value} rank difference", size=12, weight="bold")
         canvas.rect(x, y, w, h, fill="#fafafa", stroke="#cccccc")
-        canvas.line(x, mid, x + w, mid, stroke="#999999", stroke_width=0.5, dash="3,3")
+        canvas.line(x, PANEL_MID, x + w, PANEL_MID, stroke="#999999", stroke_width=0.5, dash="3,3")
         canvas.text(x - 4, y + 4, f"+{bound}", size=9, fill="#888888", anchor="end")
         canvas.text(x - 4, y + h + 2, f"-{bound}", size=9, fill="#888888", anchor="end")
-        slot()  # the rd series
+        canvas.parts.append(_SLOT)  # the rd series
         by = y + h + 18
         canvas.rect(x, by - 11, 86, 16, fill="#eef3f8", stroke="#b8c6d8", rx=3.0)
-        slot()  # persistence and skewness badges
+        canvas.text(x + 4, by + 1, f"per {_SLOT}%", size=11)
+        canvas.text(x + 96, by + 1, f"skew {_SLOT}", size=11)
         canvas.text(x, by + 20, "vs W:", size=11, fill="#444444")
-        slot()  # the marker and the relative change
+        canvas.parts.append(_SLOT)  # the marker and the relative change
 
     canvas.text(
         20, 545,
@@ -190,15 +163,29 @@ def _frame(axis: DateAxis, bound: int) -> tuple[str, ...]:
         " positive values mean more cases than population rank predicts",
         size=10, fill="#888888",
     )
-    return tuple(canvas.to_svg().split(f"\n{_SLOT}\n"))
+    template = canvas.to_svg().replace("%", "%%").replace(_SLOT, "%s")
+    n = axis.n_days  # a one-day panel draws a circle, not these x strings
+    xs = tuple(tuple(fnum(_panel_x(column) + w * j / max(n - 1, 1)) for j in range(n))
+               for column in range(len(MINORITY_GROUPS)))
+    ys = {value: fnum(PANEL_MID - (value / bound) * (h / 2.0))
+          for value in range(-bound, bound + 1)}
+    return template, xs, ys
 
 
-def _pie_or_disc(canvas: SvgCanvas, cx: float, shares: dict[Group, float] | None) -> None:
+def _drawn(canvas: SvgCanvas) -> str:
+    """The elements drawn on ``canvas`` since the last call, as one slot value."""
+    text = "\n".join(canvas.parts)
+    canvas.parts.clear()
+    return text
+
+
+def _pie_or_disc(canvas: SvgCanvas, cx: float, shares: dict[Group, float] | None) -> str:
     if shares is None:
         canvas.circle(cx, 170, 64, fill="#eeeeee", stroke="#cccccc")
         canvas.text(cx, 174, "n/a", size=13, anchor="middle", fill="#888888")
     else:
         draw_pie(canvas, cx, 170, 64, [(GROUP_COLORS[g], shares[g]) for g in GROUPS])
+    return _drawn(canvas)
 
 
 def _share(shares: dict[Group, float] | None, g: Group) -> str:
@@ -208,50 +195,34 @@ def _share(shares: dict[Group, float] | None, g: Group) -> str:
 def render_dashboard(model: DashboardModel) -> str:
     """Render the dashboard SVG; identical models yield identical bytes.
 
-    The fixed parts come pre-joined from ``_frame``; this draws only what
-    varies between municipalities, in the frame's slots, in the same order.
+    Fills the run's template from ``_frame`` with this municipality's
+    values, in document order.
     """
-    frame = iter(_frame(model.axis, model.rd_bound))
-    canvas = SvgCanvas(WIDTH, HEIGHT)
-    parts = canvas.parts
+    template, panel_xs, ys = _frame(model.axis, model.rd_bound)
+    canvas = SvgCanvas(WIDTH, HEIGHT)  # draws the element slots
     muni = model.municipality
-    parts.append(next(frame))
-    canvas.text(20, 32, f"{muni.name} ({muni.county})", size=20, weight="bold")
-    canvas.text(20, 52, f"id {muni.id}", size=12, fill="#666666")
-    parts.append(next(frame))
-    _pie_or_disc(canvas, 120, model.pop_shares)
-    _pie_or_disc(canvas, 320, model.case_shares)
+    values = [escape(muni.name), escape(muni.county), escape(muni.id),
+              _pie_or_disc(canvas, 120, model.pop_shares),
+              _pie_or_disc(canvas, 320, model.case_shares)]
+    for g in GROUPS:
+        values += _share(model.pop_shares, g), _share(model.case_shares, g)
+    values += f"{model.pop_total:,}", f"{model.case_total:,}"
 
-    for row, g in enumerate(GROUPS):
-        parts.append(next(frame))
-        ry = LEGEND_Y + row * 20
-        canvas.text(LEGEND_X + 80, ry, _share(model.pop_shares, g), size=12, anchor="end")
-        canvas.text(LEGEND_X + 150, ry, _share(model.case_shares, g), size=12, anchor="end")
-    canvas.text(LEGEND_X, 212, f"total population {model.pop_total:,}", size=11, fill="#666666")
-    canvas.text(LEGEND_X, 228, f"total cases {model.case_total:,}", size=11, fill="#666666")
-
-    bound, y, w, h = model.rd_bound, PANEL_Y, PANEL_W, PANEL_H
-    mid = y + h / 2.0
+    hy = PANEL_Y + PANEL_H + 38  # the baseline of each panel's relative-change note
     for column, g in enumerate(MINORITY_GROUPS):
         x = _panel_x(column)
         series, stats = model.rd_series[g], model.stats[g]
-        parts.append(next(frame))
         if len(series) > 1:
-            ys = _panel_ys(mid, h, bound)
-            canvas.polyline(_panel_xs(x, w, len(series)), map(ys.__getitem__, series),
+            canvas.polyline(panel_xs[column], map(ys.__getitem__, series),
                             stroke=GROUP_COLORS[g], stroke_width=1.2)
         else:
-            canvas.circle(x + w / 2.0, mid - (series[0] / bound) * (h / 2.0), 2.0,
+            canvas.circle(x + PANEL_W / 2.0,
+                          PANEL_MID - (series[0] / model.rd_bound) * (PANEL_H / 2.0), 2.0,
                           fill=GROUP_COLORS[g])
-
-        parts.append(next(frame))
-        by = y + h + 18
-        canvas.text(x + 4, by + 1, f"per {stats.persistence_pct:.1f}%", size=11)
+        values.append(_drawn(canvas))
         skew = "n/a" if stats.skewness is None else f"{stats.skewness:.2f}"
-        canvas.text(x + 96, by + 1, f"skew {skew}", size=11)
+        values += f"{stats.persistence_pct:.1f}", skew
 
-        parts.append(next(frame))
-        hy = by + 20
         marker_x = x + 40
         if stats.special is Special.UNDEFINED_ZERO_ZERO:
             draw_cross(canvas, marker_x, hy - 4, 9)
@@ -265,6 +236,5 @@ def render_dashboard(model: DashboardModel) -> str:
             canvas.text(text_x, hy, note, size=10, fill="#666666")
         else:
             canvas.text(text_x, hy, f"{stats.relative_change_pct:+.1f}%", size=11, weight="bold")
-
-    parts.append(next(frame))
-    return "\n".join(parts)
+        values.append(_drawn(canvas))
+    return template % tuple(values)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SynthError
+from .errors import SynthError, load_json
 from .ingest import write_cases_csv, write_populations_csv
 from .model import K, CaseCube, DateAxis, Municipality, PopulationTable
 
@@ -79,14 +79,7 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthSpec":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            raise SynthError(f"cannot open {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SynthError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(load_json(path, SynthError))
 
     def municipality_ids(self) -> tuple[str, ...]:
         if self.ids:

@@ -53,6 +53,15 @@ class TestRules:
         with pytest.raises(ClassifyError, match="g1_skew"):
             ClassifierConfig(g1_skew_min=5.0, g1_skew_max=1.0)
 
+    @pytest.mark.parametrize("name", ["g0_skew_max", "g1_per_min", "g1_skew_min", "g2_per_max"])
+    def test_nan_threshold_rejected(self, name):
+        with pytest.raises(ClassifyError, match=f"^{name} is NaN"):
+            ClassifierConfig(**{name: float("nan")})
+
+    def test_infinite_thresholds_mean_no_bound(self):
+        cfg = ClassifierConfig(g1_per_min=float("-inf"), g1_skew_max=float("inf"))
+        assert classify_one(stats(8.0, 0.0), cfg) is ClassLabel.G1
+
 
 class TestProperties:
     @settings(max_examples=200, deadline=None)

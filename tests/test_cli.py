@@ -104,6 +104,18 @@ class TestValidate:
         assert cli.main(["run", "--config", str(config)]) == 2
         assert "rankdiff: cli:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", float("nan")], ids=["text", "literal"])
+    def test_nan_classifier_threshold_exit_2(self, clean_fixture, capsys, value):
+        """A NaN threshold fails every comparison, so it would empty its group unseen."""
+        config, out = clean_fixture
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["classifier"] = {"g1_per_min": value}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "rankdiff: classify: g1_per_min is NaN; use a number, or inf or -inf for no bound\n")
+        assert not out.exists()
+
     def test_non_finite_regime_flag_exit_2(self, clean_fixture, capsys):
         config, out = clean_fixture
         assert cli.main(["run", "--config", str(config), "--regime-max", "inf"]) == 2
@@ -229,9 +241,13 @@ class TestMalformedInputs:
                      "feature 'a' has malformed coordinates: 5 is not an array", id="scalar-polygon"),
         pytest.param(geojson_text(["a"]), "feature #0 is not a JSON object", id="text-feature"),
         pytest.param("[]", "expected a GeoJSON FeatureCollection", id="top-level-array"),
+        pytest.param(b'{"type": "FeatureCollection", "features": []\xff}',
+                     "not UTF-8 text: 'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+        pytest.param(b"[" * 100_000, "JSON nested too deeply", id="deep-nesting"),
     ])
     def test_malformed_boundaries(self, tmp_path, capsys, geo, message):
-        config = write_inputs(tmp_path, geo=geo)
+        config = write_inputs(tmp_path)
+        (tmp_path / "b.geojson").write_bytes(geo.encode() if isinstance(geo, str) else geo)
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"rankdiff: ingest: {tmp_path / 'b.geojson'}: ")
@@ -312,11 +328,13 @@ class TestIdsStayInTree:
         assert not (tmp_path / "out").exists()
 
     def test_longest_ids_and_markup_in_text_run(self, tmp_path):
-        """An id whose file name takes exactly 255 bytes runs, and markup and
-        non-ASCII text in ids and names leave every SVG well-formed."""
+        """An id whose file name takes exactly 255 bytes runs, and markup, ``%``
+        and non-ASCII text in ids and names leave every SVG well-formed and
+        are shown as given."""
         towns = {"x" * 251: ("Long", "County"), "é" * 125 + "x": ("Étang", "Comté"),
                  'a&b<c"d': ('A & B <"C">', "C&D <County>"),
-                 "zürich": ("Zürich", "Bezirk & <Land>")}
+                 "zürich": ("Zürich", "Bezirk & <Land>"),
+                 "50%": ("100% & %(x)s", "%d County")}
         config = write_named_inputs(tmp_path, towns)
         assert cli.main(["run", "--config", str(config)]) == 0
         out = tmp_path / "out"
@@ -324,7 +342,7 @@ class TestIdsStayInTree:
             dashboard = out / "dashboards" / f"{mid}.svg"
             assert len(dashboard.name.encode("utf-8")) <= 255
             text = "".join(ElementTree.parse(dashboard).getroot().itertext())
-            assert f"{name} ({county})" in text
+            assert f"{name} ({county})" in text and f"id {mid}" in text
         assert len(list((out / "dashboards").iterdir())) == len(towns)
         ElementTree.parse(out / "map_baa.svg")
 

@@ -1,9 +1,13 @@
 import hashlib
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rankdiff import render
 from rankdiff.classify import ClassifierConfig
 from rankdiff.errors import ConfigError
 from rankdiff.metrics import RegimeConfig
@@ -84,12 +88,16 @@ def test_missing_key_rejected(tmp_path):
     pytest.param('{"cases": "c.csv", "populations": "p.csv", "boundaries": "b.geojson", '
                  '"regime": {"max": 1e999}}', "regime max must be a finite number",
                  id="literal-1e999"),
+    pytest.param(b'{"cases": "c\xff.csv"}', "not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
+                 id="not-utf8"),
+    pytest.param(b"[" * 100_000, "JSON nested too deeply", id="deep-nesting"),
 ])
 def test_malformed_config_rejected(tmp_path, doc, match):
     if isinstance(doc, dict):
         doc = {"cases": "c.csv", "populations": "p.csv", "boundaries": "b.geojson", **doc}
+    text = doc if isinstance(doc, (str, bytes)) else json.dumps(doc)
     config = tmp_path / "config.json"
-    config.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    config.write_bytes(text.encode() if isinstance(text, str) else text)
     with pytest.raises(ConfigError, match=match):
         RunConfig.from_file(config)
 
@@ -212,3 +220,39 @@ def test_dashboard_digests(tmp_path, name):
         assert (min(rd), max(rd)) == (1 - spec.m, spec.m - 1)
     assert len(list((cfg.out / "dashboards").iterdir())) == spec.m
     assert _rendered_digest(cfg.out) == DASHBOARD_DIGESTS[name]
+
+
+def _traced_attributes():
+    """``TRACED`` of perfbench/tracer.py: the (layer, attr, metric stem) triples
+    whose module attributes a traced benchmark run wraps."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TRACED
+
+
+def test_traced_attributes_are_callables():
+    """The tracer wraps ``rankdiff.<layer>.<attr>``; a rename breaks the traced run."""
+    traced = _traced_attributes()
+    assert ("render", "render_dashboard", "render_dashboard") in traced
+    for layer, attr, _ in traced:
+        assert callable(getattr(importlib.import_module(f"rankdiff.{layer}"), attr, None)), \
+            f"rankdiff.{layer}.{attr}"
+
+
+def test_run_renders_through_the_traced_attribute(tmp_path, monkeypatch):
+    """The traced run counts dashboards as calls of ``render.render_dashboard``,
+    so ``run`` makes exactly one such call per municipality."""
+    calls = []
+    render_dashboard = render.render_dashboard
+
+    def counted(model):
+        calls.append(model.municipality.id)
+        return render_dashboard(model)
+
+    monkeypatch.setattr(render, "render_dashboard", counted)
+    spec = _uniform_spec(5, 3)
+    cfg = _run_fixture(spec, tmp_path)
+    assert sorted(calls) == sorted(path.stem for path in (cfg.out / "dashboards").iterdir())
+    assert len(calls) == spec.m

@@ -146,7 +146,9 @@ class TestDeterminismAndGolden:
 
     def test_cache_state_does_not_change_bytes(self):
         """Dashboards of three runs, each with its own frame, rendered interleaved
-        with every cache warm match the same dashboards rendered from cold caches."""
+        with every cache warm match the same dashboards rendered from cold caches.
+        Every cache of the dashboard module is found and cleared, so a cache
+        added later is gated too."""
         stats, cube, pops, rd = golden_inputs()
         runs = [
             [build_dashboard(stats, cube, pops, mid, rd) for mid in cube.ids()],
@@ -156,7 +158,8 @@ class TestDeterminismAndGolden:
         ]
         assert len({(run[0].axis, run[0].rd_bound) for run in runs}) == 3
         models = [m for batch in zip_longest(*runs) for m in batch if m is not None]
-        caches = (dashboard._panel_xs, dashboard._panel_ys, dashboard._frame)
+        caches = [obj for obj in vars(dashboard).values() if hasattr(obj, "cache_clear")]
+        assert caches
         cold = []
         for model in models:
             for cached in caches:

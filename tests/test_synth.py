@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rankdiff import cli
 from rankdiff.errors import SynthError
 from rankdiff.ingest import load_cases, load_populations
 from rankdiff.metrics import RegimeConfig, persistence_index, rank_cases, rank_diff, rank_population, skewness
@@ -98,6 +99,19 @@ class TestSpecParsing:
         spec = SynthSpec.from_file(path)
         assert spec.seed == 9
         assert spec.lam == ((1.0,) * 4,)
+
+    @pytest.mark.parametrize("data,message", [
+        pytest.param(b'{"m": 1\xff}', "not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
+                     id="not-utf8"),
+        pytest.param(b"[" * 100_000, "JSON nested too deeply", id="deep-nesting"),
+        pytest.param(b"{nope", "invalid JSON", id="invalid"),
+    ])
+    def test_unreadable_spec_exit_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        assert cli.main(["synth", str(path), "--out", str(tmp_path / "fx")]) == 2
+        assert capsys.readouterr().err.startswith(f"rankdiff: synth: {path}: {message}")
+        assert not (tmp_path / "fx").exists()
 
     def test_wrong_width_rejected(self):
         with pytest.raises(SynthError, match="3x4"):
