@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 from itertools import zip_longest
 from pathlib import Path
 
@@ -7,8 +8,15 @@ import pytest
 
 from rankdiff.classify import ClassLabel
 from rankdiff.errors import RenderError
-from rankdiff.metrics import RegimeConfig, group_stats, rank_cases, rank_diff, rank_population
-from rankdiff.model import Group
+from rankdiff.metrics import (
+    RegimeConfig,
+    Special,
+    group_stats,
+    rank_cases,
+    rank_diff,
+    rank_population,
+)
+from rankdiff.model import MINORITY_GROUPS, Group
 from rankdiff.render import (
     build_choropleth,
     build_dashboard,
@@ -59,6 +67,54 @@ def models_of(counts, populations, start=START):
     return [build_dashboard(stats, cube, pops, mid, rd) for mid in ids]
 
 
+# (cases, population) of one group that give each special case, in the
+# order the towns of MARKER_RUNS rotate them through the three panels.
+SPECIAL_CELLS = {
+    Special.NORMAL: (3, 50),
+    Special.CASES_EXCEED_POP: (5, 2),
+    Special.UNDEFINED_ZERO_ZERO: (0, 0),
+    Special.POP_ZERO_CASES_NONZERO: (4, 0),
+}
+ROTATION = list(SPECIAL_CELLS)
+# W cells: a defined reference, then the two ways the reference is undefined.
+W_CELLS = ((6, 1000), (2, 0), (0, 500))
+
+
+def marker_inputs(towns, n_days):
+    """Counts and populations of towns given as (BAA, HL, OTH special case,
+    W cell); each group's cases are spread over the days."""
+    counts = np.zeros((len(towns), n_days, 4), dtype=np.int64)
+    populations = []
+    for i, (specials, w) in enumerate(towns):
+        cells = [SPECIAL_CELLS[s] for s in specials] + [w]
+        for k, (cases, _) in enumerate(cells):
+            counts[i, :, k] = cases // n_days
+            counts[i, 0, k] += cases % n_days
+        populations.append([population for _, population in cells])
+    return counts, populations
+
+
+MARKER_TOWNS = [([ROTATION[(i + column) % 4] for column in range(3)], w)
+                for i in range(4) for w in W_CELLS]
+MARKER_RUNS = {
+    "days": marker_inputs(MARKER_TOWNS, 3),
+    "one-day": marker_inputs(MARKER_TOWNS, 1),
+    "one-municipality": marker_inputs(
+        [((Special.UNDEFINED_ZERO_ZERO, Special.POP_ZERO_CASES_NONZERO,
+           Special.CASES_EXCEED_POP), W_CELLS[0])], 4),
+}
+# (special case, relative change undefined) pairs a panel can show: only a
+# group with population can have a relative change.
+MARKER_CASES = [(Special.NORMAL, False), (Special.NORMAL, True),
+                (Special.CASES_EXCEED_POP, False), (Special.CASES_EXCEED_POP, True),
+                (Special.UNDEFINED_ZERO_ZERO, True), (Special.POP_ZERO_CASES_NONZERO, True)]
+MARKER_DIGESTS = {
+    "days": "b280893fb468979f0696d4799f9bacd9f5feafa4afe75c6cc5ee3337c4565fe0",
+    "one-day": "2dbbe77033566ae379715d6de6eedec2483ea61d61d2ef51f734815a8cac031c",
+    "one-municipality": "a4ff89a2855ae434850603f33de16569dcc67b9bb0d919094fd57d53ad3fe548",
+}
+
+
 class TestDashboardModel:
     def test_shares_sum_to_100(self):
         model = golden_model()
@@ -107,8 +163,6 @@ class TestDashboardModel:
     def test_star_case_still_shows_persistence_badge(self):
         stats, cube, pops, rd = golden_inputs()
         model = build_dashboard(stats, cube, pops, "beta", rd=rd)
-        from rankdiff.metrics import Special
-
         assert model.stats[Group.BAA].special is Special.POP_ZERO_CASES_NONZERO
         svg = render_dashboard(model)
         assert "per " in svg
@@ -170,6 +224,23 @@ class TestDeterminismAndGolden:
     def test_golden(self):
         assert GOLDEN.exists(), "golden missing; regenerate via tests/make_golden.py"
         assert render_dashboard(golden_model()) == GOLDEN.read_text(encoding="utf-8")
+
+    def test_marker_digests(self):
+        """Every (panel, special case, relative change or not) a dashboard can
+        show, in runs over several days, one day (N=1) and one municipality
+        (M=1), pinned by the sha256 of their dashboards."""
+        digests, shown = {}, set()
+        for name, (counts, populations) in MARKER_RUNS.items():
+            digest = hashlib.sha256()
+            for model in models_of(counts, populations):
+                for column, g in enumerate(MINORITY_GROUPS):
+                    stats = model.stats[g]
+                    shown.add((column, stats.special, stats.relative_change_pct is None))
+                digest.update(render_dashboard(model).encode())
+            digests[name] = digest.hexdigest()
+        assert shown == {(column, special, undefined) for column in range(3)
+                         for special, undefined in MARKER_CASES}
+        assert digests == MARKER_DIGESTS
 
     @pytest.mark.parametrize(
         "shares",
