@@ -513,10 +513,15 @@ def _array(value, fid: str, path: Path) -> list:
 
 
 def _position(pt, fid: str, path: Path) -> tuple[float, float]:
+    """A GeoJSON position: an array whose first two entries are JSON numbers
+    (``json`` reads those as ``int`` or ``float``, and ``true`` as ``bool``)."""
+    if not (isinstance(pt, list) and len(pt) >= 2 and type(pt[0]) in (int, float)
+            and type(pt[1]) in (int, float)):
+        raise IngestError(f"{path}: feature {fid!r} has a malformed position {pt!r}")
     try:
         x, y = float(pt[0]), float(pt[1])
-    except (IndexError, KeyError, TypeError, ValueError):
-        raise IngestError(f"{path}: feature {fid!r} has a malformed position {pt!r}") from None
+    except OverflowError:  # an integer past the float range
+        x = y = math.inf
     if not (math.isfinite(x) and math.isfinite(y)):
         raise IngestError(f"{path}: feature {fid!r} has a non-finite coordinate {pt!r}")
     return x, y

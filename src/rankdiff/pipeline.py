@@ -19,8 +19,10 @@ single file of that tree from the same analysis, so their bytes match
 
 from __future__ import annotations
 
+import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -29,7 +31,7 @@ import numpy as np
 from . import classify as classify_mod
 from . import ingest, metrics, render
 from .classify import ClassifierConfig, ClassLabel
-from .errors import ConfigError, IngestError, load_json
+from .errors import ConfigError, IngestError, RenderError, load_json
 from .metrics import GroupStats, RegimeConfig
 from .model import CaseCube, Group, PopulationTable, QualityReport, Ring
 
@@ -72,14 +74,14 @@ class RunConfig:
         regime_doc, classifier_doc = section("regime"), section("classifier")
         try:
             regime = _regime(
-                float(regime_doc.get("min", 0.0)),
-                None if regime_doc.get("max") is None else float(regime_doc["max"]),
+                _number("min", regime_doc.get("min", 0.0)),
+                None if regime_doc.get("max") is None else _number("max", regime_doc["max"]),
                 str(path),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad regime config: {exc}") from exc
         try:
-            classifier = ClassifierConfig(**{k: float(v) for k, v in classifier_doc.items()})
+            classifier = ClassifierConfig(**{k: _number(k, v) for k, v in classifier_doc.items()})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad classifier config: {exc}") from exc
         return cls(
@@ -117,6 +119,13 @@ class RunConfig:
         if out is not None:
             cfg = replace(cfg, out=Path(out).resolve())
         return cfg
+
+
+def _number(key: str, value) -> float:
+    """``float(value)`` for config ``key``, which a JSON boolean is not."""
+    if isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
 
 
 def _regime(t_min: float, t_max: float | None, source: str) -> RegimeConfig:
@@ -205,6 +214,16 @@ class RenderResult:
     report: QualityReport
 
 
+@contextmanager
+def _writing(out: Path):
+    """Ends a failure to write ``out`` or a file under it in an error that
+    names the path, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise RenderError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
+
+
 def _write_text(path: str | Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -239,28 +258,29 @@ def run(cfg: RunConfig) -> RunResult:
     map_svg = _map_svg(cfg, loaded, analysis)  # drawn first: a map that fails leaves no tree
     cube, out = loaded.cube, cfg.out
     dashboards = _dashboards_dir(out)
-    os.makedirs(dashboards, exist_ok=True)
+    with _writing(out):
+        os.makedirs(dashboards, exist_ok=True)
 
-    metrics.write_rd_csv(out / "rd.csv", cube, analysis.rd)
-    metrics.write_stats_json(out / "stats.json", cube, analysis.stats, cfg.regime, cfg.basis)
-    classify_mod.write_labels_csv(out / "labels.csv", analysis.labels, cfg.group)
-    _write_text(out / "quality.json", loaded.report.to_json())
+        metrics.write_rd_csv(out / "rd.csv", cube, analysis.rd)
+        metrics.write_stats_json(out / "stats.json", cube, analysis.stats, cfg.regime, cfg.basis)
+        classify_mod.write_labels_csv(out / "labels.csv", analysis.labels, cfg.group)
+        _write_text(out / "quality.json", loaded.report.to_json())
 
-    ids = sorted(cube.ids())
-    written = set()
-    for mid in ids:
-        path = _dashboard_path(dashboards, mid)
-        _write_text(path, _dashboard_svg(loaded, analysis, mid))
-        written.add(os.path.basename(path))
-    with os.scandir(dashboards) as entries:  # left by an earlier run over a larger roster
-        stale = [entry.path for entry in entries if entry.name.endswith(".svg")
-                 and entry.name not in written and entry.is_file()]
-    for path in stale:
-        os.unlink(path)
-    map_name = _map_name(cfg.group)
-    _write_text(out / map_name, map_svg)
-    _write_text(out / "index.html", render.render_index(
-        cube, analysis.stats, analysis.labels, cfg.group, map_name))
+        ids = sorted(cube.ids())
+        written = set()
+        for mid in ids:
+            path = _dashboard_path(dashboards, mid)
+            _write_text(path, _dashboard_svg(loaded, analysis, mid))
+            written.add(os.path.basename(path))
+        with os.scandir(dashboards) as entries:  # left by an earlier run over a larger roster
+            stale = [entry.path for entry in entries if entry.name.endswith(".svg")
+                     and entry.name not in written and entry.is_file()]
+        for path in stale:
+            os.unlink(path)
+        map_name = _map_name(cfg.group)
+        _write_text(out / map_name, map_svg)
+        _write_text(out / "index.html", render.render_index(
+            cube, analysis.stats, analysis.labels, cfg.group, map_name))
 
     return RunResult(out=out, report=loaded.report, labels=analysis.labels, n_dashboards=len(ids))
 
@@ -270,8 +290,9 @@ def render_map(cfg: RunConfig) -> RenderResult:
     loaded = load_inputs(cfg)
     svg = _map_svg(cfg, loaded, analyze(cfg, loaded))
     target = cfg.out / _map_name(cfg.group)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(target, svg)
+    with _writing(target):
+        target.parent.mkdir(parents=True, exist_ok=True)
+        _write_text(target, svg)
     return RenderResult(path=target, report=loaded.report)
 
 
@@ -280,6 +301,7 @@ def render_dashboard(cfg: RunConfig, mid: str) -> RenderResult:
     loaded = load_inputs(cfg)
     svg = _dashboard_svg(loaded, analyze(cfg, loaded), mid)
     target = Path(_dashboard_path(_dashboards_dir(cfg.out), mid))
-    target.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(target, svg)
+    with _writing(target):
+        target.parent.mkdir(parents=True, exist_ok=True)
+        _write_text(target, svg)
     return RenderResult(path=target, report=loaded.report)

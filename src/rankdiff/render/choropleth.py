@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from ..classify import ClassLabel
 from ..errors import RenderError
 from ..model import Group, Ring
-from .svg import CLASS_COLORS, SvgCanvas, fnum
+from .svg import CLASS_COLORS, document, fnum, path, rect, text
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,9 @@ def render_choropleth(model: ChoroplethModel) -> str:
     def project(lon: float, lat: float) -> tuple[float, float]:
         return off_x + (lon - lon0) * scale, off_y + (lat1 - lat) * scale
 
-    canvas = SvgCanvas(width, height)
-    canvas.rect(0, 0, width, height, fill="#ffffff")
-    canvas.text(20, 32, f"rank-difference classification, group {model.group.value}",
-                size=16, weight="bold")
+    elements = [rect(0, 0, width, height, fill="#ffffff"),
+                text(20, 32, f"rank-difference classification, group {model.group.value}",
+                     size=16, weight="bold")]
 
     for mid, _, color, rings in model.entries:
         pieces = []
@@ -87,21 +86,21 @@ def render_choropleth(model: ChoroplethModel) -> str:
             coords = [project(lon, lat) for lon, lat in ring]
             d = "M " + " L ".join(f"{fnum(x)} {fnum(y)}" for x, y in coords) + " Z"
             pieces.append(d)
-        canvas.path(" ".join(pieces), fill=color, stroke="#ffffff", stroke_width=0.6)
+        elements.append(path(" ".join(pieces), fill=color, stroke="#ffffff", stroke_width=0.6))
 
     legend_y = map_top + map_height + 30.0
-    canvas.text(20, legend_y - 12, "classification", size=12, weight="bold")
+    elements.append(text(20, legend_y - 12, "classification", size=12, weight="bold"))
     for row, (label, color, count) in enumerate(model.legend):
         ly = legend_y + row * 20
-        canvas.rect(20, ly - 10, 12, 12, fill=color, stroke="#888888", stroke_width=0.5)
-        canvas.text(40, ly, f"{label.value} (n={count})", size=12)
+        elements += (rect(20, ly - 10, 12, 12, fill=color, stroke="#888888", stroke_width=0.5),
+                     text(40, ly, f"{label.value} (n={count})", size=12))
 
     if model.missing:
         shown = ", ".join(model.missing[:15])
         if len(model.missing) > 15:
             shown += f", and {len(model.missing) - 15} more"
         noun = "municipality" if len(model.missing) == 1 else "municipalities"
-        canvas.text(20, height - 14,
-                    f"no geometry for {len(model.missing)} {noun}: {shown}",
-                    size=10, fill="#888888")
-    return canvas.to_svg()
+        elements.append(text(20, height - 14,
+                             f"no geometry for {len(model.missing)} {noun}: {shown}",
+                             size=10, fill="#888888"))
+    return document(width, height, elements)

@@ -10,10 +10,10 @@ Panel arrangement is this renderer's own choice: pies on top, the three
 rank-difference panels side by side below.
 
 ``_frame`` draws everything a dashboard shares with the others of its run
-once, as a ``%`` template whose slots ``render_dashboard`` fills with one
-municipality's values. The template, the panel x strings and the rd-to-y
-dict are a pure function of ``(axis, rd_bound)``, so warm and cold caches
-give the same bytes.
+once: a ``%`` template whose slots ``render_dashboard`` fills with one
+municipality's values, and each panel's special-case markers. The frame is
+a pure function of ``(axis, rd_bound)``, so warm and cold caches give the
+same bytes.
 """
 
 from __future__ import annotations
@@ -28,19 +28,29 @@ from ..metrics import GroupStats, Special
 from ..model import GROUPS, MINORITY_GROUPS, CaseCube, DateAxis, Group, Municipality, PopulationTable
 from .svg import (
     GROUP_COLORS,
-    SvgCanvas,
-    draw_cross,
-    draw_pie,
-    draw_star,
-    draw_triangle,
+    circle,
+    cross,
+    document,
     escape,
     fnum,
+    line,
+    pie,
+    polyline,
+    rect,
+    star,
+    text,
+    triangle,
 )
 
 SPECIAL_NOTES = {
     Special.UNDEFINED_ZERO_ZERO: "undefined: no cases, no population",
     Special.POP_ZERO_CASES_NONZERO: "cases despite zero recorded population",
     Special.CASES_EXCEED_POP: "cases exceed recorded population",
+}
+SPECIAL_MARKERS = {  # the shape and size of each special case's marker
+    Special.UNDEFINED_ZERO_ZERO: (cross, 9),
+    Special.POP_ZERO_CASES_NONZERO: (star, 12),
+    Special.CASES_EXCEED_POP: (triangle, 10),
 }
 
 
@@ -54,7 +64,7 @@ class DashboardModel:
     case_total: int
     rd_series: dict[Group, tuple[int, ...]]  # BAA, HL, OTH
     stats: dict[Group, GroupStats]           # BAA, HL, OTH
-    rd_bound: int                            # M - 1, y-axis limit for rd panels
+    rd_bound: int                            # max(M - 1, 1), y-axis limit for rd panels
 
 
 def _shares(values: list[int], total: int) -> dict[Group, float] | None:
@@ -108,84 +118,82 @@ def _panel_x(column: int) -> int:
 
 
 _SLOT = "\x00"  # where render_dashboard fills in one municipality's values
+NOTE_Y = PANEL_Y + PANEL_H + 38  # the baseline of each panel's relative-change note
 
 
 # One run draws one frame; 8 leaves room for the frames of other runs.
 @lru_cache(maxsize=8)
-def _frame(axis: DateAxis, bound: int) -> tuple[str, tuple[tuple[str, ...], ...], dict[int, str]]:
+def _frame(axis: DateAxis, bound: int) -> tuple[str, tuple[tuple[str, ...], ...], dict[int, str],
+                                                dict[tuple[int, Special], tuple[str, float]]]:
     """What every dashboard of a run shares: the document as a ``%`` template
-    with one ``%s`` per slot, each panel's x strings, and the y string of
-    every rd value in ``[-bound, bound]``."""
-    canvas = SvgCanvas(WIDTH, HEIGHT)
-    canvas.rect(0, 0, WIDTH, HEIGHT, fill="#ffffff")
-    canvas.text(20, 32, f"{_SLOT} ({_SLOT})", size=20, weight="bold")
-    canvas.text(20, 52, f"id {_SLOT}", size=12, fill="#666666")
-    canvas.text(860, 32, f"{axis.start.isoformat()} to {axis.end.isoformat()} ({axis.n_days} days)",
-                size=12, fill="#666666", anchor="end")
-    canvas.text(860, 52, "daily new confirmed or probable cases", size=11,
-                fill="#888888", anchor="end")
-    canvas.text(120, 92, "population", size=13, anchor="middle", weight="bold")
-    canvas.text(320, 92, "cases", size=13, anchor="middle", weight="bold")
-    canvas.parts += (_SLOT, _SLOT)  # the two pies
-
+    with one ``%s`` per slot, each panel's x strings, the y string of every
+    rd value in ``[-bound, bound]``, and per (panel column, special case) the
+    marker and the x of the relative-change note."""
     x, y = LEGEND_X, LEGEND_Y
-    canvas.text(x + 18, y - 14, "group", size=11, fill="#666666")
-    canvas.text(x + 80, y - 14, "population", size=11, fill="#666666", anchor="end")
-    canvas.text(x + 150, y - 14, "cases", size=11, fill="#666666", anchor="end")
+    elements = [rect(0, 0, WIDTH, HEIGHT, fill="#ffffff"),
+                text(20, 32, f"{_SLOT} ({_SLOT})", size=20, weight="bold"),
+                text(20, 52, f"id {_SLOT}", size=12, fill="#666666"),
+                text(860, 32, f"{axis.start.isoformat()} to {axis.end.isoformat()}"
+                     f" ({axis.n_days} days)", size=12, fill="#666666", anchor="end"),
+                text(860, 52, "daily new confirmed or probable cases", size=11,
+                     fill="#888888", anchor="end"),
+                text(120, 92, "population", size=13, anchor="middle", weight="bold"),
+                text(320, 92, "cases", size=13, anchor="middle", weight="bold"),
+                _SLOT, _SLOT,  # the two pies
+                text(x + 18, y - 14, "group", size=11, fill="#666666"),
+                text(x + 80, y - 14, "population", size=11, fill="#666666", anchor="end"),
+                text(x + 150, y - 14, "cases", size=11, fill="#666666", anchor="end")]
     for row, g in enumerate(GROUPS):
         ry = y + row * 20
-        canvas.rect(x, ry - 10, 12, 12, fill=GROUP_COLORS[g])
-        canvas.text(x + 18, ry, g.value, size=12)
-        canvas.text(x + 80, ry, _SLOT, size=12, anchor="end")
-        canvas.text(x + 150, ry, _SLOT, size=12, anchor="end")
-    canvas.text(x, 212, f"total population {_SLOT}", size=11, fill="#666666")
-    canvas.text(x, 228, f"total cases {_SLOT}", size=11, fill="#666666")
+        elements += (rect(x, ry - 10, 12, 12, fill=GROUP_COLORS[g]),
+                     text(x + 18, ry, g.value, size=12),
+                     text(x + 80, ry, _SLOT, size=12, anchor="end"),
+                     text(x + 150, ry, _SLOT, size=12, anchor="end"))
+    elements += (text(x, 212, f"total population {_SLOT}", size=11, fill="#666666"),
+                 text(x, 228, f"total cases {_SLOT}", size=11, fill="#666666"))
 
     y, w, h = PANEL_Y, PANEL_W, PANEL_H
+    markers = {}
     for column, g in enumerate(MINORITY_GROUPS):
         x = _panel_x(column)
-        canvas.text(x, y - 8, f"{g.value} rank difference", size=12, weight="bold")
-        canvas.rect(x, y, w, h, fill="#fafafa", stroke="#cccccc")
-        canvas.line(x, PANEL_MID, x + w, PANEL_MID, stroke="#999999", stroke_width=0.5, dash="3,3")
-        canvas.text(x - 4, y + 4, f"+{bound}", size=9, fill="#888888", anchor="end")
-        canvas.text(x - 4, y + h + 2, f"-{bound}", size=9, fill="#888888", anchor="end")
-        canvas.parts.append(_SLOT)  # the rd series
         by = y + h + 18
-        canvas.rect(x, by - 11, 86, 16, fill="#eef3f8", stroke="#b8c6d8", rx=3.0)
-        canvas.text(x + 4, by + 1, f"per {_SLOT}%", size=11)
-        canvas.text(x + 96, by + 1, f"skew {_SLOT}", size=11)
-        canvas.text(x, by + 20, "vs W:", size=11, fill="#444444")
-        canvas.parts.append(_SLOT)  # the marker and the relative change
+        elements += (text(x, y - 8, f"{g.value} rank difference", size=12, weight="bold"),
+                     rect(x, y, w, h, fill="#fafafa", stroke="#cccccc"),
+                     line(x, PANEL_MID, x + w, PANEL_MID, stroke="#999999", stroke_width=0.5,
+                          dash="3,3"),
+                     text(x - 4, y + 4, f"+{bound}", size=9, fill="#888888", anchor="end"),
+                     text(x - 4, y + h + 2, f"-{bound}", size=9, fill="#888888", anchor="end"),
+                     _SLOT,  # the rd series
+                     rect(x, by - 11, 86, 16, fill="#eef3f8", stroke="#b8c6d8", rx=3.0),
+                     text(x + 4, by + 1, f"per {_SLOT}%", size=11),
+                     text(x + 96, by + 1, f"skew {_SLOT}", size=11),
+                     text(x, by + 20, "vs W:", size=11, fill="#444444"),
+                     _SLOT)  # the marker and the relative change
+        marker_x = x + 40  # a marker and its note are one slot value, a line apart
+        markers[column, Special.NORMAL] = "", marker_x - 6
+        for special, (shape, size) in SPECIAL_MARKERS.items():
+            markers[column, special] = shape(marker_x, NOTE_Y - 4, size) + "\n", marker_x + 10
 
-    canvas.text(
+    elements.append(text(
         20, 545,
         "rank difference = population-size rank minus daily case rank;"
         " positive values mean more cases than population rank predicts",
         size=10, fill="#888888",
-    )
-    template = canvas.to_svg().replace("%", "%%").replace(_SLOT, "%s")
+    ))
+    template = document(WIDTH, HEIGHT, elements).replace("%", "%%").replace(_SLOT, "%s")
     n = axis.n_days  # a one-day panel draws a circle, not these x strings
     xs = tuple(tuple(fnum(_panel_x(column) + w * j / max(n - 1, 1)) for j in range(n))
                for column in range(len(MINORITY_GROUPS)))
     ys = {value: fnum(PANEL_MID - (value / bound) * (h / 2.0))
           for value in range(-bound, bound + 1)}
-    return template, xs, ys
+    return template, xs, ys, markers
 
 
-def _drawn(canvas: SvgCanvas) -> str:
-    """The elements drawn on ``canvas`` since the last call, as one slot value."""
-    text = "\n".join(canvas.parts)
-    canvas.parts.clear()
-    return text
-
-
-def _pie_or_disc(canvas: SvgCanvas, cx: float, shares: dict[Group, float] | None) -> str:
+def _pie_or_disc(cx: float, shares: dict[Group, float] | None) -> str:
     if shares is None:
-        canvas.circle(cx, 170, 64, fill="#eeeeee", stroke="#cccccc")
-        canvas.text(cx, 174, "n/a", size=13, anchor="middle", fill="#888888")
-    else:
-        draw_pie(canvas, cx, 170, 64, [(GROUP_COLORS[g], shares[g]) for g in GROUPS])
-    return _drawn(canvas)
+        return (circle(cx, 170, 64, fill="#eeeeee", stroke="#cccccc") + "\n"
+                + text(cx, 174, "n/a", size=13, anchor="middle", fill="#888888"))
+    return pie(cx, 170, 64, [(GROUP_COLORS[g], shares[g]) for g in GROUPS])
 
 
 def _share(shares: dict[Group, float] | None, g: Group) -> str:
@@ -198,43 +206,33 @@ def render_dashboard(model: DashboardModel) -> str:
     Fills the run's template from ``_frame`` with this municipality's
     values, in document order.
     """
-    template, panel_xs, ys = _frame(model.axis, model.rd_bound)
-    canvas = SvgCanvas(WIDTH, HEIGHT)  # draws the element slots
+    template, panel_xs, ys, markers = _frame(model.axis, model.rd_bound)
     muni = model.municipality
     values = [escape(muni.name), escape(muni.county), escape(muni.id),
-              _pie_or_disc(canvas, 120, model.pop_shares),
-              _pie_or_disc(canvas, 320, model.case_shares)]
+              _pie_or_disc(120, model.pop_shares),
+              _pie_or_disc(320, model.case_shares)]
     for g in GROUPS:
         values += _share(model.pop_shares, g), _share(model.case_shares, g)
     values += f"{model.pop_total:,}", f"{model.case_total:,}"
 
-    hy = PANEL_Y + PANEL_H + 38  # the baseline of each panel's relative-change note
     for column, g in enumerate(MINORITY_GROUPS):
-        x = _panel_x(column)
         series, stats = model.rd_series[g], model.stats[g]
         if len(series) > 1:
-            canvas.polyline(panel_xs[column], map(ys.__getitem__, series),
-                            stroke=GROUP_COLORS[g], stroke_width=1.2)
+            values.append(polyline(panel_xs[column], map(ys.__getitem__, series),
+                                   stroke=GROUP_COLORS[g], stroke_width=1.2))
         else:
-            canvas.circle(x + PANEL_W / 2.0,
-                          PANEL_MID - (series[0] / model.rd_bound) * (PANEL_H / 2.0), 2.0,
-                          fill=GROUP_COLORS[g])
-        values.append(_drawn(canvas))
+            values.append(circle(_panel_x(column) + PANEL_W / 2.0,
+                                 PANEL_MID - (series[0] / model.rd_bound) * (PANEL_H / 2.0), 2.0,
+                                 fill=GROUP_COLORS[g]))
         skew = "n/a" if stats.skewness is None else f"{stats.skewness:.2f}"
         values += f"{stats.persistence_pct:.1f}", skew
 
-        marker_x = x + 40
-        if stats.special is Special.UNDEFINED_ZERO_ZERO:
-            draw_cross(canvas, marker_x, hy - 4, 9)
-        elif stats.special is Special.POP_ZERO_CASES_NONZERO:
-            draw_star(canvas, marker_x, hy - 4, 12)
-        elif stats.special is Special.CASES_EXCEED_POP:
-            draw_triangle(canvas, marker_x, hy - 4, 10)
-        text_x = marker_x + 10 if stats.special is not Special.NORMAL else marker_x - 6
+        marker, text_x = markers[column, stats.special]
         if stats.relative_change_pct is None:
-            note = SPECIAL_NOTES.get(stats.special, "undefined")
-            canvas.text(text_x, hy, note, size=10, fill="#666666")
+            note = text(text_x, NOTE_Y, SPECIAL_NOTES.get(stats.special, "undefined"),
+                        size=10, fill="#666666")
         else:
-            canvas.text(text_x, hy, f"{stats.relative_change_pct:+.1f}%", size=11, weight="bold")
-        values.append(_drawn(canvas))
+            note = text(text_x, NOTE_Y, f"{stats.relative_change_pct:+.1f}%",
+                        size=11, weight="bold")
+        values.append(marker + note)
     return template % tuple(values)

@@ -1,8 +1,9 @@
-"""Minimal deterministic SVG builder.
+"""Deterministic SVG elements as plain strings.
 
-Documents are assembled as plain strings with fixed-precision coordinates so
-identical inputs always produce byte-identical files. No external resources
-are referenced; text uses generic font families.
+Each function returns markup with fixed-precision coordinates, so identical
+inputs always produce byte-identical files; one that draws several elements
+puts each on its own line. ``document`` wraps elements in a standalone SVG.
+No external resources are referenced; text uses generic font families.
 """
 
 from __future__ import annotations
@@ -42,73 +43,70 @@ def escape(text: str) -> str:
     )
 
 
-class SvgCanvas:
-    def __init__(self, width: int, height: int) -> None:
-        self.width = width
-        self.height = height
-        self.parts: list[str] = []
+def rect(x: float, y: float, w: float, h: float, fill: str = "none",
+         stroke: str = "none", stroke_width: float = 1.0, rx: float = 0.0) -> str:
+    extra = f' rx="{fnum(rx)}"' if rx else ""
+    return (
+        f'<rect x="{fnum(x)}" y="{fnum(y)}" width="{fnum(w)}" height="{fnum(h)}"'
+        f' fill="{fill}" stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
+    )
 
-    def rect(self, x: float, y: float, w: float, h: float, fill: str = "none",
-             stroke: str = "none", stroke_width: float = 1.0, rx: float = 0.0) -> None:
-        extra = f' rx="{fnum(rx)}"' if rx else ""
-        self.parts.append(
-            f'<rect x="{fnum(x)}" y="{fnum(y)}" width="{fnum(w)}" height="{fnum(h)}"'
-            f' fill="{fill}" stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
-        )
 
-    def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str = "#000000",
-             stroke_width: float = 1.0, dash: str | None = None) -> None:
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
-        self.parts.append(
-            f'<line x1="{fnum(x1)}" y1="{fnum(y1)}" x2="{fnum(x2)}" y2="{fnum(y2)}"'
-            f' stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
-        )
+def line(x1: float, y1: float, x2: float, y2: float, stroke: str = "#000000",
+         stroke_width: float = 1.0, dash: str | None = None) -> str:
+    extra = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="{fnum(x1)}" y1="{fnum(y1)}" x2="{fnum(x2)}" y2="{fnum(y2)}"'
+        f' stroke="{stroke}" stroke-width="{fnum(stroke_width)}"{extra}/>'
+    )
 
-    def polyline(self, xs: Sequence[str], ys: Iterable[str], stroke: str,
-                 stroke_width: float = 1.0) -> None:
-        """Polyline through the points (xs[j], ys[j]), given as ``fnum`` strings."""
-        coords = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
-        self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
-            f' stroke-width="{fnum(stroke_width)}"/>'
-        )
 
-    def polygon(self, points: list[tuple[float, float]], fill: str,
-                stroke: str = "none", stroke_width: float = 1.0) -> None:
-        coords = " ".join(f"{fnum(x)},{fnum(y)}" for x, y in points)
-        self.parts.append(
-            f'<polygon points="{coords}" fill="{fill}" stroke="{stroke}"'
-            f' stroke-width="{fnum(stroke_width)}"/>'
-        )
+def polyline(xs: Sequence[str], ys: Iterable[str], stroke: str, stroke_width: float = 1.0) -> str:
+    """Polyline through the points (xs[j], ys[j]), given as ``fnum`` strings."""
+    coords = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
+    return (
+        f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
+        f' stroke-width="{fnum(stroke_width)}"/>'
+    )
 
-    def path(self, d: str, fill: str, stroke: str = "none", stroke_width: float = 1.0) -> None:
-        self.parts.append(
-            f'<path d="{d}" fill="{fill}" stroke="{stroke}"'
-            f' stroke-width="{fnum(stroke_width)}" fill-rule="evenodd"/>'
-        )
 
-    def circle(self, cx: float, cy: float, r: float, fill: str,
-               stroke: str = "none", stroke_width: float = 1.0) -> None:
-        self.parts.append(
-            f'<circle cx="{fnum(cx)}" cy="{fnum(cy)}" r="{fnum(r)}" fill="{fill}"'
-            f' stroke="{stroke}" stroke-width="{fnum(stroke_width)}"/>'
-        )
+def polygon(points: list[tuple[float, float]], fill: str) -> str:
+    coords = " ".join(f"{fnum(x)},{fnum(y)}" for x, y in points)
+    return f'<polygon points="{coords}" fill="{fill}" stroke="none" stroke-width="1.00"/>'
 
-    def text(self, x: float, y: float, content: str, size: int = 12, fill: str = "#222222",
-             anchor: str = "start", weight: str = "normal") -> None:
-        self.parts.append(
-            f'<text x="{fnum(x)}" y="{fnum(y)}" font-size="{size}" fill="{fill}"'
-            f' text-anchor="{anchor}" font-weight="{weight}"'
-            f' font-family="Helvetica, Arial, sans-serif">{escape(content)}</text>'
-        )
 
-    def to_svg(self) -> str:
-        header = (
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}"'
-            f' height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
-        )
-        return header + "\n".join(self.parts) + "\n</svg>\n"
+def path(d: str, fill: str, stroke: str = "none", stroke_width: float = 1.0) -> str:
+    return (
+        f'<path d="{d}" fill="{fill}" stroke="{stroke}"'
+        f' stroke-width="{fnum(stroke_width)}" fill-rule="evenodd"/>'
+    )
+
+
+def circle(cx: float, cy: float, r: float, fill: str,
+           stroke: str = "none", stroke_width: float = 1.0) -> str:
+    return (
+        f'<circle cx="{fnum(cx)}" cy="{fnum(cy)}" r="{fnum(r)}" fill="{fill}"'
+        f' stroke="{stroke}" stroke-width="{fnum(stroke_width)}"/>'
+    )
+
+
+def text(x: float, y: float, content: str, size: int = 12, fill: str = "#222222",
+         anchor: str = "start", weight: str = "normal") -> str:
+    return (
+        f'<text x="{fnum(x)}" y="{fnum(y)}" font-size="{size}" fill="{fill}"'
+        f' text-anchor="{anchor}" font-weight="{weight}"'
+        f' font-family="Helvetica, Arial, sans-serif">{escape(content)}</text>'
+    )
+
+
+def document(width: int, height: int, elements: Iterable[str]) -> str:
+    """A standalone SVG document holding ``elements``, one per line."""
+    header = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
+        f' height="{height}" viewBox="0 0 {width} {height}">\n'
+    )
+    return header + "\n".join(elements) + "\n</svg>\n"
 
 
 def pie_angles(shares: list[float]) -> list[tuple[float, float]]:
@@ -127,16 +125,17 @@ def _arc_point(cx: float, cy: float, r: float, angle_deg: float) -> tuple[float,
     return cx + r * math.cos(rad), cy + r * math.sin(rad)
 
 
-def draw_pie(canvas: SvgCanvas, cx: float, cy: float, r: float,
-             shares: list[tuple[str, float]]) -> None:
-    """Draw one pie from (color, percent) wedges; zero wedges are skipped."""
+def pie(cx: float, cy: float, r: float, shares: list[tuple[str, float]]) -> str:
+    """One pie from (color, percent) wedges, one element per line; zero
+    wedges are skipped."""
     angles = pie_angles([s for _, s in shares])
     centre, radius = f"{fnum(cx)} {fnum(cy)}", fnum(r)
+    wedges = []
     for (color, share), (start, sweep) in zip(shares, angles):
         if share <= 0.0:
             continue
         if sweep >= 359.999:
-            canvas.circle(cx, cy, r, fill=color, stroke="#ffffff", stroke_width=1.0)
+            wedges.append(circle(cx, cy, r, fill=color, stroke="#ffffff", stroke_width=1.0))
             continue
         x1, y1 = _arc_point(cx, cy, r, start)
         x2, y2 = _arc_point(cx, cy, r, start + sweep)
@@ -145,16 +144,18 @@ def draw_pie(canvas: SvgCanvas, cx: float, cy: float, r: float,
             f"M {centre} L {fnum(x1)} {fnum(y1)} "
             f"A {radius} {radius} 0 {large} 1 {fnum(x2)} {fnum(y2)} Z"
         )
-        canvas.path(d, fill=color, stroke="#ffffff", stroke_width=1.0)
+        wedges.append(path(d, fill=color, stroke="#ffffff", stroke_width=1.0))
+    return "\n".join(wedges)
 
 
-def draw_cross(canvas: SvgCanvas, cx: float, cy: float, size: float, color: str = "#cc3311") -> None:
+def cross(cx: float, cy: float, size: float, color: str = "#cc3311") -> str:
     half = size / 2.0
-    canvas.line(cx - half, cy - half, cx + half, cy + half, stroke=color, stroke_width=2.0)
-    canvas.line(cx - half, cy + half, cx + half, cy - half, stroke=color, stroke_width=2.0)
+    return (line(cx - half, cy - half, cx + half, cy + half, stroke=color, stroke_width=2.0)
+            + "\n"
+            + line(cx - half, cy + half, cx + half, cy - half, stroke=color, stroke_width=2.0))
 
 
-def draw_star(canvas: SvgCanvas, cx: float, cy: float, size: float, color: str = "#cc3311") -> None:
+def star(cx: float, cy: float, size: float, color: str = "#cc3311") -> str:
     outer = size / 2.0
     inner = outer * 0.42
     points = []
@@ -162,10 +163,10 @@ def draw_star(canvas: SvgCanvas, cx: float, cy: float, size: float, color: str =
         r = outer if step % 2 == 0 else inner
         angle = -90.0 + step * 36.0
         points.append(_arc_point(cx, cy, r, angle))
-    canvas.polygon(points, fill=color)
+    return polygon(points, fill=color)
 
 
-def draw_triangle(canvas: SvgCanvas, cx: float, cy: float, size: float, color: str = "#cc3311") -> None:
+def triangle(cx: float, cy: float, size: float, color: str = "#cc3311") -> str:
     half = size / 2.0
     points = [(cx, cy - half), (cx + half, cy + half), (cx - half, cy + half)]
-    canvas.polygon(points, fill=color)
+    return polygon(points, fill=color)

@@ -116,6 +116,20 @@ class TestValidate:
             "rankdiff: classify: g1_per_min is NaN; use a number, or inf or -inf for no bound\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key", [("classifier", "g1_per_min"), ("regime", "min"),
+                                             ("regime", "max")])
+    def test_boolean_for_number_exit_2(self, clean_fixture, capsys, section, key):
+        """``float(True)`` is 1.0, so a ``true`` typed for a number would load as 1."""
+        config, out = clean_fixture
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc[section] = {key: True}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rankdiff: cli: {config}: bad {section} config: ")
+        assert err.endswith(f"{key} must be a number, got true\n")
+        assert not out.exists()
+
     def test_non_finite_regime_flag_exit_2(self, clean_fixture, capsys):
         config, out = clean_fixture
         assert cli.main(["run", "--config", str(config), "--regime-max", "inf"]) == 2
@@ -232,6 +246,12 @@ class TestMalformedInputs:
                      "malformed position ['x', 1]", id="text-position"),
         pytest.param(polygon([[0, 0], [1, 0], 7, [0, 0]]), "malformed position 7",
                      id="scalar-position"),
+        pytest.param(polygon([[0, 0], [1, 0], "12", [0, 0]]), "malformed position '12'",
+                     id="string-position"),
+        pytest.param(polygon([[0, 0], [1, 0], [True, False], [0, 0]]),
+                     "malformed position [True, False]", id="boolean-position"),
+        pytest.param(polygon([[0, 0], [10**400, 0], [1, 1], [0, 0]]),
+                     "non-finite coordinate [1000", id="integer-past-float-range"),
         pytest.param(polygon([[0, 0], [1, float("nan")], [1, 1], [0, 0]]),
                      "feature 'a' has a non-finite coordinate [1, nan]", id="nan"),
         pytest.param(polygon([[0, 0], [float("inf"), 0], [1, 1], [0, 0]]),
@@ -533,6 +553,26 @@ class TestRenderCommands:
         assert tree_bytes(alone) == {
             name: ran[name] for name in ("dashboards/m002.svg", "map_hl.svg")
         }
+
+    @pytest.mark.parametrize("command", [["run"], ["render-map"],
+                                         ["render-dashboard", "--id", "m001"]],
+                             ids=["run", "render-map", "render-dashboard"])
+    def test_out_is_a_file_exit_2(self, clean_fixture, capsys, command):
+        config, out = clean_fixture
+        out.write_text("kept", encoding="utf-8")
+        assert cli.main([*command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"rankdiff: render: cannot write {out}")
+        assert out.read_text(encoding="utf-8") == "kept"
+
+    @pytest.mark.parametrize("command", [["run"], ["render-dashboard", "--id", "m001"]],
+                             ids=["run", "render-dashboard"])
+    def test_dashboard_is_a_directory_exit_2(self, clean_fixture, capsys, command):
+        config, out = clean_fixture
+        target = out / "dashboards" / "m001.svg"
+        target.mkdir(parents=True)
+        assert cli.main([*command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"rankdiff: render: cannot write {target}: ")
+        assert target.is_dir()
 
     def test_render_unknown_id_exit_2(self, clean_fixture, capsys):
         config, _ = clean_fixture
