@@ -215,13 +215,13 @@ class RenderResult:
 
 
 @contextmanager
-def _writing(out: Path):
-    """Ends a failure to write ``out`` or a file under it in an error that
-    names the path, not a traceback."""
+def _writing(target: Path):
+    """Ends a failure to write ``target``, or a file under it, in an error
+    that names the path, not in a traceback."""
     try:
         yield
     except OSError as exc:
-        raise RenderError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
+        raise RenderError(f"cannot write {exc.filename or target}: {exc.strerror or exc}") from exc
 
 
 def _write_text(path: str | Path, text: str) -> None:
