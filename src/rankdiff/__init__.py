@@ -5,71 +5,34 @@ ranks municipalities by group population size and by case activity, and
 summarizes each municipality's rank-difference history with persistence,
 skewness, and relative-change statistics. Results feed a four-group
 classification, static SVG dashboards, and a state choropleth.
+
+Each name below loads its submodule on first use (PEP 562). Importing the
+package therefore loads no NumPy, which lets the CLI pin NumPy's BLAS
+threads before NumPy loads.
 """
 
-from .classify import ClassifierConfig, ClassLabel, classify_municipalities, classify_one
-from .ingest import load_boundaries, load_cases, load_populations
-from .metrics import (
-    GroupStats,
-    RegimeConfig,
-    Special,
-    moving_average_7d,
-    persistence_index,
-    rank_cases,
-    rank_diff,
-    rank_population,
-    relative_change,
-    skewness,
-    special_case,
-    statewide_aggregate,
-)
-from .model import (
-    GROUPS,
-    CaseCube,
-    DateAxis,
-    Group,
-    Municipality,
-    PopulationTable,
-    QualityReport,
-)
-from .oracle import oracle_stats
-from .pipeline import RunConfig, run, validate
-from .synth import SynthSpec, generate
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CaseCube",
-    "ClassLabel",
-    "ClassifierConfig",
-    "DateAxis",
-    "GROUPS",
-    "Group",
-    "GroupStats",
-    "Municipality",
-    "PopulationTable",
-    "QualityReport",
-    "RegimeConfig",
-    "RunConfig",
-    "Special",
-    "SynthSpec",
-    "classify_municipalities",
-    "classify_one",
-    "generate",
-    "load_boundaries",
-    "load_cases",
-    "load_populations",
-    "moving_average_7d",
-    "oracle_stats",
-    "persistence_index",
-    "rank_cases",
-    "rank_diff",
-    "rank_population",
-    "relative_change",
-    "run",
-    "skewness",
-    "special_case",
-    "statewide_aggregate",
-    "validate",
-    "__version__",
-]
+_EXPORTS = {
+    "classify": ("ClassifierConfig", "ClassLabel", "classify_municipalities", "classify_one"),
+    "ingest": ("load_boundaries", "load_cases", "load_populations"),
+    "metrics": ("GroupStats", "RegimeConfig", "Special", "moving_average_7d",
+                "persistence_index", "rank_cases", "rank_diff", "rank_population",
+                "relative_change", "skewness", "special_case", "statewide_aggregate"),
+    "model": ("GROUPS", "CaseCube", "DateAxis", "Group", "Municipality", "PopulationTable",
+              "QualityReport"),
+    "oracle": ("oracle_stats",),
+    "pipeline": ("RunConfig", "run", "validate"),
+    "synth": ("SynthSpec", "generate"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)

@@ -8,9 +8,17 @@ codes: 0 success, 1 completed with data-quality warnings, 2 fatal.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import pipeline, synth
+# NumPy's bundled OpenBLAS starts worker threads when it loads, and each one
+# spins for a while before it sleeps. rankdiff calls no BLAS routine, so they
+# only burn CPU, and an inherited value would buy nothing. OpenBLAS reads this
+# variable once, as it loads, so it must be set before `pipeline` first
+# imports NumPy.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import pipeline
 from .errors import PipelineError
 
 EXIT_OK = 0
@@ -88,6 +96,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     spec = synth.SynthSpec.from_file(args.spec)
     paths = synth.write_fixture(spec, args.out)
     for name in sorted(paths):

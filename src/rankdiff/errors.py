@@ -47,9 +47,9 @@ def load_json(path: str | Path, error: type[PipelineError], what: str = "") -> o
             return json.load(handle)
     except OSError as exc:
         raise error(f"cannot open {what}{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+        raise error(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise error(f"{path}: JSON nested too deeply to parse") from None

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 import time
 from pathlib import Path
 from xml.etree import ElementTree
@@ -11,6 +12,8 @@ from rankdiff import cli, ingest
 from rankdiff.synth import SynthSpec, write_fixture
 
 from conftest import cases_csv_text, full_cases_rows, geojson_text, pops_csv_text, square_feature
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def fixture_spec(m=5, n_days=12, seed=3):
@@ -252,6 +255,8 @@ class TestMalformedInputs:
                      "malformed position [True, False]", id="boolean-position"),
         pytest.param(polygon([[0, 0], [10**400, 0], [1, 1], [0, 0]]),
                      "non-finite coordinate [1000", id="integer-past-float-range"),
+        pytest.param(polygon([[0, 0], ["N", 0], [1, 1], [0, 0]]).replace('"N"', "1" * 5000),
+                     "invalid JSON: Exceeds the limit (4300 digits)", id="integer-past-digit-limit"),
         pytest.param(polygon([[0, 0], [1, float("nan")], [1, 1], [0, 0]]),
                      "feature 'a' has a non-finite coordinate [1, nan]", id="nan"),
         pytest.param(polygon([[0, 0], [float("inf"), 0], [1, 1], [0, 0]]),
@@ -527,6 +532,18 @@ class TestSynthCommand:
         started = time.perf_counter()
         assert cli.main(["synth", str(spec_path), "--out", str(tmp_path / "big")]) == 0
         assert time.perf_counter() - started < 30.0
+
+    def test_readme_quickstart(self, tmp_path):
+        """The README's Quickstart on the committed example spec and config."""
+        config = shutil.copy(EXAMPLES / "config.json", tmp_path)
+        spec = EXAMPLES / "spec.json"
+        assert cli.main(["synth", str(spec), "--out", str(tmp_path / "fixture")]) == 0
+        assert cli.main(["validate", "--config", str(config)]) == 0
+        assert cli.main(["run", "--config", str(config)]) == 0
+        stats = json.loads((tmp_path / "out" / "stats.json").read_text(encoding="utf-8"))
+        baa = {mid: record["groups"]["BAA"] for mid, record in stats["municipalities"].items()}
+        assert max(baa, key=lambda mid: baa[mid]["persistence_pct"]) == "m008"
+        assert max(baa, key=lambda mid: baa[mid]["relative_change"]) == "m008"
 
 
 class TestRenderCommands:

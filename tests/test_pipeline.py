@@ -88,6 +88,9 @@ def test_missing_key_rejected(tmp_path):
     pytest.param('{"cases": "c.csv", "populations": "p.csv", "boundaries": "b.geojson", '
                  '"regime": {"max": 1e999}}', "regime max must be a finite number",
                  id="literal-1e999"),
+    pytest.param('{"cases": "c.csv", "populations": "p.csv", "boundaries": "b.geojson", '
+                 '"regime": {"max": ' + "1" * 5000 + '}}', "invalid JSON: Exceeds the limit",
+                 id="integer-past-digit-limit"),
     pytest.param(b'{"cases": "c\xff.csv"}', "not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
                  id="not-utf8"),
     pytest.param(b"[" * 100_000, "JSON nested too deeply", id="deep-nesting"),

@@ -105,6 +105,8 @@ class TestSpecParsing:
                      id="not-utf8"),
         pytest.param(b"[" * 100_000, "JSON nested too deeply", id="deep-nesting"),
         pytest.param(b"{nope", "invalid JSON", id="invalid"),
+        pytest.param(b'{"m": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit",
+                     id="integer-past-digit-limit"),
     ])
     def test_unreadable_spec_exit_2(self, tmp_path, capsys, data, message):
         path = tmp_path / "spec.json"
