@@ -1,7 +1,7 @@
-"""Exception hierarchy shared across the pipeline.
-
-Every error carries the name of the subsystem that raised it so the CLI
-can emit module-tagged diagnostics.
+"""Exception hierarchy shared across the pipeline, and the one reader and
+typed field table of the JSON documents a user writes. Every error carries
+the name of the subsystem that raised it so the CLI can emit module-tagged
+diagnostics.
 """
 
 import json
@@ -53,3 +53,56 @@ def load_json(path: str | Path, error: type[PipelineError], what: str = "") -> o
         raise error(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise error(f"{path}: JSON nested too deeply to parse") from None
+
+
+def number(value: object) -> float:
+    """A JSON int or float, or "inf" or "-inf", as JSON has no infinity."""
+    if value in ("inf", "-inf") or isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(str(value))  # via text, an int past the float range reads as inf
+    raise ValueError(f"must be a number, got {json.dumps(value)}")
+
+
+def integer(value: object) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"must be an integer, got {json.dumps(value)}")
+
+
+def text(value: object) -> str:
+    if isinstance(value, str) and value and "\0" not in value:  # no file name holds a NUL
+        value.encode()  # raises ValueError on a lone surrogate, which JSON can write
+        return value
+    raise ValueError(f"must be a non-empty string with no NUL, got {json.dumps(value)}")
+
+
+def array(kind):
+    """The kind of a JSON array of ``kind`` items, read as a tuple."""
+    def read(value: object) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"must be an array, got {json.dumps(value)}")
+        return tuple(map(kind, value))
+    return read
+
+
+def read_fields(doc: object, kinds: dict, error: type[PipelineError], where: str,
+                required: tuple[str, ...] = ()) -> dict:
+    """The JSON object ``doc`` with each key read by its kind; a dict of kinds
+    reads a nested object. A key not in ``kinds``, a ValueError from a kind or a
+    missing ``required`` key raises ``error``, naming ``where`` and the key."""
+    if not isinstance(doc, dict):
+        raise error(f"{where}: must be a JSON object")
+    fields = {}
+    for key, value in doc.items():
+        if key not in kinds:
+            raise error(f"{where}: unknown key {key!r}, expected one of {', '.join(kinds)}")
+        if isinstance(kinds[key], dict):
+            fields[key] = read_fields(value, kinds[key], error, f"{where}: bad {key} config")
+            continue
+        try:
+            fields[key] = kinds[key](value)
+        except ValueError as exc:
+            raise error(f"{where}: {key} {exc}") from None
+    for key in required:
+        if key not in fields:
+            raise error(f"{where}: missing required key {key!r}")
+    return fields

@@ -19,11 +19,10 @@ single file of that tree from the same analysis, so their bytes match
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from . import classify as classify_mod
 from . import ingest, metrics, render
 from .classify import ClassifierConfig, ClassLabel
-from .errors import ConfigError, IngestError, RenderError, load_json
+from .errors import ConfigError, IngestError, RenderError, load_json, number, read_fields, text
 from .metrics import GroupStats, RegimeConfig
 from .model import CaseCube, Group, PopulationTable, QualityReport, Ring
 
@@ -54,47 +53,20 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         """Load a JSON config; relative paths resolve against the config file."""
-        path = Path(path)
-        doc = load_json(path, ConfigError, "config ")
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        base = path.parent
 
-        def resolve(key: str) -> Path:
-            if key not in doc:
-                raise ConfigError(f"{path}: missing required key {key!r}")
-            return (base / str(doc[key])).resolve()
+        def resolve(value: object) -> Path:
+            return (Path(path).parent / text(value)).resolve()
 
-        def section(key: str) -> dict:
-            value = doc.get(key, {})
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}: {key!r} must be a JSON object")
-            return value
-
-        regime_doc, classifier_doc = section("regime"), section("classifier")
-        try:
-            regime = _regime(
-                _number("min", regime_doc.get("min", 0.0)),
-                None if regime_doc.get("max") is None else _number("max", regime_doc["max"]),
-                str(path),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad regime config: {exc}") from exc
-        try:
-            classifier = ClassifierConfig(**{k: _number(k, v) for k, v in classifier_doc.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad classifier config: {exc}") from exc
-        return cls(
-            cases=resolve("cases"),
-            populations=resolve("populations"),
-            boundaries=resolve("boundaries"),
-            out=(base / str(doc.get("out", "out"))).resolve(),
-            cases_schema=str(doc.get("cases_schema", "canonical")),
-            basis=parse_basis(str(doc.get("basis", "raw"))),
-            regime=regime,
-            classifier=classifier,
-            group=parse_group(str(doc.get("group", "baa"))),
-        )
+        config = {"out": resolve("out"), **read_fields(load_json(path, ConfigError, "config "), {
+            "cases": resolve, "populations": resolve, "boundaries": resolve, "out": resolve,
+            "cases_schema": text, "basis": parse_basis, "group": parse_group,
+            "regime": {"min": number,
+                       "max": lambda value: None if value is None else number(value)},
+            "classifier": {threshold.name: number for threshold in fields(ClassifierConfig)},
+        }, ConfigError, str(path), required=("cases", "populations", "boundaries"))}
+        regime, classifier = config.pop("regime", {}), config.pop("classifier", {})
+        return cls(**config, regime=_regime(regime.get("min", 0.0), regime.get("max"), str(path)),
+                   classifier=ClassifierConfig(**classifier))
 
     def with_overrides(
         self,
@@ -104,28 +76,17 @@ class RunConfig:
         group: str | None = None,
         out: str | None = None,
     ) -> "RunConfig":
-        """Apply CLI flag overrides; flags win over the config file."""
-        cfg = self
-        if basis is not None:
-            cfg = replace(cfg, basis=parse_basis(basis))
-        if regime_min is not None or regime_max is not None:
-            cfg = replace(cfg, regime=_regime(
-                cfg.regime.t_min if regime_min is None else regime_min,
-                cfg.regime.t_max if regime_max is None else regime_max,
-                "--regime-min/--regime-max",
-            ))
-        if group is not None:
-            cfg = replace(cfg, group=parse_group(group))
-        if out is not None:
-            cfg = replace(cfg, out=Path(out).resolve())
-        return cfg
-
-
-def _number(key: str, value) -> float:
-    """``float(value)`` for config ``key``, which a JSON boolean is not."""
-    if isinstance(value, bool):
-        raise TypeError(f"{key} must be a number, got {json.dumps(value)}")
-    return float(value)
+        """Apply CLI flag overrides, read by their config keys' kinds; flags win."""
+        given = {"--basis": basis, "--regime-min": regime_min, "--regime-max": regime_max,
+                 "--group": group, "--out": out}
+        flags = read_fields({flag: value for flag, value in given.items() if value is not None}, {
+            "--basis": parse_basis, "--regime-min": number, "--regime-max": number,
+            "--group": parse_group, "--out": lambda value: Path(text(os.fspath(value))).resolve(),
+        }, ConfigError, "command line")
+        regime = _regime(flags.get("--regime-min", self.regime.t_min),
+                         flags.get("--regime-max", self.regime.t_max), "--regime-min/--regime-max")
+        return replace(self, basis=flags.get("--basis", self.basis), regime=regime,
+                       group=flags.get("--group", self.group), out=flags.get("--out", self.out))
 
 
 def _regime(t_min: float, t_max: float | None, source: str) -> RegimeConfig:
@@ -137,19 +98,19 @@ def _regime(t_min: float, t_max: float | None, source: str) -> RegimeConfig:
     return RegimeConfig(t_min=t_min, t_max=t_max)
 
 
-def parse_basis(text: str) -> str:
-    key = text.strip().lower()
+def parse_basis(value: object) -> str:
+    key = text(value).strip().lower()
     if key not in BASIS_ALIASES:
-        raise ConfigError(f"unknown basis {text!r}, expected raw, ma7 or cumulative")
+        raise ConfigError(f"unknown basis {value!r}, expected raw, ma7 or cumulative")
     return BASIS_ALIASES[key]
 
 
-def parse_group(text: str) -> Group:
-    key = text.strip().upper()
+def parse_group(value: object) -> Group:
+    key = text(value).strip().upper()
     try:
         return Group(key)
     except ValueError:
-        raise ConfigError(f"unknown group {text!r}, expected baa, hl, oth or w") from None
+        raise ConfigError(f"unknown group {value!r}, expected baa, hl, oth or w") from None
 
 
 @dataclass

@@ -15,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SynthError, load_json
+from .errors import SynthError, array, integer, load_json, number, read_fields, text
 from .ingest import write_cases_csv, write_populations_csv
-from .model import K, CaseCube, DateAxis, Municipality, PopulationTable
+from .model import INT64_MAX, K, CaseCube, DateAxis, Municipality, PopulationTable
 
 __all__ = ["SynthSpec", "generate", "grid_boundaries", "write_fixture"]
+
+POISSON_MAX = INT64_MAX - math.sqrt(INT64_MAX) * 10  # NumPy's bound on a Poisson mean
 
 
 @dataclass(frozen=True)
@@ -34,52 +36,46 @@ class SynthSpec:
     ids: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.n_days < 1:
-            raise SynthError(f"m and n_days must be positive, got m={self.m}, n_days={self.n_days}")
+        if self.m < 1 or self.n_days < 1 or self.seed < 0:
+            raise SynthError(f"m and n_days must be positive and seed >= 0, "
+                             f"got m={self.m}, n_days={self.n_days}, seed={self.seed}")
+        if self.n_days > (dt.date.max - self.start_date).days + 1:
+            raise SynthError(f"n_days {self.n_days} from start_date {self.start_date} runs past "
+                             f"{dt.date.max}")
         for name, matrix in (("populations", self.populations), ("lam", self.lam)):
             if len(matrix) != self.m or any(len(row) != K for row in matrix):
                 raise SynthError(f"{name} must be an {self.m}x{K} matrix")
-        if any(v < 0 for row in self.lam for v in row):
-            raise SynthError("lam entries must be >= 0")
-        if any(p < 0 for row in self.populations for p in row):
-            raise SynthError("populations must be >= 0")
-        if self.base_rate < 0:
-            raise SynthError("base_rate must be >= 0")
+        lam = np.array(self.lam, dtype=np.float64)
+        if not (np.all((lam >= 0) & (lam < math.inf)) and 0 <= self.base_rate < math.inf):
+            raise SynthError("lam entries and base_rate must be finite and >= 0")
+        if any(min(row) < 0 or sum(row) > INT64_MAX for row in self.populations):
+            raise SynthError("populations must be >= 0, each row summing to at most 2**63 - 1")
+        if (lam * np.array(self.populations, dtype=np.int64) * self.base_rate).max() > POISSON_MAX:
+            raise SynthError(f"lam * population * base_rate must be at most {POISSON_MAX:.6g}, "
+                             "the largest mean NumPy draws a Poisson count from")
         if self.ids and len(self.ids) != self.m:
             raise SynthError(f"ids must list exactly {self.m} municipalities")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SynthSpec":
+    def from_dict(cls, doc: object, where: str = "invalid synth spec") -> "SynthSpec":
+        spec = read_fields(doc, {
+            "m": integer, "n_days": integer, "populations": array(array(integer)), "seed": integer,
+            "lam": lambda value: (array(array(number)) if isinstance(value, list)
+                                  else number)(value),
+            "base_rate": number, "ids": array(text),
+            "start_date": lambda value: dt.date.fromisoformat(text(value)),
+        }, SynthError, where, required=("m", "n_days", "populations"))
+        lam = spec.pop("lam", 1.0)  # one number for every cell, or an M x K array
+        if isinstance(lam, float):
+            lam = ((lam,) * K,) * len(spec["populations"])
         try:
-            m = int(doc["m"])
-            n_days = int(doc["n_days"])
-            populations = tuple(tuple(int(v) for v in row) for row in doc["populations"])
-            raw_lam = doc.get("lam", 1.0)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SynthError(f"invalid synth spec: {exc}") from exc
-        if isinstance(raw_lam, (int, float)):
-            lam = tuple(tuple(float(raw_lam) for _ in range(K)) for _ in range(m))
-        else:
-            lam = tuple(tuple(float(v) for v in row) for row in raw_lam)
-        start = doc.get("start_date", "2020-10-01")
-        try:
-            start_date = dt.date.fromisoformat(start)
-        except ValueError as exc:
-            raise SynthError(f"invalid start_date {start!r}") from exc
-        return cls(
-            m=m,
-            n_days=n_days,
-            populations=populations,
-            lam=lam,
-            seed=int(doc.get("seed", 0)),
-            base_rate=float(doc.get("base_rate", 0.01)),
-            start_date=start_date,
-            ids=tuple(str(v) for v in doc.get("ids", ())),
-        )
+            return cls(**spec, lam=lam)
+        except SynthError as exc:
+            raise SynthError(f"{where}: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthSpec":
-        return cls.from_dict(load_json(path, SynthError))
+        return cls.from_dict(load_json(path, SynthError), str(path))
 
     def municipality_ids(self) -> tuple[str, ...]:
         if self.ids:

@@ -107,16 +107,19 @@ class TestValidate:
         assert cli.main(["run", "--config", str(config)]) == 2
         assert "rankdiff: cli:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", float("nan")], ids=["text", "literal"])
-    def test_nan_classifier_threshold_exit_2(self, clean_fixture, capsys, value):
-        """A NaN threshold fails every comparison, so it would empty its group unseen."""
+    @pytest.mark.parametrize("value,message", [
+        ("nan", 'cli: {config}: bad classifier config: g1_per_min must be a number, got "nan"'),
+        (float("nan"), "classify: g1_per_min is NaN; use a number, or inf or -inf for no bound"),
+    ], ids=["text", "literal"])
+    def test_nan_classifier_threshold_exit_2(self, clean_fixture, capsys, value, message):
+        """A NaN threshold fails every comparison, so it would empty its group unseen. A
+        quoted number is not a number, so the string "nan" is refused before it is read."""
         config, out = clean_fixture
         doc = json.loads(config.read_text(encoding="utf-8"))
         doc["classifier"] = {"g1_per_min": value}
         config.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["run", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == (
-            "rankdiff: classify: g1_per_min is NaN; use a number, or inf or -inf for no bound\n")
+        assert capsys.readouterr().err == f"rankdiff: {message.format(config=config)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("section,key", [("classifier", "g1_per_min"), ("regime", "min"),
@@ -540,6 +543,8 @@ class TestSynthCommand:
         assert cli.main(["synth", str(spec), "--out", str(tmp_path / "fixture")]) == 0
         assert cli.main(["validate", "--config", str(config)]) == 0
         assert cli.main(["run", "--config", str(config)]) == 0
+        assert cli.main(["render-map", "--config", str(config)]) == 0
+        assert cli.main(["render-dashboard", "--config", str(config), "--id", "m008"]) == 0
         stats = json.loads((tmp_path / "out" / "stats.json").read_text(encoding="utf-8"))
         baa = {mid: record["groups"]["BAA"] for mid, record in stats["municipalities"].items()}
         assert max(baa, key=lambda mid: baa[mid]["persistence_pct"]) == "m008"

@@ -7,6 +7,9 @@ must exit as ``run`` does, with the same message when both reject the input.
 A run that completes must write a ``stats.json`` that is strict JSON (no NaN
 or Infinity), and dashboards that are well-formed XML, whose totals are
 non-negative and whose pie shares lie in [0, 100].
+
+A second property damages a valid synth spec document and runs ``rankdiff
+synth`` on it, which must exit 0 or 2.
 """
 
 import contextlib
@@ -46,6 +49,10 @@ GEOMETRY_DAMAGE = ("drop-geometry", "null-geometry", "point", "drop-coordinates"
                    "not-object", "duplicate-feature")
 REGIME_VALUES = (None, -5, 0, 2.5, 3, 1e9, float("inf"), float("-inf"), float("nan"), "inf",
                  "abc")
+CONFIG = {"cases": "cases.txt", "populations": "populations.txt", "boundaries": "boundaries.txt",
+          "out": "out"}
+CONFIG_KEYS = (*CONFIG, "cases_schema", "basis", "group", "regime", "classifier", "bassis")
+CONFIG_VALUES = ("x", "", "\ud800", "cumulative", True, False, [], ["cases.txt"], None, 0)
 
 csv_mutation = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 99)),
@@ -61,8 +68,11 @@ mutation = st.one_of(
         st.tuples(st.just("truncate"), st.integers(0, 99)),
         st.tuples(st.just("damage"), st.integers(0, 2), st.sampled_from(GEOMETRY_DAMAGE)),
     )),
-    st.tuples(st.just("config"), st.tuples(st.sampled_from(("min", "max")),
-                                          st.sampled_from(REGIME_VALUES))),
+    st.tuples(st.just("config"), st.one_of(
+        st.tuples(st.sampled_from(("min", "max", "mn")), st.sampled_from(REGIME_VALUES)),
+        st.tuples(st.just("set"), st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES)),
+        st.tuples(st.just("nul"), st.sampled_from(tuple(CONFIG))),
+    )),
 )
 
 
@@ -160,11 +170,17 @@ def _reject_constant(name: str):
 @example([("cases", ("cell", row, 1, "m\x00")) for row in range(1, 17)]
          + [("populations", ("cell", row, 0, "m\x00")) for row in range(1, 5)])
 @example([("cases", ("cell", row, 2, "Synth\x01ville 1")) for row in range(1, 17)])
+@example([("config", ("nul", key)) for key in CONFIG])
+@example([("config", ("set", "bassis", "cumulative")), ("config", ("mn", 3))])
 def test_mutated_inputs_end_in_an_exit_code(mutations):
     files = dict(base_files())
-    regime = {}
+    regime, keys = {}, {}
     for target, (op, *args) in mutations:
-        if target == "config":
+        if target == "config" and op == "set":
+            keys[args[0]] = args[1]
+        elif target == "config" and op == "nul":
+            keys[args[0]] = CONFIG[args[0]] + "\x00"
+        elif target == "config":
             regime[op] = args[0]
         elif target == "boundaries":
             files[target] = damage_geojson(files[target], op, *args)
@@ -175,10 +191,8 @@ def test_mutated_inputs_end_in_an_exit_code(mutations):
         for key, text in files.items():
             (root / f"{key}.txt").write_text(text, encoding="utf-8")
         config = root / "config.json"
-        config.write_text(json.dumps({
-            "cases": "cases.txt", "populations": "populations.txt",
-            "boundaries": "boundaries.txt", "out": "out", "regime": regime,
-        }), encoding="utf-8")
+        doc = {**CONFIG, "regime": regime, **keys}
+        config.write_text(json.dumps(doc), encoding="utf-8")
         codes, errors = [], []
         for command in ("validate", "run"):
             err = io.StringIO()
@@ -191,12 +205,62 @@ def test_mutated_inputs_end_in_an_exit_code(mutations):
         if code == 2:
             assert errors[0] == errors[1]
         if code != 2:
-            stats = (root / "out" / "stats.json").read_text(encoding="utf-8")
+            out = root / doc["out"]
+            stats = (out / "stats.json").read_text(encoding="utf-8")
             json.loads(stats, parse_constant=_reject_constant)
-            for svg in (root / "out" / "dashboards").glob("*.svg"):
+            for svg in (out / "dashboards").glob("*.svg"):
                 text = svg.read_text(encoding="utf-8")
                 ElementTree.fromstring(text)
                 totals = re.findall(r">total (?:population|cases) (-?[\d,]+)<", text)
                 assert len(totals) == 2 and all(int(t.replace(",", "")) >= 0 for t in totals)
                 shares = re.findall(r">(-?\d+\.\d\d)%<", text)
                 assert all(0.0 <= float(v) <= 100.0 for v in shares)
+
+
+SPEC_DOC = {"m": 2, "n_days": 3, "seed": 1, "base_rate": 0.05, "start_date": "2020-10-01",
+            "populations": [[20, 30, 10, 100], [0, 5, 5, 50]],
+            "lam": [[1, 1, 1, 1], [2, 1, 1, 1]], "ids": ["a", "b"]}
+SPEC_VALUES = (None, True, 0, -1, 2, 5, 2**63, 10**22, 1.5, 1e25, float("nan"), float("inf"),
+               "inf", "x", "", "\ud800", "9999-12-31", [], [1, 2, 3, 4], [[1, 2, 3, 4]],
+               ["a", "a"], ["\ud800", "b"], [None, "b"], {})
+
+spec_mutation = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from((*SPEC_DOC, "sead")), st.sampled_from(SPEC_VALUES)),
+    st.tuples(st.just("drop"), st.sampled_from(tuple(SPEC_DOC))),
+    st.tuples(st.just("cell"), st.sampled_from(("populations", "lam")), st.integers(0, 1),
+              st.integers(0, 3), st.sampled_from(SPEC_VALUES)),
+    st.tuples(st.just("truncate"), st.integers(0, 99)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(spec_mutation, min_size=1, max_size=3))
+@example([("set", "lam", 1e25)])
+@example([("cell", "populations", 0, 0, 10**22)])
+@example([("set", "start_date", "9999-12-31")])
+@example([("set", "seed", -1)])
+def test_mutated_spec_ends_in_exit_0_or_2(mutations):
+    doc, cut = json.loads(json.dumps(SPEC_DOC)), 100
+    for op, *args in mutations:
+        if op == "set":
+            doc[args[0]] = args[1]
+        elif op == "drop":
+            doc.pop(args[0], None)
+        elif op == "cell":
+            with contextlib.suppress(LookupError, TypeError):  # damaged by an earlier mutation
+                doc[args[0]][args[1]][args[2]] = args[3]
+        else:
+            cut = min(cut, args[0])
+    text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(text[: len(text) * cut // 100], encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["synth", str(spec), "--out", str(Path(tmp) / "fx")])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("rankdiff: ") and err.getvalue().count("\n") == 1
+        else:
+            assert sorted(p.name for p in (Path(tmp) / "fx").iterdir()) == [
+                "boundaries.geojson", "cases.csv", "populations.csv"]

@@ -2,12 +2,14 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankdiff import render
+from rankdiff import cli, render
 from rankdiff.classify import ClassifierConfig
 from rankdiff.errors import ConfigError
 from rankdiff.metrics import RegimeConfig
@@ -94,15 +96,43 @@ def test_missing_key_rejected(tmp_path):
     pytest.param(b'{"cases": "c\xff.csv"}', "not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
                  id="not-utf8"),
     pytest.param(b"[" * 100_000, "JSON nested too deeply", id="deep-nesting"),
+    *(pytest.param({key: "x\u0000.csv"}, f"{key} must be a non-empty string with no NUL, "
+                   'got "x\\\\u0000.csv"', id=f"nul-in-{key}")
+      for key in ("cases", "populations", "boundaries", "out")),
+    pytest.param({"cases": 5}, "cases must be a non-empty string with no NUL, got 5",
+                 id="number-path"),
+    pytest.param({"cases": ["a"]}, r'cases must be a non-empty string with no NUL, got \["a"\]',
+                 id="array-path"),
+    pytest.param({"out": ""}, 'out must be a non-empty string with no NUL, got ""', id="empty-out"),
+    pytest.param({"bassis": "cumulative"}, "unknown key 'bassis', expected one of cases, ",
+                 id="unknown-key"),
+    pytest.param({"regime": {"mn": 3}},
+                 "bad regime config: unknown key 'mn', expected one of min, max",
+                 id="unknown-regime-key"),
+    pytest.param({"regime": {"min": "3"}}, 'bad regime config: min must be a number, got "3"',
+                 id="quoted-regime-min"),
+    pytest.param({"classifier": {"g1_per_min": "1e3"}},
+                 'bad classifier config: g1_per_min must be a number, got "1e3"',
+                 id="quoted-threshold"),
+    pytest.param('{"cases": "c.csv", "populations": "p.csv", "boundaries": "b.geojson", '
+                 '"regime": {"min": ' + "9" * 400 + '}}', "regime min must be a finite number",
+                 id="integer-past-float-range"),
+    pytest.param(({}, ["--out", ""]), 'command line: --out must be a non-empty string with no NUL, '
+                 'got ""', id="empty-out-flag"),
 ])
-def test_malformed_config_rejected(tmp_path, doc, match):
+def test_malformed_config_rejected(tmp_path, capsys, doc, match):
+    """Exit 2 with a message that names the config, or the flag, and the key."""
+    doc, flags = doc if isinstance(doc, tuple) else (doc, [])
     if isinstance(doc, dict):
         doc = {"cases": "c.csv", "populations": "p.csv", "boundaries": "b.geojson", **doc}
     text = doc if isinstance(doc, (str, bytes)) else json.dumps(doc)
     config = tmp_path / "config.json"
     config.write_bytes(text.encode() if isinstance(text, str) else text)
-    with pytest.raises(ConfigError, match=match):
-        RunConfig.from_file(config)
+    assert cli.main(["run", "--config", str(config), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rankdiff: cli: {'command line' if flags else config}: ")
+    assert re.search(match, err)
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_unknown_classifier_key_rejected(tmp_path):

@@ -85,6 +85,9 @@ class TestGenerate:
         assert hits >= 9
 
 
+SPEC_DOC = {"m": 2, "n_days": 3, "populations": [[10, 10, 10, 100]] * 2, "seed": 1}
+
+
 class TestSpecParsing:
     def test_scalar_lambda_broadcast(self):
         spec = SynthSpec.from_dict(
@@ -107,8 +110,38 @@ class TestSpecParsing:
         pytest.param(b"{nope", "invalid JSON", id="invalid"),
         pytest.param(b'{"m": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit",
                      id="integer-past-digit-limit"),
+        *(pytest.param(json.dumps({**SPEC_DOC, **extra}).encode(), message, id=name)
+          for name, extra, message in [
+              ("text-start-date", {"start_date": 5},
+               "start_date must be a non-empty string with no NUL, got 5"),
+              ("flat-lam", {"lam": [1, 2, 3, 4]}, "lam must be an array, got 1"),
+              ("text-in-lam", {"lam": [[1, 2, 3, "x"]] * 2}, 'lam must be a number, got "x"'),
+              ("fractional-m", {"m": 1.9}, "m must be an integer, got 1.9"),
+              ("quoted-n-days", {"n_days": "2"}, 'n_days must be an integer, got "2"'),
+              ("boolean-seed", {"seed": True}, "seed must be an integer, got true"),
+              ("fractional-population", {"populations": [[1.5, 1, 1, 1]] * 2},
+               "populations must be an integer, got 1.5"),
+              ("null-id", {"ids": [None, "b"]},
+               "ids must be a non-empty string with no NUL, got null"),
+              ("lone-surrogate-id", {"ids": ["\ud800", "b"]},
+               "ids 'utf-8' codec can't encode character '\\ud800' in position 0"),
+              ("boolean-lam", {"lam": True}, "lam must be a number, got true"),
+              ("unknown-key", {"sead": 4}, "unknown key 'sead', expected one of m, n_days, "),
+              ("negative-seed", {"seed": -1}, "m and n_days must be positive and seed >= 0, "
+               "got m=2, n_days=3, seed=-1"),
+              ("infinite-lam", {"lam": "inf"}, "lam entries and base_rate must be finite"),
+              ("lam-past-poisson-limit", {"lam": 1e25},
+               "lam * population * base_rate must be at most 9.22337e+18"),
+              ("population-past-int64", {"populations": [[10**22, 1, 1, 1]] * 2},
+               "populations must be >= 0, each row summing to at most 2**63 - 1"),
+              ("days-past-year-9999", {"start_date": "9999-12-30", "n_days": 5},
+               "n_days 5 from start_date 9999-12-30 runs past 9999-12-31"),
+          ]),
+        pytest.param(json.dumps(SPEC_DOC)[:-1].encode() + b', "base_rate": NaN}',
+                     "lam entries and base_rate must be finite", id="nan-base-rate"),
     ])
     def test_unreadable_spec_exit_2(self, tmp_path, capsys, data, message):
+        """Exit 2 with a message that names the spec and the key, and no fixture."""
         path = tmp_path / "spec.json"
         path.write_bytes(data)
         assert cli.main(["synth", str(path), "--out", str(tmp_path / "fx")]) == 2
