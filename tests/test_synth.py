@@ -1,12 +1,19 @@
+import csv
+import datetime as dt
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rankdiff import cli
 from rankdiff.errors import SynthError
-from rankdiff.ingest import load_cases, load_populations
+from rankdiff.ingest import CASES_COLUMNS, load_cases, load_populations, write_cases_csv
+from rankdiff.model import GROUPS, INT64_MAX, K, CaseCube, DateAxis, Municipality
 from rankdiff.metrics import RegimeConfig, persistence_index, rank_cases, rank_diff, rank_population, skewness
 from rankdiff.oracle import oracle_stats
 from rankdiff.synth import SynthSpec, generate, grid_boundaries, write_fixture
@@ -184,6 +191,94 @@ class TestFixtureFiles:
         for feature in geo["features"]:
             ring = feature["geometry"]["coordinates"][0]
             assert ring[0] == ring[-1]
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+# ids that csv.writer must quote or that json must escape, one of them with a "%"
+AWKWARD_IDS = (" lead", "a,b", 'say "hi"', "50%", "Zürich 東京", "two\nlines")
+AWKWARD_DIGESTS = {
+    "boundaries.geojson": "4d92506d960ac3b98e574206e0dd3765091a62a9756433e4cc20fe1b3c269ed1",
+    "cases.csv": "68a9dcd45ead0015ae4e5ebc35509f76c9c3f85d4d7a5c38d6e5548adb423888",
+    "populations.csv": "e358d03b6f7c57cfc40d31fa719a23cd316a80a74d9c7c72e94bfd543625ad54",
+}
+
+
+def fixture_digests(spec: SynthSpec, out: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in write_fixture(spec, out).values()}
+
+
+def reference_cases_csv(cube: CaseCube, path: Path) -> None:
+    """The cases writer as one csv.writer row per cell, the bytes write_cases_csv keeps."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CASES_COLUMNS)
+        dates = [day.isoformat() for day in cube.axis.dates()]
+        groups = [g.value for g in GROUPS]
+        for i, muni in enumerate(cube.municipalities):
+            writer.writerows(
+                (date, muni.id, muni.name, muni.county, g, v)
+                for date, values in zip(dates, cube.counts[i].tolist())
+                for g, v in zip(groups, values)
+            )
+
+
+# text csv.writer and UTF-8 can carry: no lone surrogates
+field_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def case_cubes(draw) -> CaseCube:
+    ids = draw(st.lists(field_text.filter(bool), min_size=1, max_size=4, unique=True))
+    n_days = draw(st.integers(1, 3))
+    start = draw(st.dates(max_value=dt.date.max - dt.timedelta(days=n_days - 1)))
+    rows = []
+    for _ in ids:
+        values = draw(st.lists(st.integers(0, INT64_MAX), min_size=n_days * K,
+                               max_size=n_days * K))
+        if sum(values) > INT64_MAX:  # each municipality's total stays within int64
+            values = [value // len(values) for value in values]
+        rows.append(values)
+    municipalities = tuple(Municipality(id=mid, name=draw(field_text), county=draw(field_text))
+                           for mid in ids)
+    counts = np.array(rows, dtype=np.int64).reshape(len(ids), n_days, K)
+    return CaseCube(axis=DateAxis(start=start, n_days=n_days), municipalities=municipalities,
+                    counts=counts)
+
+
+class TestFixtureBytes:
+    """The fixture files are a pure function of the spec, byte for byte."""
+
+    def test_example_spec_digests(self, tmp_path):
+        pinned = {}
+        for line in (EXAMPLES / "fixture.sha256").read_text(encoding="utf-8").splitlines():
+            digest, name = line.split()
+            pinned[Path(name).name] = digest
+        spec = SynthSpec.from_file(EXAMPLES / "spec.json")
+        assert fixture_digests(spec, tmp_path) == pinned
+
+    def test_awkward_ids_digests(self, tmp_path):
+        m = len(AWKWARD_IDS)
+        spec = simple_spec(m=m, ids=AWKWARD_IDS, populations=((100, 200, 300, 4000),) * m,
+                           lam=((1.0,) * K,) * m)
+        assert fixture_digests(spec, tmp_path) == AWKWARD_DIGESTS
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cube=case_cubes())
+    def test_cases_csv_matches_csv_writer(self, tmp_path, cube):
+        write_cases_csv(cube, tmp_path / "written.csv")
+        reference_cases_csv(cube, tmp_path / "reference.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    @pytest.mark.parametrize("ids", [False, True], ids=["default-ids", "awkward-ids"])
+    def test_boundaries_match_json_dump(self, tmp_path, m, ids):
+        spec = simple_spec(m=m, populations=((1, 1, 1, 1),) * m, lam=((1.0,) * K,) * m,
+                           ids=tuple(AWKWARD_IDS[i % len(AWKWARD_IDS)] + str(i) for i in range(m)) if ids
+                           else ())
+        text = write_fixture(spec, tmp_path)["boundaries"].read_text(encoding="utf-8")
+        assert text == json.dumps(grid_boundaries(spec), indent=2, sort_keys=True) + "\n"
 
 
 class TestOracle:
