@@ -19,7 +19,7 @@ import sys
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import pipeline
-from .errors import PipelineError
+from .errors import ConfigError, PipelineError, read_fields, text
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -99,7 +99,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from . import synth
 
     spec = synth.SynthSpec.from_file(args.spec)
-    paths = synth.write_fixture(spec, args.out)
+    out = read_fields({"--out": args.out}, {"--out": text}, ConfigError, "command line")["--out"]
+    paths = synth.write_fixture(spec, out)
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
     return EXIT_OK

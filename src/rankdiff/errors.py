@@ -1,10 +1,11 @@
-"""Exception hierarchy shared across the pipeline, and the one reader and
-typed field table of the JSON documents a user writes. Every error carries
-the name of the subsystem that raised it so the CLI can emit module-tagged
-diagnostics.
+"""Exception hierarchy shared across the pipeline, the guard that turns a
+failed write into one of them, and the one reader and typed field table of
+the JSON documents a user writes. Every error carries the name of the
+subsystem that raised it so the CLI can emit module-tagged diagnostics.
 """
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -36,6 +37,16 @@ class SynthError(PipelineError):
 
 class ConfigError(PipelineError):
     module = "cli"
+
+
+@contextmanager
+def writing(target: str | Path, error: type[PipelineError]):
+    """Ends a failure to write ``target``, or a file under it, in ``error``
+    naming the path, not in a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"cannot write {exc.filename or target}: {exc.strerror or exc}") from exc
 
 
 def load_json(path: str | Path, error: type[PipelineError], what: str = "") -> object:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import codecs
 import csv
 import datetime as dt
+import io
 import math
 import re
 from array import array
@@ -591,27 +592,34 @@ def load_boundaries(
 
 
 def write_cases_csv(cube: CaseCube, path: str | Path) -> None:
-    """Write a CaseCube in the canonical cases schema (round-trip safe)."""
-    path = Path(path)
+    """Write a CaseCube in the canonical cases schema (round-trip safe).
+
+    Bytes are those of a ``csv.writer`` row per cell. Only the municipality
+    fields can need quoting, so every (day, group) row is formatted once per
+    run into a ``%`` template, with a slot for those fields and a ``%s`` for
+    each count, and filled once per municipality.
+    """
+    slot = "\0"  # in no date or group text
+    template = "".join(f"{day.isoformat()},{slot},{g.value},%s\n"
+                       for day in cube.axis.dates() for g in GROUPS)
+    quoted = io.StringIO()
+    quote = csv.writer(quoted, lineterminator="\n").writerow
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CASES_COLUMNS)
-        dates = [day.isoformat() for day in cube.axis.dates()]
-        groups = [g.value for g in GROUPS]
-        for i, muni in enumerate(cube.municipalities):
-            writer.writerows(
-                (date, muni.id, muni.name, muni.county, g, v)
-                for date, values in zip(dates, cube.counts[i].tolist())
-                for g, v in zip(groups, values)
-            )
+        handle.write(",".join(CASES_COLUMNS) + "\n")
+        for muni, counts in zip(cube.municipalities, cube.counts):
+            quoted.seek(0)
+            quoted.truncate()
+            quote((muni.id, muni.name, muni.county))
+            fields = quoted.getvalue()[:-1].replace("%", "%%")
+            handle.write(template.replace(slot, fields) % tuple(counts.ravel().tolist()))
 
 
 def write_populations_csv(table: PopulationTable, path: str | Path) -> None:
     """Write a PopulationTable in the canonical populations schema."""
-    path = Path(path)
+    groups = [g.value for g in GROUPS]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(POPS_COLUMNS)
-        for i, muni in enumerate(table.municipalities):
-            for k, g in enumerate(GROUPS):
-                writer.writerow([muni.id, g.value, int(table.pops[i, k])])
+        writer.writerows((muni.id, g, pop)
+                         for muni, pops in zip(table.municipalities, table.pops.tolist())
+                         for g, pop in zip(groups, pops))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -30,7 +29,8 @@ import numpy as np
 from . import classify as classify_mod
 from . import ingest, metrics, render
 from .classify import ClassifierConfig, ClassLabel
-from .errors import ConfigError, IngestError, RenderError, load_json, number, read_fields, text
+from .errors import (ConfigError, IngestError, RenderError, load_json, number, read_fields, text,
+                     writing)
 from .metrics import GroupStats, RegimeConfig
 from .model import CaseCube, Group, PopulationTable, QualityReport, Ring
 
@@ -55,15 +55,18 @@ class RunConfig:
         """Load a JSON config; relative paths resolve against the config file."""
 
         def resolve(value: object) -> Path:
-            return (Path(path).parent / text(value)).resolve()
+            return _resolved(Path(path).parent / text(value))
 
-        config = {"out": resolve("out"), **read_fields(load_json(path, ConfigError, "config "), {
+        doc = load_json(path, ConfigError, "config ")
+        if isinstance(doc, dict):
+            doc = {"out": "out", **doc}  # an absent out is the directory out beside the config
+        config = read_fields(doc, {
             "cases": resolve, "populations": resolve, "boundaries": resolve, "out": resolve,
             "cases_schema": text, "basis": parse_basis, "group": parse_group,
             "regime": {"min": number,
                        "max": lambda value: None if value is None else number(value)},
             "classifier": {threshold.name: number for threshold in fields(ClassifierConfig)},
-        }, ConfigError, str(path), required=("cases", "populations", "boundaries"))}
+        }, ConfigError, str(path), required=("cases", "populations", "boundaries"))
         regime, classifier = config.pop("regime", {}), config.pop("classifier", {})
         return cls(**config, regime=_regime(regime.get("min", 0.0), regime.get("max"), str(path)),
                    classifier=ClassifierConfig(**classifier))
@@ -81,12 +84,21 @@ class RunConfig:
                  "--group": group, "--out": out}
         flags = read_fields({flag: value for flag, value in given.items() if value is not None}, {
             "--basis": parse_basis, "--regime-min": number, "--regime-max": number,
-            "--group": parse_group, "--out": lambda value: Path(text(os.fspath(value))).resolve(),
+            "--group": parse_group, "--out": lambda value: _resolved(Path(text(os.fspath(value)))),
         }, ConfigError, "command line")
         regime = _regime(flags.get("--regime-min", self.regime.t_min),
                          flags.get("--regime-max", self.regime.t_max), "--regime-min/--regime-max")
         return replace(self, basis=flags.get("--basis", self.basis), regime=regime,
                        group=flags.get("--group", self.group), out=flags.get("--out", self.out))
+
+
+def _resolved(path: Path) -> Path:
+    """``path`` made absolute with its symlinks followed; one that cannot be
+    followed, as in a symlink loop, is a bad value."""
+    try:
+        return path.resolve()
+    except (OSError, RuntimeError) as exc:  # a loop raises RuntimeError up to 3.12, OSError after
+        raise ValueError(f"cannot be resolved: {exc}") from None
 
 
 def _regime(t_min: float, t_max: float | None, source: str) -> RegimeConfig:
@@ -138,9 +150,22 @@ def load_inputs(cfg: RunConfig) -> LoadedInputs:
     return LoadedInputs(cube=cube, pops=pops, boundaries=boundaries, report=report)
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an output tree that ``run`` could not create: the nearest part
+    of ``out/dashboards`` that exists must be a directory."""
+    path = Path(_dashboards_dir(out))
+    while not os.path.lexists(path):
+        path = path.parent
+    if not path.is_dir():
+        raise RenderError(f"cannot write {path}: not a directory")
+
+
 def validate(cfg: RunConfig) -> QualityReport:
-    """Load and validate all inputs, returning the quality report."""
-    return load_inputs(cfg).report
+    """Load and validate all inputs and the output directory, returning the
+    quality report."""
+    report = load_inputs(cfg).report
+    _check_out(cfg.out)
+    return report
 
 
 @dataclass(frozen=True)
@@ -175,16 +200,6 @@ class RenderResult:
     report: QualityReport
 
 
-@contextmanager
-def _writing(target: Path):
-    """Ends a failure to write ``target``, or a file under it, in an error
-    that names the path, not in a traceback."""
-    try:
-        yield
-    except OSError as exc:
-        raise RenderError(f"cannot write {exc.filename or target}: {exc.strerror or exc}") from exc
-
-
 def _write_text(path: str | Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -215,11 +230,12 @@ def _dashboard_svg(loaded: LoadedInputs, analysis: Analysis, mid: str) -> str:
 def run(cfg: RunConfig) -> RunResult:
     """Execute the full pipeline and write the output tree."""
     loaded = load_inputs(cfg)
+    _check_out(cfg.out)
     analysis = analyze(cfg, loaded)
     map_svg = _map_svg(cfg, loaded, analysis)  # drawn first: a map that fails leaves no tree
     cube, out = loaded.cube, cfg.out
     dashboards = _dashboards_dir(out)
-    with _writing(out):
+    with writing(out, RenderError):
         os.makedirs(dashboards, exist_ok=True)
 
         metrics.write_rd_csv(out / "rd.csv", cube, analysis.rd)
@@ -251,7 +267,7 @@ def render_map(cfg: RunConfig) -> RenderResult:
     loaded = load_inputs(cfg)
     svg = _map_svg(cfg, loaded, analyze(cfg, loaded))
     target = cfg.out / _map_name(cfg.group)
-    with _writing(target):
+    with writing(target, RenderError):
         target.parent.mkdir(parents=True, exist_ok=True)
         _write_text(target, svg)
     return RenderResult(path=target, report=loaded.report)
@@ -262,7 +278,7 @@ def render_dashboard(cfg: RunConfig, mid: str) -> RenderResult:
     loaded = load_inputs(cfg)
     svg = _dashboard_svg(loaded, analyze(cfg, loaded), mid)
     target = Path(_dashboard_path(_dashboards_dir(cfg.out), mid))
-    with _writing(target):
+    with writing(target, RenderError):
         target.parent.mkdir(parents=True, exist_ok=True)
         _write_text(target, svg)
     return RenderResult(path=target, report=loaded.report)

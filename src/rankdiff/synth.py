@@ -8,14 +8,15 @@ is a complete, reproducible description of a fixture.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SynthError, array, integer, load_json, number, read_fields, text
+from .errors import (SynthError, array, integer, load_json, number, read_fields, text,
+                     writing)
 from .ingest import write_cases_csv, write_populations_csv
 from .model import INT64_MAX, K, CaseCube, DateAxis, Municipality, PopulationTable
 
@@ -123,19 +124,64 @@ def grid_boundaries(spec: SynthSpec) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
+# boundaries.geojson is pinned to the bytes of json.dump(doc, indent=2,
+# sort_keys=True) plus a newline. That encoder runs in pure Python whenever
+# ``indent`` is set, so each feature of grid_boundaries, whose keys are fixed,
+# is filled into this template instead: strings through the same ASCII
+# escaper, floats through float.__repr__ as json does. Keys appear in sorted
+# order.
+_FEATURE = """\
+    {
+      "geometry": {
+        "coordinates": [
+%s
+        ],
+        "type": %s
+      },
+      "id": %s,
+      "properties": {
+        "municipality_id": %s
+      },
+      "type": %s
+    }"""
+_RING = "          [\n%s\n          ]"
+_POSITION = "            [\n              %s,\n              %s\n            ]"
+
+
+def _write_boundaries(doc: dict, path: Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write('{\n  "features": [')
+        separator = "\n"
+        for feature in doc["features"]:
+            geometry = feature["geometry"]
+            rings = ",\n".join(
+                _RING % ",\n".join(_POSITION % (float.__repr__(x), float.__repr__(y))
+                                   for x, y in ring)
+                for ring in geometry["coordinates"]
+            )
+            handle.write(separator)
+            handle.write(_FEATURE % (
+                rings, encode_basestring_ascii(geometry["type"]),
+                encode_basestring_ascii(feature["id"]),
+                encode_basestring_ascii(feature["properties"]["municipality_id"]),
+                encode_basestring_ascii(feature["type"]),
+            ))
+            separator = ",\n"
+        handle.write('\n  ],\n  "type": %s\n}\n' % encode_basestring_ascii(doc["type"]))
+
+
 def write_fixture(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
     """Write cases.csv, populations.csv, and boundaries.geojson for a spec."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cube, table = generate(spec)
     paths = {
         "cases": out / "cases.csv",
         "populations": out / "populations.csv",
         "boundaries": out / "boundaries.geojson",
     }
-    write_cases_csv(cube, paths["cases"])
-    write_populations_csv(table, paths["populations"])
-    with open(paths["boundaries"], "w", encoding="utf-8", newline="") as handle:
-        json.dump(grid_boundaries(spec), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    with writing(out, SynthError):
+        out.mkdir(parents=True, exist_ok=True)
+        write_cases_csv(cube, paths["cases"])
+        write_populations_csv(table, paths["populations"])
+        _write_boundaries(grid_boundaries(spec), paths["boundaries"])
     return paths

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import shutil
 import time
 from pathlib import Path
@@ -520,6 +521,23 @@ class TestSynthCommand:
             counts = [int(row["count"]) for row in csv.DictReader(handle)]
         assert counts and not any(counts)
 
+    @pytest.mark.parametrize("out,message", [
+        ("", 'rankdiff: cli: command line: --out must be a non-empty string with no NUL, got ""\n'),
+        ("taken", "rankdiff: synth: cannot write taken: File exists\n"),
+        ("taken/fx", "rankdiff: synth: cannot write taken/fx: Not a directory\n"),
+    ], ids=["empty", "a-file", "under-a-file"])
+    def test_unusable_out_exit_2(self, tmp_path, monkeypatch, capsys, out, message):
+        """An --out that names no directory rankdiff can create writes nothing."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"m": 1, "n_days": 2, "populations": [[5, 5, 5, 50]]}),
+                             encoding="utf-8")
+        (tmp_path / "taken").write_text("kept", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["synth", str(spec_path), "--out", out]) == 2
+        assert capsys.readouterr().err == message
+        assert sorted(os.listdir(tmp_path)) == ["spec.json", "taken"]
+        assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept"
+
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"m": 2}), encoding="utf-8")
@@ -576,15 +594,28 @@ class TestRenderCommands:
             name: ran[name] for name in ("dashboards/m002.svg", "map_hl.svg")
         }
 
-    @pytest.mark.parametrize("command", [["run"], ["render-map"],
+    @pytest.mark.parametrize("command", [["validate"], ["run"], ["render-map"],
                                          ["render-dashboard", "--id", "m001"]],
-                             ids=["run", "render-map", "render-dashboard"])
+                             ids=["validate", "run", "render-map", "render-dashboard"])
     def test_out_is_a_file_exit_2(self, clean_fixture, capsys, command):
         config, out = clean_fixture
         out.write_text("kept", encoding="utf-8")
         assert cli.main([*command, "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"rankdiff: render: cannot write {out}")
         assert out.read_text(encoding="utf-8") == "kept"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_dashboards_is_a_file_exit_2(self, clean_fixture, capsys, command):
+        """validate refuses the output tree that run cannot write, naming the path."""
+        config, out = clean_fixture
+        dashboards = out / "dashboards"
+        out.mkdir()
+        dashboards.write_text("kept", encoding="utf-8")
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"rankdiff: render: cannot write {dashboards}: not a directory\n")
+        assert os.listdir(out) == ["dashboards"]
+        assert dashboards.read_text(encoding="utf-8") == "kept"
 
     @pytest.mark.parametrize("command", [["run"], ["render-dashboard", "--id", "m001"]],
                              ids=["run", "render-dashboard"])

@@ -52,7 +52,9 @@ REGIME_VALUES = (None, -5, 0, 2.5, 3, 1e9, float("inf"), float("-inf"), float("n
 CONFIG = {"cases": "cases.txt", "populations": "populations.txt", "boundaries": "boundaries.txt",
           "out": "out"}
 CONFIG_KEYS = (*CONFIG, "cases_schema", "basis", "group", "regime", "classifier", "bassis")
-CONFIG_VALUES = ("x", "", "\ud800", "cumulative", True, False, [], ["cases.txt"], None, 0)
+# "cases.txt" as out names a file, and "cases.txt/out" a path under one
+CONFIG_VALUES = ("x", "", "\ud800", "cumulative", "cases.txt", "cases.txt/out", True, False, [],
+                 ["cases.txt"], None, 0)
 
 csv_mutation = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 99)),
@@ -172,6 +174,8 @@ def _reject_constant(name: str):
 @example([("cases", ("cell", row, 2, "Synth\x01ville 1")) for row in range(1, 17)])
 @example([("config", ("nul", key)) for key in CONFIG])
 @example([("config", ("set", "bassis", "cumulative")), ("config", ("mn", 3))])
+@example([("config", ("set", "out", "cases.txt"))])
+@example([("config", ("set", "out", "cases.txt/out"))])
 def test_mutated_inputs_end_in_an_exit_code(mutations):
     files = dict(base_files())
     regime, keys = {}, {}

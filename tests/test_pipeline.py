@@ -135,6 +135,26 @@ def test_malformed_config_rejected(tmp_path, capsys, doc, match):
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize("key", ["cases", "populations", "boundaries", "out", "default-out",
+                                 "--out"])
+def test_symlink_loop_in_path_rejected(tmp_path, capsys, key):
+    """A path through two symlinks that point at each other ends in exit 2
+    with a message that names the config, or the flag, and the key."""
+    os.symlink("b", tmp_path / "a")
+    os.symlink("a", tmp_path / "b")
+    doc = {"cases": "c.csv", "populations": "p.csv", "boundaries": "b.geojson"}
+    flags = ["--out", str(tmp_path / "a")] if key == "--out" else []
+    if key == "default-out":
+        os.symlink("a", tmp_path / "out")
+    elif key != "--out":
+        doc[key] = "a/x"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", "--config", str(config), *flags]) == 2
+    where = "command line: --out" if flags else f"{config}: {key.replace('default-', '')}"
+    assert capsys.readouterr().err.startswith(f"rankdiff: cli: {where} cannot be resolved: ")
+
+
 def test_unknown_classifier_key_rejected(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
