@@ -97,7 +97,7 @@ def _resolved(path: Path) -> Path:
     followed, as in a symlink loop, is a bad value."""
     try:
         return path.resolve()
-    except (OSError, RuntimeError) as exc:  # a loop raises RuntimeError up to 3.12, OSError after
+    except (OSError, RuntimeError) as exc:  # before Python 3.13 a loop is a RuntimeError
         raise ValueError(f"cannot be resolved: {exc}") from None
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rankdiff import cli
@@ -266,6 +266,12 @@ class TestFixtureBytes:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cube=case_cubes())
+    @example(cube=CaseCube(
+        axis=DateAxis(start=dt.date(2020, 10, 1), n_days=1),
+        municipalities=(Municipality(id="100% %s", name='"a, b"', county=" x\r\ny"),
+                        Municipality(id="é", name="", county="%(x)d")),
+        counts=np.array([[[INT64_MAX, 0, 0, 0]], [[0, 1, 2, 3]]], dtype=np.int64),
+    ))
     def test_cases_csv_matches_csv_writer(self, tmp_path, cube):
         write_cases_csv(cube, tmp_path / "written.csv")
         reference_cases_csv(cube, tmp_path / "reference.csv")
