@@ -50,11 +50,12 @@ def writing(target: str | Path, error: type[PipelineError]):
 
 
 def load_json(path: str | Path, error: type[PipelineError], what: str = "") -> object:
-    """The UTF-8 JSON document at ``path``. Every way the file cannot be read
-    or parsed raises ``error``; ``what`` names the file in the message of an
-    open that fails, as in ``cannot open config <path>``."""
+    """The UTF-8 JSON document at ``path``, after a byte-order mark if it has
+    one (RFC 8259 section 8.1 lets a parser ignore it). Every way the file
+    cannot be read or parsed raises ``error``; ``what`` names the file in the
+    message of an open that fails, as in ``cannot open config <path>``."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return json.load(handle)
     except OSError as exc:
         raise error(f"cannot open {what}{path}: {exc}") from exc

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -240,6 +241,21 @@ class TestMalformedInputs:
             pops="\ufeff" + pops_csv_text(
                 [("a", "W", 10), ("a", "BAA", 5), ("b", "W", 20), ("b", "BAA", 2)]),
         )
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert tree_bytes(bom / "out") == tree_bytes(plain / "out")
+
+    @pytest.mark.parametrize("name", ["config.json", "b.geojson"])
+    def test_json_bom_accepted(self, tmp_path, name):
+        """A JSON input may start with a byte-order mark, as a CSV input may."""
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        assert cli.main(["run", "--config", str(write_inputs(plain))]) == 0
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        config = write_inputs(bom)
+        path = bom / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert cli.main(["validate", "--config", str(config)]) == 0
         assert cli.main(["run", "--config", str(config)]) == 0
         assert tree_bytes(bom / "out") == tree_bytes(plain / "out")
 

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import datetime as dt
 import hashlib
@@ -154,6 +155,14 @@ class TestSpecParsing:
         assert cli.main(["synth", str(path), "--out", str(tmp_path / "fx")]) == 2
         assert capsys.readouterr().err.startswith(f"rankdiff: synth: {path}: {message}")
         assert not (tmp_path / "fx").exists()
+
+    def test_spec_with_bom(self, tmp_path):
+        """A spec may start with a byte-order mark, which RFC 8259 section 8.1
+        lets a parser ignore."""
+        path = tmp_path / "spec.json"
+        path.write_bytes(codecs.BOM_UTF8 + json.dumps(SPEC_DOC).encode())
+        assert cli.main(["synth", str(path), "--out", str(tmp_path / "fx")]) == 0
+        assert SynthSpec.from_file(path) == SynthSpec.from_dict(SPEC_DOC)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(SynthError, match="3x4"):
