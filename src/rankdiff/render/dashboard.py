@@ -10,10 +10,10 @@ Panel arrangement is this renderer's own choice: pies on top, the three
 rank-difference panels side by side below.
 
 ``_frame`` draws everything a dashboard shares with the others of its run
-once: a ``%`` template whose slots ``render_dashboard`` fills with one
-municipality's values, and each panel's special-case markers. The frame is
-a pure function of ``(axis, rd_bound)``, so warm and cold caches give the
-same bytes.
+once: the document's literal pieces, between which ``render_dashboard``
+joins one municipality's values, and each panel's special-case markers. The
+frame is a pure function of ``(axis, rd_bound)``, so warm and cold caches give
+the same bytes.
 """
 
 from __future__ import annotations
@@ -123,10 +123,11 @@ NOTE_Y = PANEL_Y + PANEL_H + 38  # the baseline of each panel's relative-change 
 
 # One run draws one frame; 8 leaves room for the frames of other runs.
 @lru_cache(maxsize=8)
-def _frame(axis: DateAxis, bound: int) -> tuple[str, tuple[tuple[str, ...], ...], dict[int, str],
+def _frame(axis: DateAxis, bound: int) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...],
+                                                dict[int, str],
                                                 dict[tuple[int, Special], tuple[str, float]]]:
-    """What every dashboard of a run shares: the document as a ``%`` template
-    with one ``%s`` per slot, each panel's x strings, the y string of every
+    """What every dashboard of a run shares: the document's literal pieces,
+    split at its slots, each panel's x strings, the y string of every
     rd value in ``[-bound, bound]``, and per (panel column, special case) the
     marker and the x of the relative-change note."""
     x, y = LEGEND_X, LEGEND_Y
@@ -180,13 +181,13 @@ def _frame(axis: DateAxis, bound: int) -> tuple[str, tuple[tuple[str, ...], ...]
         " positive values mean more cases than population rank predicts",
         size=10, fill="#888888",
     ))
-    template = document(WIDTH, HEIGHT, elements).replace("%", "%%").replace(_SLOT, "%s")
+    pieces = tuple(document(WIDTH, HEIGHT, elements).split(_SLOT))
     n = axis.n_days  # a one-day panel draws a circle, not these x strings
     xs = tuple(tuple(fnum(_panel_x(column) + w * j / max(n - 1, 1)) for j in range(n))
                for column in range(len(MINORITY_GROUPS)))
     ys = {value: fnum(PANEL_MID - (value / bound) * (h / 2.0))
           for value in range(-bound, bound + 1)}
-    return template, xs, ys, markers
+    return pieces, xs, ys, markers
 
 
 def _pie_or_disc(cx: float, shares: dict[Group, float] | None) -> str:
@@ -203,10 +204,10 @@ def _share(shares: dict[Group, float] | None, g: Group) -> str:
 def render_dashboard(model: DashboardModel) -> str:
     """Render the dashboard SVG; identical models yield identical bytes.
 
-    Fills the run's template from ``_frame`` with this municipality's
-    values, in document order.
+    Joins this municipality's values, in document order, between the run's
+    pieces from ``_frame``.
     """
-    template, panel_xs, ys, markers = _frame(model.axis, model.rd_bound)
+    pieces, panel_xs, ys, markers = _frame(model.axis, model.rd_bound)
     muni = model.municipality
     values = [escape(muni.name), escape(muni.county), escape(muni.id),
               _pie_or_disc(120, model.pop_shares),
@@ -235,4 +236,7 @@ def render_dashboard(model: DashboardModel) -> str:
             note = text(text_x, NOTE_Y, f"{stats.relative_change_pct:+.1f}%",
                         size=11, weight="bold")
         values.append(marker + note)
-    return template % tuple(values)
+    parts = [""] * (2 * len(values) + 1)
+    parts[::2] = pieces
+    parts[1::2] = values
+    return "".join(parts)
