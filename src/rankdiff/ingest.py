@@ -17,10 +17,11 @@ per municipality/group, clamping negative corrections to zero.
 
 Cases files are read one of two ways, with the same result. A file without
 quotes, whose lines end in ``\n`` or ``\r\n`` and hold exactly six fields,
-is split in blocks of whole lines with string and NumPy operations. Any other
-file, and any file with an error in it, is read by the streamed ``csv``
-reader, which words every diagnostic. What is accepted, and every message,
-is the ``csv`` reader's.
+is parsed from its bytes with NumPy, in blocks of whole lines; Python parses
+each distinct value of a block once, not each field. Any other file, and any
+file with an error in it, is read by the streamed ``csv`` reader, which words
+every diagnostic. What is accepted, and every message, is the ``csv``
+reader's.
 """
 
 from __future__ import annotations
@@ -67,9 +68,12 @@ OTH_COMPONENTS = ("OTH", "ASIAN", "HPI", "AIAN")
 EXCLUDED_POP_GROUPS = ("MO", "UNK")
 POP_SOURCE_GROUPS = ("BAA", "HL", "W") + OTH_COMPONENTS + EXCLUDED_POP_GROUPS
 
-BLOCK_BYTES = 1 << 16      # cases bytes read at a time, extended to the next line end
+BLOCK_BYTES = 1 << 18      # cases bytes read at a time, extended to the next line end
 NAME_MAX = 255             # bytes in a file name, such as <id>.svg, on common file systems
 _COMMA, _NEWLINE = ord(","), ord("\n")
+# The first k bytes of a little-endian uint64 word, for k = 0..8.
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)   # odd: multiplying by it permutes the uint64 values
 
 
 def _csv_records(path: Path, columns: list[str]):
@@ -215,20 +219,22 @@ def _read_case_records(path: Path):
     return roster.municipalities, *arrays
 
 
-def _whole_records(block: bytes, limit: int) -> bool:
-    """Whether every line of ``block``, a run of lines each ending in ``\\n``, has
-    exactly ``len(CASES_COLUMNS) - 1`` commas and at most ``limit`` bytes."""
+def _whole_records(block: bytes, limit: int) -> np.ndarray | None:
+    """The position of every ``,`` and ``\\n`` in ``block``, a run of lines each
+    ending in ``\\n``, or ``None`` unless every line has exactly
+    ``len(CASES_COLUMNS) - 1`` commas and at most ``limit`` bytes."""
     data = np.frombuffer(block, dtype=np.uint8)
     separators = np.flatnonzero((data == _COMMA) | (data == _NEWLINE))
     width = len(CASES_COLUMNS)
     ends = separators[width - 1 :: width]
     # With as many newlines as lines, every width-th separator a newline leaves
     # exactly width - 1 commas in each line.
-    return (
+    whole = (
         separators.size == width * block.count(b"\n")
         and bool((data[ends] == _NEWLINE).all())
         and int(np.diff(ends, prepend=-1).max()) <= limit + 1
     )
+    return separators if whole else None
 
 
 class _Interned(dict):
@@ -261,8 +267,111 @@ def _case_columns(path: Path, roster: _Roster, line) -> tuple[_Interned, ...]:
     )
 
 
+def _changes(values: np.ndarray) -> np.ndarray:
+    """Whether each entry of ``values`` differs from the one before it; the first does."""
+    changes = np.empty(values.size, dtype=bool)
+    changes[:1] = True
+    np.not_equal(values[1:], values[:-1], out=changes[1:])
+    return changes
+
+
+def _codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of ``keys`` in order of first appearance.
+
+    Returns the number of each entry and the index of each number's first
+    entry. Equal neighbours are collapsed into runs first, so the sort sees
+    one key per run: a cases file repeats its ids, names and dates in runs.
+    """
+    changes = _changes(keys)
+    runs = np.flatnonzero(changes)
+    sort = np.argsort(keys[runs])
+    new = _changes(keys[runs[sort]])
+    first = np.minimum.reduceat(sort, np.flatnonzero(new))   # first run of each key, in key order
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    codes = np.empty_like(sort)
+    codes[sort] = number[np.cumsum(new) - 1]
+    return codes[np.cumsum(changes) - 1], runs[first[order]]
+
+
+def _field_codes(words: np.ndarray, ends: np.ndarray,
+                 lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_codes`` of the bytes of one column's fields, or ``None`` on a key collision.
+
+    ``words[p]`` is the little-endian word of the 8 bytes at position ``p``,
+    and a field holds the ``lengths`` bytes before its ``ends``. A field is
+    keyed by its bytes in words, each masked to the bytes left in the field.
+    As no field holds a NUL, a key of one word is exact. Wider fields mix
+    their words into one key, and every field is then checked against the
+    first field of its code.
+    """
+    if lengths.max() <= 8:
+        return _codes(words[ends - lengths] & _MASKS[lengths])
+    count = np.maximum((lengths + 7) // 8, 1)          # words of each field; an empty one has 1
+    offsets = np.cumsum(count) - count                 # its first word
+    position = np.arange(offsets[-1] + count[-1])
+    tail = np.repeat(lengths + 8 * offsets, count) - 8 * position   # bytes from each word on
+    field = words[np.repeat(ends, count) - tail] & _MASKS[np.minimum(tail, 8)]
+    mixed = (field ^ tail.view(np.uint64)) * _MIX
+    mixed ^= mixed >> np.uint64(29)
+    mixed *= _MIX
+    codes, first = _codes(np.add.reduceat(mixed, offsets))
+    model = first[codes]
+    if not (lengths == lengths[model]).all():
+        return None
+    if not (field == field[np.repeat(offsets[model] - offsets, count) + position]).all():
+        return None
+    return codes, first
+
+
+def _parse_block(block: bytes, separators: np.ndarray, order: list[int],
+                 interned: tuple[_Interned, ...]) -> list[np.ndarray] | None:
+    """The day ordinal, roster index, group index and count of each line of
+    ``block``, or ``None`` to decline it.
+
+    ``separators`` holds the positions of every ``,`` and ``\\n`` in
+    ``block``, each ending a field, and ``order`` the field of each of
+    ``CASES_COLUMNS`` in a line. Each distinct field value is decoded and
+    looked up in ``interned`` once, in order of first appearance, and the
+    (id, name, county) triples likewise. Every other field's bytes equal
+    those of a decoded one, so the whole block is UTF-8.
+    """
+    width = len(CASES_COLUMNS)
+    starts = np.empty_like(separators)
+    starts[0] = 0
+    np.add(separators[:-1], 1, out=starts[1:])
+    ends = separators.reshape(-1, width).T[order]      # one row per column
+    lengths = ends - starts.reshape(-1, width).T[order]
+    words = np.ndarray((len(block),), "<u8", block + bytes(7), strides=(1,))
+    codes, texts = [], []
+    for end, length in zip(ends, lengths):
+        coded = _field_codes(words, end, length)
+        if coded is None:
+            return None
+        code, first = coded
+        spans = zip((end[first] - length[first]).tolist(), end[first].tolist())
+        try:
+            texts.append([block[start:stop].decode("utf-8") for start, stop in spans])
+        except UnicodeDecodeError:
+            return None
+        codes.append(code)
+    day, mid, name, county, group, count = codes
+    ids, names, counties = texts[1:4]
+    # Each code is below the block's line count, so the triple's number fits int64.
+    muni, first = _codes((mid * len(names) + name) * len(counties) + county)
+    triples = [(ids[i], names[j], counties[k])
+               for i, j, k in zip(mid[first].tolist(), name[first].tolist(), county[first].tolist())]
+    columns = ((day, texts[0]), (muni, triples), (group, texts[4]), (count, texts[5]))
+    try:
+        return [np.fromiter(map(known.__getitem__, raws), np.int64, len(raws))[code]
+                for (code, raws), known in zip(columns, interned)]
+    except IngestError:
+        return None
+
+
 def _read_case_blocks(path: Path):
-    """Parse a cases file in blocks of whole lines, without objects per record.
+    """Parse a cases file in blocks of whole lines, without objects per field.
 
     Returns what ``_read_case_records`` returns for the same file, or ``None``
     to decline it: the caller then runs that reader, which also words every
@@ -272,6 +381,8 @@ def _read_case_blocks(path: Path):
     count or longer than ``csv.field_size_limit()``, bytes that are not UTF-8,
     and any value that does not parse or that ``_Roster.add`` rejects.
     Blank lines are declined so that record index + 2 stays the line number.
+    A block where two different values wider than 8 bytes share a key, which
+    ``_field_codes`` finds, is declined too.
     """
     limit = csv.field_size_limit()
     try:
@@ -313,24 +424,17 @@ def _read_case_blocks(path: Path):
                 block = block.replace(b"\r\n", b"\n")
                 if b"\r" in block:
                     return None
-            if not _whole_records(block, limit):
+            separators = _whole_records(block, limit)
+            if separators is None:
                 return None
-            try:
-                fields = block.decode("utf-8").replace("\n", ",").split(",")
-            except UnicodeDecodeError:
-                return None
-            fields.pop()                                # after the last \n
-            stop = start + len(fields) // width
+            stop = start + separators.size // width
             if stop > rows:                             # the file grew since it was counted
                 return None
-            dates, ids, names, counties, groups, counts = (fields[c::width] for c in order)
-            columns = (dates, list(zip(ids, names, counties)), groups, counts)
-            try:
-                for out, column, known in zip(arrays, columns, interned):
-                    out[start:stop] = np.fromiter(map(known.__getitem__, column), np.int64,
-                                                  len(column))
-            except IngestError:
+            parsed = _parse_block(block, separators, order, interned)
+            if parsed is None:
                 return None
+            for out, values in zip(arrays, parsed):
+                out[start:stop] = values
             start = stop
     if start != rows:
         return None

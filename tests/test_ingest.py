@@ -321,7 +321,7 @@ def _reference_outcome(path, schema="canonical"):
 
 @pytest.fixture(scope="module")
 def synth_cases(tmp_path_factory) -> bytes:
-    """A canonical synthetic cases file of about 160 KB, so several blocks."""
+    """A canonical synthetic cases file of about 160 KB, municipality-major."""
     m = 30
     cube, _ = generate(SynthSpec(m=m, n_days=30, populations=((400, 300, 100, 2000),) * m,
                                  lam=((1.0,) * 4,) * m, seed=11))
@@ -347,12 +347,21 @@ def _quote_names(data: bytes) -> bytes:
     return "\n".join([header, *quoted, ""]).encode("utf-8")
 
 
+def _separate_municipality_columns(data: bytes) -> bytes:
+    """The columns in the order id, date, name, count, county, group."""
+    lines = data.decode("utf-8").splitlines()
+    return "".join(
+        ",".join(line.split(",")[c] for c in (1, 0, 2, 5, 3, 4)) + "\n" for line in lines
+    ).encode("utf-8")
+
+
 BLOCK_READER_FILES = {
     "lf": lambda data: data,
     "crlf": lambda data: data.replace(b"\n", b"\r\n"),
     "bom": lambda data: codecs.BOM_UTF8 + data,
     "bom-crlf": lambda data: codecs.BOM_UTF8 + data.replace(b"\n", b"\r\n"),
     "permuted-header": _permute_columns,
+    "separated-municipality-columns": _separate_municipality_columns,
     "no-final-newline": lambda data: data.removesuffix(b"\n"),
 }
 STREAMED_READER_FILES = {
@@ -373,6 +382,8 @@ byte_mutation = st.one_of(
 
 
 def mutate_bytes(data: bytes, op: str, *args) -> bytes:
+    if op == "replace":                         # every occurrence, as in renaming a municipality
+        return data.replace(*args)
     if op == "insert":
         at = len(data) * args[0] // 100
         return data[:at] + args[1] + data[at:]
@@ -477,6 +488,71 @@ class TestCaseReaders:
         assert calls == expected
         assert read[0] == ingest._read_case_records(path)[0]
 
+    @pytest.mark.parametrize("renames", [
+        pytest.param({b"m001": b"m" * width, b"Synthville 1": b"T" * width}, id=f"{width}-bytes")
+        for width in (7, 8, 9, 16, 17)
+    ] + [
+        pytest.param({b"m001": b"municip-1", b"m002": b"municip-2"}, id="differ-in-byte-9"),
+        pytest.param({b"m001": b"m000000\xc3\xa9", b"Synthville 1": b"Synthvi\xe6\x9d\xb1",
+                      b"Synth County": b"Sankt P\xc3\xb6lten"}, id="straddling-characters"),
+    ])
+    @pytest.mark.parametrize("block_bytes", [50, 1 << 16])
+    def test_block_reader_reads_every_field_width(self, renames, block_bytes, tmp_path):
+        """Fields of one column narrower and wider than a word, differing only past
+        a word, or holding a character split across two words, read as ``csv``
+        reads them."""
+        data = base_files()["cases"].encode("utf-8")
+        for old, new in renames.items():
+            data = data.replace(old, new)
+        path = tmp_path / "cases.csv"
+        path.write_bytes(data)
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            read = ingest._read_case_blocks(path)
+        assert read is not None
+        expected = ingest._read_case_records(path)
+        assert read[0] == expected[0]
+        assert all(np.array_equal(a, b) for a, b in zip(read[1:], expected[1:]))
+
+    def test_key_collision_declines(self, synth_cases, tmp_path):
+        """When every key of a wider field collides, the check against the first
+        field of each code finds it, and the ``csv`` reader takes the file."""
+        path = tmp_path / "cases.csv"
+        path.write_bytes(synth_cases)
+        expected = _reference_outcome(path)
+        assert not isinstance(expected, str)
+        with mock.patch.object(ingest, "_MIX", np.uint64(0)):
+            assert ingest._read_case_blocks(path) is None
+            assert _outcome(path) == expected
+
+    def test_row_orders(self, synth_cases, tmp_path):
+        """Municipality-major, date-major and shuffled rows of one file are each
+        read by the block reader, as ``csv`` reads them, into the same cube."""
+        header, *lines = synth_cases.split(b"\n")[:-1]
+        municipality_major = np.array(lines, dtype=object).reshape(30, 30, 4)
+        orders = {
+            "municipality-major": municipality_major.ravel(),
+            "date-major": municipality_major.transpose(1, 0, 2).ravel(),
+            "shuffled": np.random.default_rng(5).permutation(municipality_major.ravel()),
+        }
+        cubes = {}
+        for name, rows in orders.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(b"\n".join([header, *rows.tolist()]) + b"\n")
+            with mock.patch.object(ingest, "BLOCK_BYTES", 1 << 14):
+                read = ingest._read_case_blocks(path)
+                cube = load_cases(path)
+            assert read is not None, name
+            expected = ingest._read_case_records(path)
+            assert read[0] == expected[0]
+            assert all(np.array_equal(a, b) for a, b in zip(read[1:], expected[1:]))
+            cubes[name] = cube
+        reference = cubes["municipality-major"]
+        for cube in cubes.values():
+            order = [cube.index_of(mid) for mid in reference.ids()]
+            assert cube.axis == reference.axis
+            assert [cube.municipalities[i] for i in order] == list(reference.municipalities)
+            assert np.array_equal(cube.counts[order], reference.counts)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(text_mutations=st.lists(csv_mutation, max_size=2),
            byte_mutations=st.lists(byte_mutation, max_size=3),
@@ -501,6 +577,26 @@ class TestCaseReaders:
     @example([("cell", 7, 5, "abc")], [], "canonical", 1 << 16)
     @example([("cell", 7, 1, " ")], [], "canonical", 50)
     @example([("cell", 7, 2, "Elsewhere")], [], "canonical", 1)
+    # Ids and names of 7, 8, 9, 16 and 17 bytes beside the 4-byte ids and 12-byte
+    # names of the other municipalities; a 9- and a 17-byte pair that differ only
+    # in their last byte, past a word; characters that straddle a word.
+    @example([], [("replace", b"m001", b"m" * 7), ("replace", b"Synthville 1", b"T" * 7)],
+             "canonical", 50)
+    @example([], [("replace", b"m001", b"m" * 8), ("replace", b"Synthville 1", b"T" * 8)],
+             "canonical", 1 << 16)
+    @example([], [("replace", b"m001", b"m" * 9), ("replace", b"Synthville 1", b"T" * 9)],
+             "canonical", 50)
+    @example([], [("replace", b"m001", b"m" * 16), ("replace", b"Synthville 1", b"T" * 16)],
+             "canonical", 1 << 16)
+    @example([], [("replace", b"m001", b"m" * 17), ("replace", b"Synthville 1", b"T" * 17)],
+             "canonical", 1)
+    @example([], [("replace", b"m001", b"municip-1"), ("replace", b"m002", b"municip-2")],
+             "canonical", 50)
+    @example([], [("replace", b"Synthville 1", b"Synthville-town-1"),
+                  ("replace", b"Synthville 2", b"Synthville-town-2")], "canonical", 1 << 16)
+    @example([], [("replace", b"m001", "m000000\u00e9".encode()),
+                  ("replace", b"Synthville 1", "Synthvi\u6771".encode()),
+                  ("replace", b"Synth County", "Sankt P\u00f6lten".encode())], "canonical", 50)
     def test_load_cases_equals_streamed_reader(self, text_mutations, byte_mutations, schema,
                                                block_bytes):
         text = base_files()["cases"]
