@@ -281,6 +281,9 @@ def _codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the number of each entry and the index of each number's first
     entry. Equal neighbours are collapsed into runs first, so the sort sees
     one key per run: a cases file repeats its ids, names and dates in runs.
+    The sort is not stable, and each key's first run is the least index among
+    its ties: ``np.unique(return_index=True)`` sorts stably, which made a file
+    of shuffled rows, where no runs collapse, read about a third slower.
     """
     changes = _changes(keys)
     runs = np.flatnonzero(changes)
@@ -392,8 +395,6 @@ def _read_case_blocks(path: Path):
     with handle:
         newlines, last = 0, b""
         for chunk in iter(partial(handle.read, BLOCK_BYTES), b""):
-            if b'"' in chunk or b"\0" in chunk:      # csv quoting; csv before 3.11 rejects NUL
-                return None
             newlines += chunk.count(b"\n")
             last = chunk[-1:]
         rows = newlines + (last not in (b"", b"\n")) - 1   # data lines; the last may lack \n
@@ -420,6 +421,10 @@ def _read_case_blocks(path: Path):
         while block := handle.read(BLOCK_BYTES) + handle.readline():
             if not block.endswith(b"\n"):
                 block += b"\n"
+            # csv quoting; csv before 3.11 rejects NUL, and only without NUL are the keys
+            # of _field_codes exact. Checked here, on the bytes that are parsed.
+            if b'"' in block or b"\0" in block:
+                return None
             if b"\r" in block:
                 block = block.replace(b"\r\n", b"\n")
                 if b"\r" in block:
