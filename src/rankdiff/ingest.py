@@ -224,13 +224,14 @@ def _whole_records(block: bytes, limit: int) -> np.ndarray | None:
     ending in ``\\n``, or ``None`` unless every line has exactly
     ``len(CASES_COLUMNS) - 1`` commas and at most ``limit`` bytes."""
     data = np.frombuffer(block, dtype=np.uint8)
-    separators = np.flatnonzero((data == _COMMA) | (data == _NEWLINE))
+    newlines = data == _NEWLINE
+    separators = np.flatnonzero(newlines | (data == _COMMA))
     width = len(CASES_COLUMNS)
     ends = separators[width - 1 :: width]
     # With as many newlines as lines, every width-th separator a newline leaves
     # exactly width - 1 commas in each line.
     whole = (
-        separators.size == width * block.count(b"\n")
+        separators.size == width * np.count_nonzero(newlines)
         and bool((data[ends] == _NEWLINE).all())
         and int(np.diff(ends, prepend=-1).max()) <= limit + 1
     )
@@ -288,14 +289,14 @@ def _codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     changes = _changes(keys)
     runs = np.flatnonzero(changes)
     sort = np.argsort(keys[runs])
-    new = _changes(keys[runs[sort]])
-    first = np.minimum.reduceat(sort, np.flatnonzero(new))   # first run of each key, in key order
+    heads = np.flatnonzero(_changes(keys[runs[sort]]))   # where each key's runs start in sort
+    first = np.minimum.reduceat(sort, heads)             # first run of each key, in key order
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(order.size)
     codes = np.empty_like(sort)
-    codes[sort] = number[np.cumsum(new) - 1]
-    return codes[np.cumsum(changes) - 1], runs[first[order]]
+    codes[sort] = np.repeat(number, np.diff(heads, append=sort.size))
+    return np.repeat(codes, np.diff(runs, append=keys.size)), runs[first[order]]
 
 
 def _field_codes(words: np.ndarray, ends: np.ndarray,
