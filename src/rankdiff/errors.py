@@ -87,6 +87,17 @@ def text(value: object) -> str:
     raise ValueError(f"must be a non-empty string with no NUL, got {json.dumps(value)}")
 
 
+def one_of(values: dict, fold=lambda key: key):
+    """The kind of a string that ``fold`` maps to a key of ``values``, read as
+    that key's value."""
+    def read(value: object):
+        key = fold(text(value))
+        if key not in values:
+            raise ValueError(f"must be one of {', '.join(values)}, got {json.dumps(value)}")
+        return values[key]
+    return read
+
+
 def array(kind):
     """The kind of a JSON array of ``kind`` items, read as a tuple."""
     def read(value: object) -> tuple:

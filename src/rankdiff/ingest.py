@@ -15,13 +15,13 @@ The ``widhs-cumulative`` case schema has the same columns, but ``count`` is a
 cumulative-to-date total; daily new cases are recovered by first-differencing
 per municipality/group, clamping negative corrections to zero.
 
-Cases files are read one of two ways, with the same result. A file without
-quotes, whose lines end in ``\n`` or ``\r\n`` and hold exactly six fields,
-is parsed from its bytes with NumPy, in blocks of whole lines; Python parses
-each distinct value of a block once, not each field. Any other file, and any
-file with an error in it, is read by the streamed ``csv`` reader, which words
-every diagnostic. What is accepted, and every message, is the ``csv``
-reader's.
+Cases files are read one of two ways, with the same result. A regular file
+without quotes, whose lines end in ``\n`` or ``\r\n`` and hold exactly six
+fields, is parsed from its bytes with NumPy, in one pass of blocks of whole
+lines; Python parses each distinct value of a block once, not each field. Any
+other file, such as a named pipe, and any file with an error in it, is read by
+the streamed ``csv`` reader, which words every diagnostic. What is accepted,
+and every message, is the ``csv`` reader's.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import io
 import math
 import re
 from array import array
-from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -379,29 +378,26 @@ def _read_case_blocks(path: Path):
 
     Returns what ``_read_case_records`` returns for the same file, or ``None``
     to decline it: the caller then runs that reader, which also words every
-    error. Declined are files the block split could misread or that are in
-    error: a header that does not match, a ``"`` (csv quoting), a ``\\r`` not
-    followed by ``\\n``, a NUL byte, a blank line, a line with the wrong field
+    error. The file is read once, and each block's records are appended to
+    four ``array`` columns, as that reader appends each record. Declined are a
+    path that is not a regular file, such as a pipe, which the ``csv`` reader
+    could not read again, and files the block split could misread or that are
+    in error: a header that does not match, a ``"`` (csv quoting), a ``\\r``
+    not followed by ``\\n``, a NUL byte, a blank line, a line with the wrong field
     count or longer than ``csv.field_size_limit()``, bytes that are not UTF-8,
     and any value that does not parse or that ``_Roster.add`` rejects.
     Blank lines are declined so that record index + 2 stays the line number.
     A block where two different values wider than 8 bytes share a key, which
     ``_field_codes`` finds, is declined too.
     """
+    if not path.is_file():   # a pipe is read once, by the csv reader
+        return None
     limit = csv.field_size_limit()
     try:
         handle = open(path, "rb")
     except OSError:
         return None
     with handle:
-        newlines, last = 0, b""
-        for chunk in iter(partial(handle.read, BLOCK_BYTES), b""):
-            newlines += chunk.count(b"\n")
-            last = chunk[-1:]
-        rows = newlines + (last not in (b"", b"\n")) - 1   # data lines; the last may lack \n
-        if rows < 1:
-            return None
-        handle.seek(0)
         # A header with a \r left in it cannot name exactly these columns.
         header = handle.readline().removeprefix(codecs.BOM_UTF8)
         try:
@@ -411,14 +407,12 @@ def _read_case_blocks(path: Path):
         if sorted(header) != sorted(CASES_COLUMNS):
             return None
         order = [header.index(c) for c in CASES_COLUMNS]
-        width = len(CASES_COLUMNS)
 
         roster = _Roster(path)
         # The messages name no line, since an error declines the file.
         interned = _case_columns(path, roster, lambda: 0)
         # Day ordinal, roster index, group index and count of each record.
-        arrays = [np.empty(rows, dtype=np.int64) for _ in interned]
-        start = 0
+        columns = [array("q") for _ in interned]
         while block := handle.read(BLOCK_BYTES) + handle.readline():
             if not block.endswith(b"\n"):
                 block += b"\n"
@@ -433,18 +427,12 @@ def _read_case_blocks(path: Path):
             separators = _whole_records(block, limit)
             if separators is None:
                 return None
-            stop = start + separators.size // width
-            if stop > rows:                             # the file grew since it was counted
-                return None
             parsed = _parse_block(block, separators, order, interned)
             if parsed is None:
                 return None
-            for out, values in zip(arrays, parsed):
-                out[start:stop] = values
-            start = stop
-    if start != rows:
-        return None
-    return roster.municipalities, *arrays
+            for column, values in zip(columns, parsed):
+                column.frombytes(values.tobytes())
+    return roster.municipalities, *(np.frombuffer(c, dtype=np.int64) for c in columns)
 
 
 def load_cases(

@@ -66,14 +66,6 @@ class GroupStats:
     relative_change_pct: float | None
     special: Special
 
-    def to_dict(self) -> dict:
-        return {
-            "persistence_pct": self.persistence_pct,
-            "skewness": self.skewness,
-            "relative_change": self.relative_change_pct,
-            "special": self.special.value,
-        }
-
 
 def _dense_ranks(values: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     """Dense ranks 1..M along axis 0: descending value, ties by ascending id.

@@ -19,6 +19,7 @@ single file of that tree from the same analysis, so their bytes match
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -29,13 +30,15 @@ import numpy as np
 from . import classify as classify_mod
 from . import ingest, metrics, render
 from .classify import ClassifierConfig, ClassLabel
-from .errors import (ConfigError, IngestError, RenderError, load_json, number, read_fields, text,
-                     writing)
+from .errors import (ConfigError, IngestError, RenderError, load_json, number, one_of, read_fields,
+                     text, writing)
 from .metrics import GroupStats, RegimeConfig
 from .model import CaseCube, Group, PopulationTable, QualityReport, Ring
 
 BASIS_ALIASES = {"raw": "raw_daily", "raw_daily": "raw_daily", "ma7": "ma7",
                  "cumulative": "cumulative"}
+parse_basis = one_of(BASIS_ALIASES, lambda key: key.strip().lower())
+parse_group = one_of({g.value: g for g in Group}, lambda key: key.strip().upper())
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ class RunConfig:
             doc = {"out": "out", **doc}  # an absent out is the directory out beside the config
         config = read_fields(doc, {
             "cases": resolve, "populations": resolve, "boundaries": resolve, "out": resolve,
-            "cases_schema": text, "basis": parse_basis, "group": parse_group,
+            "cases_schema": one_of({schema: schema for schema in ingest.CASE_SCHEMAS}),
+            "basis": parse_basis, "group": parse_group,
             "regime": {"min": number,
                        "max": lambda value: None if value is None else number(value)},
             "classifier": {threshold.name: number for threshold in fields(ClassifierConfig)},
@@ -94,11 +98,18 @@ class RunConfig:
 
 def _resolved(path: Path) -> Path:
     """``path`` made absolute with its symlinks followed; one that cannot be
-    followed, as in a symlink loop, is a bad value."""
+    followed, as in a symlink loop, is a bad value. A path that is missing or
+    runs through a file is kept, to fail where it is opened or written."""
     try:
-        return path.resolve()
+        resolved = path.resolve()
     except (OSError, RuntimeError) as exc:  # before Python 3.13 a loop is a RuntimeError
         raise ValueError(f"cannot be resolved: {exc}") from None
+    try:
+        resolved.stat()
+    except OSError as exc:  # from Python 3.13 resolve() leaves a loop in the path it returns
+        if exc.errno == errno.ELOOP:
+            raise ValueError(f"cannot be resolved: {exc}") from None
+    return resolved
 
 
 def _regime(t_min: float, t_max: float | None, source: str) -> RegimeConfig:
@@ -108,21 +119,6 @@ def _regime(t_min: float, t_max: float | None, source: str) -> RegimeConfig:
             raise ConfigError(f"{source}: regime {name} must be a finite number, got {value}; "
                               "use null for max to mean M, the number of municipalities")
     return RegimeConfig(t_min=t_min, t_max=t_max)
-
-
-def parse_basis(value: object) -> str:
-    key = text(value).strip().lower()
-    if key not in BASIS_ALIASES:
-        raise ConfigError(f"unknown basis {value!r}, expected raw, ma7 or cumulative")
-    return BASIS_ALIASES[key]
-
-
-def parse_group(value: object) -> Group:
-    key = text(value).strip().upper()
-    try:
-        return Group(key)
-    except ValueError:
-        raise ConfigError(f"unknown group {value!r}, expected baa, hl, oth or w") from None
 
 
 @dataclass

@@ -4,18 +4,23 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
+import rankdiff
 from rankdiff import cli, ingest
 from rankdiff.synth import SynthSpec, write_fixture
 
 from conftest import cases_csv_text, full_cases_rows, geojson_text, pops_csv_text, square_feature
+from test_ingest import _quote_names
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+SRC = Path(rankdiff.__file__).resolve().parents[1]
 
 
 def fixture_spec(m=5, n_days=12, seed=3):
@@ -144,6 +149,38 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(
             "rankdiff: cli: --regime-min/--regime-max: regime max must be a finite number")
         assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted-names"])
+    def test_cases_from_named_pipe(self, tmp_path, quoted):
+        """A named pipe given as cases gives the regular file's report and exit
+        code. Each run is a child with a timeout, since a reader that opened the
+        pipe a second time would wait for ever for a writer."""
+        paths = write_fixture(fixture_spec(), tmp_path / "fx")
+        if quoted:
+            paths["cases"].write_bytes(_quote_names(paths["cases"].read_bytes()))
+        pipe = tmp_path / "cases.pipe"
+        os.mkfifo(pipe)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+        def validate(cases: Path) -> tuple[int, str]:
+            config = write_config(tmp_path, {**paths, "cases": cases})
+            result = subprocess.run([sys.executable, "-m", "rankdiff.cli", "validate",
+                                     "--config", str(config)],
+                                    capture_output=True, text=True, timeout=60, env=env)
+            return result.returncode, result.stdout
+
+        expected = validate(paths["cases"])
+        assert expected[0] == 0
+        copy = ("import shutil, sys; "
+                "shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))")
+        writer = subprocess.Popen([sys.executable, "-c", copy, str(paths["cases"]), str(pipe)],
+                                  stderr=subprocess.DEVNULL)
+        try:
+            assert validate(pipe) == expected
+        finally:
+            writer.kill()
+            writer.wait()
 
 
 def write_inputs(tmp_path: Path, cases: str | None = None, pops: str | None = None,

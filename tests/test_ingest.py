@@ -1,6 +1,7 @@
 import codecs
 import csv
 import datetime as dt
+import io
 import tempfile
 from operator import itemgetter
 from pathlib import Path
@@ -487,6 +488,32 @@ class TestCaseReaders:
         assert read is not None
         assert calls == expected
         assert read[0] == ingest._read_case_records(path)[0]
+
+    def test_block_reader_reads_each_byte_once(self, synth_cases, tmp_path):
+        """The block reader takes a file of many blocks in one pass."""
+        path = tmp_path / "cases.csv"
+        path.write_bytes(synth_cases)
+        sizes = []
+
+        class Counting(io.BufferedReader):
+            def read(self, size=-1):
+                data = super().read(size)
+                sizes.append(len(data))
+                return data
+
+            def readline(self, size=-1):
+                line = super().readline(size)
+                sizes.append(len(line))
+                return line
+
+        def counting_open(file, mode):
+            return Counting(io.FileIO(file, mode))
+
+        with mock.patch.object(ingest, "BLOCK_BYTES", 1 << 14), \
+                mock.patch.object(ingest, "open", counting_open, create=True):
+            read = ingest._read_case_blocks(path)
+        assert read is not None
+        assert sum(sizes) == len(synth_cases)
 
     @pytest.mark.parametrize("renames", [
         pytest.param({b"m001": b"m" * width, b"Synthville 1": b"T" * width}, id=f"{width}-bytes")

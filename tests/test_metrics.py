@@ -461,16 +461,6 @@ class TestGroupStats:
         with pytest.raises(MetricsError, match="rd shape"):
             group_stats(cube, pops, np.zeros((1, 1, 4), dtype=int), RegimeConfig())
 
-    def test_serializable(self):
-        stats = GroupStats(50.0, None, None, Special.UNDEFINED_ZERO_ZERO)
-        doc = stats.to_dict()
-        assert doc == {
-            "persistence_pct": 50.0,
-            "skewness": None,
-            "relative_change": None,
-            "special": "undefined_zero_zero",
-        }
-
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -1e-310, -2.2250738585072014e-308, 1e308, -1e308, 100.0, 1e16,
                0.1)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankdiff import cli, render
+from rankdiff import cli, pipeline, render
 from rankdiff.classify import ClassifierConfig
 from rankdiff.errors import ConfigError
 from rankdiff.metrics import RegimeConfig
@@ -119,6 +119,13 @@ def test_missing_key_rejected(tmp_path):
                  id="integer-past-float-range"),
     pytest.param(({}, ["--out", ""]), 'command line: --out must be a non-empty string with no NUL, '
                  'got ""', id="empty-out-flag"),
+    pytest.param({"basis": "weekly"}, 'basis must be one of raw, raw_daily, ma7, cumulative, '
+                 'got "weekly"', id="unknown-basis"),
+    pytest.param({"group": "all"}, 'group must be one of BAA, HL, OTH, W, got "all"',
+                 id="unknown-group"),
+    pytest.param({"cases_schema": "bogus"},
+                 'cases_schema must be one of canonical, widhs-cumulative, got "bogus"',
+                 id="unknown-cases-schema"),
 ])
 def test_malformed_config_rejected(tmp_path, capsys, doc, match):
     """Exit 2 with a message that names the config, or the flag, and the key."""
@@ -155,6 +162,17 @@ def test_symlink_loop_in_path_rejected(tmp_path, capsys, key):
     assert capsys.readouterr().err.startswith(f"rankdiff: cli: {where} cannot be resolved: ")
 
 
+def test_symlink_loop_rejected_where_resolve_keeps_it(tmp_path, monkeypatch):
+    """From Python 3.13, ``Path.resolve()`` returns a path through a loop
+    unchanged; the loop is refused all the same, and a missing path is kept."""
+    os.symlink("b", tmp_path / "a")
+    os.symlink("a", tmp_path / "b")
+    monkeypatch.setattr(Path, "resolve", lambda self, strict=False: Path(os.path.abspath(self)))
+    with pytest.raises(ValueError, match="^cannot be resolved: "):
+        pipeline._resolved(tmp_path / "a" / "x")
+    assert pipeline._resolved(tmp_path / "missing" / "x") == tmp_path / "missing" / "x"
+
+
 def test_unknown_classifier_key_rejected(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -172,14 +190,15 @@ def test_parse_basis(text, expected):
 
 
 def test_parse_basis_rejects_unknown():
-    with pytest.raises(ConfigError, match="basis"):
+    with pytest.raises(ValueError,
+                       match='must be one of raw, raw_daily, ma7, cumulative, got "weekly"'):
         parse_basis("weekly")
 
 
 def test_parse_group():
     assert parse_group("baa") is Group.BAA
     assert parse_group("W") is Group.W
-    with pytest.raises(ConfigError, match="group"):
+    with pytest.raises(ValueError, match='must be one of BAA, HL, OTH, W, got "all"'):
         parse_group("all")
 
 
