@@ -20,6 +20,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import pipeline
 from .errors import ConfigError, PipelineError, read_fields, text
+from .model import Group
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -28,14 +29,12 @@ EXIT_FATAL = 2
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--basis", choices=["raw", "ma7", "cumulative"],
-                        help="ranking basis override")
-    parser.add_argument("--regime-min", type=float, dest="regime_min",
-                        help="regime lower bound (strict)")
-    parser.add_argument("--regime-max", type=float, dest="regime_max",
-                        help="regime upper bound (inclusive)")
-    parser.add_argument("--group", choices=["baa", "hl", "oth", "w"],
-                        help="analysis group for classification and map")
+    parser.add_argument("--basis", help="ranking basis override: "
+                        + ", ".join(pipeline.BASIS_ALIASES))
+    parser.add_argument("--regime-min", dest="regime_min", help="regime lower bound (strict)")
+    parser.add_argument("--regime-max", dest="regime_max", help="regime upper bound (inclusive)")
+    parser.add_argument("--group", help="analysis group for classification and map: "
+                        + ", ".join(g.value for g in Group))
     parser.add_argument("--out", help="output directory override")
 
 

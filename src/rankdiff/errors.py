@@ -74,6 +74,14 @@ def number(value: object) -> float:
     raise ValueError(f"must be a number, got {json.dumps(value)}")
 
 
+def decimal(value: object) -> float:
+    """A number written as text, as a command line gives it; "inf" reads as infinity."""
+    try:
+        return float(text(value))
+    except ValueError:
+        raise ValueError(f"must be a number, got {json.dumps(value)}") from None
+
+
 def integer(value: object) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value

@@ -15,13 +15,16 @@ The ``widhs-cumulative`` case schema has the same columns, but ``count`` is a
 cumulative-to-date total; daily new cases are recovered by first-differencing
 per municipality/group, clamping negative corrections to zero.
 
-Cases files are read one of two ways, with the same result. A regular file
-without quotes, whose lines end in ``\n`` or ``\r\n`` and hold exactly six
-fields, is parsed from its bytes with NumPy, in one pass of blocks of whole
-lines; Python parses each distinct value of a block once, not each field. Any
-other file, such as a named pipe, and any file with an error in it, is read by
-the streamed ``csv`` reader, which words every diagnostic. What is accepted,
-and every message, is the ``csv`` reader's.
+A municipality id keeps one name and county, compared after stripping
+whitespace. Cases files are read one of two ways, with the same result. A
+regular file without quotes, whose lines end in ``\n`` or ``\r\n`` and hold
+exactly six fields of at most ``FIELD_MAX`` bytes, is parsed from its bytes
+with NumPy, in one pass of blocks of whole lines; Python parses each distinct
+value of a block once, not each field. Any other file, such as a named pipe,
+any file with an error, and any where an id's name or county bytes change
+within a block, if only in whitespace, is read by the streamed ``csv`` reader,
+which words every diagnostic. What is accepted, and every message, is the
+``csv`` reader's.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ EXCLUDED_POP_GROUPS = ("MO", "UNK")
 POP_SOURCE_GROUPS = ("BAA", "HL", "W") + OTH_COMPONENTS + EXCLUDED_POP_GROUPS
 
 BLOCK_BYTES = 1 << 18      # cases bytes read at a time, extended to the next line end
+FIELD_MAX = 64             # bytes in the widest field the block reader keys
 NAME_MAX = 255             # bytes in a file name, such as <id>.svg, on common file systems
 _COMMA, _NEWLINE = ord(","), ord("\n")
 # The first k bytes of a little-endian uint64 word, for k = 0..8.
@@ -218,32 +222,25 @@ def _read_case_records(path: Path):
     return roster.municipalities, *arrays
 
 
-def _whole_records(block: bytes, limit: int) -> np.ndarray | None:
+def _whole_records(block: bytes) -> np.ndarray | None:
     """The position of every ``,`` and ``\\n`` in ``block``, a run of lines each
     ending in ``\\n``, or ``None`` unless every line has exactly
-    ``len(CASES_COLUMNS) - 1`` commas and at most ``limit`` bytes."""
+    ``len(CASES_COLUMNS) - 1`` commas."""
     data = np.frombuffer(block, dtype=np.uint8)
     newlines = data == _NEWLINE
     separators = np.flatnonzero(newlines | (data == _COMMA))
     width = len(CASES_COLUMNS)
-    ends = separators[width - 1 :: width]
     # With as many newlines as lines, every width-th separator a newline leaves
     # exactly width - 1 commas in each line.
-    whole = (
-        separators.size == width * np.count_nonzero(newlines)
-        and bool((data[ends] == _NEWLINE).all())
-        and int(np.diff(ends, prepend=-1).max()) <= limit + 1
-    )
+    whole = (separators.size == width * np.count_nonzero(newlines)
+             and bool((data[separators[width - 1 :: width]] == _NEWLINE).all()))
     return separators if whole else None
 
 
 class _Interned(dict):
-    """The parsed value of each raw value looked up so far.
-
-    A value seen for the first time is parsed on lookup, so one pass of
-    ``__getitem__`` over a column parses each distinct value once, in order
-    of first appearance.
-    """
+    """The parsed value of each raw value looked up so far. A value seen for the
+    first time is parsed on lookup, so one pass of ``__getitem__`` over a
+    column parses each distinct value once, in order of first appearance."""
 
     def __init__(self, parse) -> None:
         super().__init__()
@@ -280,7 +277,7 @@ def _codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the number of each entry and the index of each number's first
     entry. Equal neighbours are collapsed into runs first, so the sort sees
-    one key per run: a cases file repeats its ids, names and dates in runs.
+    one key per run: a cases file repeats its ids and dates in runs.
     The sort is not stable, and each key's first run is the least index among
     its ties: ``np.unique(return_index=True)`` sorts stably, which made a file
     of shuffled rows, where no runs collapse, read about a third slower.
@@ -290,42 +287,52 @@ def _codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sort = np.argsort(keys[runs])
     heads = np.flatnonzero(_changes(keys[runs[sort]]))   # where each key's runs start in sort
     first = np.minimum.reduceat(sort, heads)             # first run of each key, in key order
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
+    number = np.argsort(np.argsort(first))               # each key's rank by its first run
     codes = np.empty_like(sort)
     codes[sort] = np.repeat(number, np.diff(heads, append=sort.size))
-    return np.repeat(codes, np.diff(runs, append=keys.size)), runs[first[order]]
+    return np.repeat(codes, np.diff(runs, append=keys.size)), runs[np.sort(first)]
 
 
-def _field_codes(words: np.ndarray, ends: np.ndarray,
+def _windows(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """The ``ceil(max length / 8)`` windows of each field of a column, which with
+    its length give its bytes exactly. A field holds the ``lengths`` bytes from
+    its ``starts``; its window ``k`` is ``words[p]``, the little-endian word at
+    ``p``, ``8k`` bytes into the field or at its last 8 if sooner, masked to it."""
+    windows = [words[starts]]
+    count = -(-int(lengths.max()) // 8)
+    if count > 1:
+        last = starts + np.maximum(lengths - 8, 0)
+        windows += [words[np.minimum(starts + 8 * k, last)] for k in range(1, count)]
+    if lengths.min() < 8:   # a shorter field's word runs on into the next fields
+        mask = _MASKS[np.minimum(lengths, 8)]
+        for window in windows:
+            window &= mask
+    return windows
+
+
+def _agree(windows: list[np.ndarray], lengths: np.ndarray, model: np.ndarray) -> bool:
+    """Whether every field has the length and windows of field ``model[i]``."""
+    return bool((lengths == lengths[model]).all()) and all((w == w[model]).all() for w in windows)
+
+
+def _field_codes(windows: list[np.ndarray],
                  lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_codes`` of the bytes of one column's fields, or ``None`` on a key collision.
+    """``_codes`` of the bytes of one column's fields, given their ``_windows``
+    and lengths, or ``None`` on a key collision.
 
-    ``words[p]`` is the little-endian word of the 8 bytes at position ``p``,
-    and a field holds the ``lengths`` bytes before its ``ends``. A field is
-    keyed by its bytes in words, each masked to the bytes left in the field.
-    As no field holds a NUL, a key of one word is exact. Wider fields mix
-    their words into one key, and every field is then checked against the
-    first field of its code.
+    As no field holds a NUL, one window is an exact key. A wider column mixes
+    each field's length and windows into one key with the odd constant
+    ``_MIX``, and every field is then checked against the first of its code.
     """
-    if lengths.max() <= 8:
-        return _codes(words[ends - lengths] & _MASKS[lengths])
-    count = np.maximum((lengths + 7) // 8, 1)          # words of each field; an empty one has 1
-    offsets = np.cumsum(count) - count                 # its first word
-    position = np.arange(offsets[-1] + count[-1])
-    tail = np.repeat(lengths + 8 * offsets, count) - 8 * position   # bytes from each word on
-    field = words[np.repeat(ends, count) - tail] & _MASKS[np.minimum(tail, 8)]
-    mixed = (field ^ tail.view(np.uint64)) * _MIX
-    mixed ^= mixed >> np.uint64(29)
-    mixed *= _MIX
-    codes, first = _codes(np.add.reduceat(mixed, offsets))
-    model = first[codes]
-    if not (lengths == lengths[model]).all():
-        return None
-    if not (field == field[np.repeat(offsets[model] - offsets, count) + position]).all():
-        return None
-    return codes, first
+    if len(windows) == 1:
+        return _codes(windows[0])
+    key = lengths.astype(np.uint64)
+    for window in windows:
+        key ^= window
+        key *= _MIX
+        key ^= key >> np.uint64(29)
+    codes, first = _codes(key)
+    return (codes, first) if _agree(windows, lengths, first[codes]) else None
 
 
 def _parse_block(block: bytes, separators: np.ndarray, order: list[int],
@@ -335,41 +342,41 @@ def _parse_block(block: bytes, separators: np.ndarray, order: list[int],
 
     ``separators`` holds the positions of every ``,`` and ``\\n`` in
     ``block``, each ending a field, and ``order`` the field of each of
-    ``CASES_COLUMNS`` in a line. Each distinct field value is decoded and
-    looked up in ``interned`` once, in order of first appearance, and the
-    (id, name, county) triples likewise. Every other field's bytes equal
-    those of a decoded one, so the whole block is UTF-8.
+    ``CASES_COLUMNS`` in a line. Each distinct date, id, group and count of
+    the block is decoded and looked up in ``interned`` once, in order of first
+    appearance; an id's name and county are those of its first line. Every
+    other field's bytes equal those of a decoded one, so the whole block is
+    UTF-8. Declined are a field wider than ``FIELD_MAX``, a key collision, a
+    line whose name or county bytes differ from those of its id's first line,
+    bytes that are not UTF-8, and a value that does not parse or that
+    ``_Roster.add`` rejects.
     """
     width = len(CASES_COLUMNS)
     starts = np.empty_like(separators)
     starts[0] = 0
     np.add(separators[:-1], 1, out=starts[1:])
-    ends = separators.reshape(-1, width).T[order]      # one row per column
-    lengths = ends - starts.reshape(-1, width).T[order]
+    starts = [starts.reshape(-1, width)[:, i] for i in order]   # a view per column
+    ends = [separators.reshape(-1, width)[:, i] for i in order]
+    lengths = [end - start for start, end in zip(starts, ends)]
+    if max(map(np.max, lengths)) > FIELD_MAX:
+        return None
     words = np.ndarray((len(block),), "<u8", block + bytes(7), strides=(1,))
-    codes, texts = [], []
-    for end, length in zip(ends, lengths):
-        coded = _field_codes(words, end, length)
-        if coded is None:
-            return None
-        code, first = coded
-        spans = zip((end[first] - length[first]).tolist(), end[first].tolist())
-        try:
-            texts.append([block[start:stop].decode("utf-8") for start, stop in spans])
-        except UnicodeDecodeError:
-            return None
-        codes.append(code)
-    day, mid, name, county, group, count = codes
-    ids, names, counties = texts[1:4]
-    # Each code is below the block's line count, so the triple's number fits int64.
-    muni, first = _codes((mid * len(names) + name) * len(counties) + county)
-    triples = [(ids[i], names[j], counties[k])
-               for i, j, k in zip(mid[first].tolist(), name[first].tolist(), county[first].tolist())]
-    columns = ((day, texts[0]), (muni, triples), (group, texts[4]), (count, texts[5]))
-    try:
-        return [np.fromiter(map(known.__getitem__, raws), np.int64, len(raws))[code]
-                for (code, raws), known in zip(columns, interned)]
-    except IngestError:
+    windows = [_windows(words, start, length) for start, length in zip(starts, lengths)]
+    coded = [_field_codes(windows[c], lengths[c]) for c in (0, 1, 4, 5)]
+    if None in coded:
+        return None
+    (day, days), (muni, munis), (group, groups), (count, counts) = coded
+    if not all(_agree(windows[c], lengths[c], munis[muni]) for c in (2, 3)):
+        return None
+    try:   # a code's value is its first line's text; equal names or counties share one
+        raws = [[block[a:b].decode("utf-8") for a, b in zip(start[f].tolist(), end[f].tolist())]
+                for start, end, f in zip(starts, ends, (days, munis, munis, munis, groups, counts))]
+        names, counties = ({text: text for text in column} for column in raws[2:4])
+        triples = [(mid, names[name], counties[county]) for mid, name, county in zip(*raws[1:4])]
+        columns = (raws[0], triples, raws[4], raws[5])
+        return [np.fromiter(map(known.__getitem__, values), np.int64, len(values))[code]
+                for code, values, known in zip((day, muni, group, count), columns, interned)]
+    except (IngestError, UnicodeDecodeError):
         return None
 
 
@@ -377,33 +384,27 @@ def _read_case_blocks(path: Path):
     """Parse a cases file in blocks of whole lines, without objects per field.
 
     Returns what ``_read_case_records`` returns for the same file, or ``None``
-    to decline it: the caller then runs that reader, which also words every
-    error. The file is read once, and each block's records are appended to
-    four ``array`` columns, as that reader appends each record. Declined are a
-    path that is not a regular file, such as a pipe, which the ``csv`` reader
-    could not read again, and files the block split could misread or that are
-    in error: a header that does not match, a ``"`` (csv quoting), a ``\\r``
-    not followed by ``\\n``, a NUL byte, a blank line, a line with the wrong field
-    count or longer than ``csv.field_size_limit()``, bytes that are not UTF-8,
-    and any value that does not parse or that ``_Roster.add`` rejects.
-    Blank lines are declined so that record index + 2 stays the line number.
-    A block where two different values wider than 8 bytes share a key, which
-    ``_field_codes`` finds, is declined too.
+    to decline it, and that reader then words every error. The file is read
+    once; each block's records are appended to four ``array`` columns.
+    Declined are a path that is not a regular file, such as a pipe, which the
+    ``csv`` reader could not read again; every file while
+    ``csv.field_size_limit()`` is below ``FIELD_MAX``, as that limit binds the
+    header too; and files the block split could misread or that are in error:
+    a header that does not match, a ``"`` (csv quoting), a ``\\r`` not followed
+    by ``\\n``, a NUL byte, a blank line (so that record index + 2 stays the
+    line number), a line with the wrong field count, and all that
+    ``_parse_block`` declines.
     """
-    if not path.is_file():   # a pipe is read once, by the csv reader
+    if not path.is_file() or csv.field_size_limit() < FIELD_MAX:
         return None
-    limit = csv.field_size_limit()
     try:
         handle = open(path, "rb")
     except OSError:
         return None
     with handle:
         # A header with a \r left in it cannot name exactly these columns.
-        header = handle.readline().removeprefix(codecs.BOM_UTF8)
-        try:
-            header = header.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8").split(",")
-        except UnicodeDecodeError:
-            return None
+        header = handle.readline().removeprefix(codecs.BOM_UTF8).removesuffix(b"\n")
+        header = header.removesuffix(b"\r").decode("utf-8", "replace").split(",")
         if sorted(header) != sorted(CASES_COLUMNS):
             return None
         order = [header.index(c) for c in CASES_COLUMNS]
@@ -416,22 +417,20 @@ def _read_case_blocks(path: Path):
         while block := handle.read(BLOCK_BYTES) + handle.readline():
             if not block.endswith(b"\n"):
                 block += b"\n"
-            # csv quoting; csv before 3.11 rejects NUL, and only without NUL are the keys
-            # of _field_codes exact. Checked here, on the bytes that are parsed.
-            if b'"' in block or b"\0" in block:
-                return None
+            # A " is csv quoting and a \r left is no line end; csv before 3.11 rejects NUL,
+            # and only without NUL are the keys of _field_codes exact. Checked on these bytes.
             if b"\r" in block:
                 block = block.replace(b"\r\n", b"\n")
-                if b"\r" in block:
-                    return None
-            separators = _whole_records(block, limit)
+            if b'"' in block or b"\0" in block or b"\r" in block:
+                return None
+            separators = _whole_records(block)
             if separators is None:
                 return None
             parsed = _parse_block(block, separators, order, interned)
             if parsed is None:
                 return None
             for column, values in zip(columns, parsed):
-                column.frombytes(values.tobytes())
+                column.frombytes(memoryview(values).cast("B"))
     return roster.municipalities, *(np.frombuffer(c, dtype=np.int64) for c in columns)
 
 

@@ -30,8 +30,8 @@ import numpy as np
 from . import classify as classify_mod
 from . import ingest, metrics, render
 from .classify import ClassifierConfig, ClassLabel
-from .errors import (ConfigError, IngestError, RenderError, load_json, number, one_of, read_fields,
-                     text, writing)
+from .errors import (ConfigError, IngestError, RenderError, decimal, load_json, number, one_of,
+                     read_fields, text, writing)
 from .metrics import GroupStats, RegimeConfig
 from .model import CaseCube, Group, PopulationTable, QualityReport, Ring
 
@@ -78,16 +78,17 @@ class RunConfig:
     def with_overrides(
         self,
         basis: str | None = None,
-        regime_min: float | None = None,
-        regime_max: float | None = None,
+        regime_min: str | None = None,
+        regime_max: str | None = None,
         group: str | None = None,
         out: str | None = None,
     ) -> "RunConfig":
-        """Apply CLI flag overrides, read by their config keys' kinds; flags win."""
+        """Apply CLI flag overrides, given as the command line's text and read as
+        their config keys are, but for a regime bound, which is decimal text; flags win."""
         given = {"--basis": basis, "--regime-min": regime_min, "--regime-max": regime_max,
                  "--group": group, "--out": out}
         flags = read_fields({flag: value for flag, value in given.items() if value is not None}, {
-            "--basis": parse_basis, "--regime-min": number, "--regime-max": number,
+            "--basis": parse_basis, "--regime-min": decimal, "--regime-max": decimal,
             "--group": parse_group, "--out": lambda value: _resolved(Path(text(os.fspath(value)))),
         }, ConfigError, "command line")
         regime = _regime(flags.get("--regime-min", self.regime.t_min),

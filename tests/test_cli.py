@@ -541,9 +541,33 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_bad_basis_exit_2(self, clean_fixture, capsys):
-        config, _ = clean_fixture
-        with pytest.raises(SystemExit):
-            cli.main(["run", "--config", str(config), "--basis", "weekly"])
+        config, out = clean_fixture
+        assert cli.main(["run", "--config", str(config), "--basis", "weekly"]) == 2
+        assert capsys.readouterr().err == ("rankdiff: cli: command line: --basis must be one of "
+                                           'raw, raw_daily, ma7, cumulative, got "weekly"\n')
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--regime-min", "abc", 'must be a number, got "abc"'),
+        ("--regime-max", "", 'must be a number, got ""'),
+        ("--group", "all", 'must be one of BAA, HL, OTH, W, got "all"'),
+    ], ids=["regime-min", "empty-regime-max", "group"])
+    def test_bad_flag_exit_2(self, clean_fixture, capsys, flag, value, message):
+        """A flag is read as the config key it overrides, so a bad one names the flag."""
+        config, out = clean_fixture
+        assert cli.main(["run", "--config", str(config), flag, value]) == 2
+        assert capsys.readouterr().err == f"rankdiff: cli: command line: {flag} {message}\n"
+        assert not out.exists()
+
+    def test_flags_read_as_config_keys(self, clean_fixture, tmp_path):
+        """Each flag takes what its config key takes: any case, and every alias."""
+        config, out = clean_fixture
+        assert cli.main(["run", "--config", str(config), "--group", "baa", "--basis", "raw"]) == 0
+        for flags in (["--group", "BAA"], ["--basis", "raw_daily"], ["--regime-min", " 0e0 "]):
+            again = tmp_path / "again"
+            assert cli.main(["run", "--config", str(config), "--out", str(again), *flags]) == 0
+            assert tree_bytes(again) == tree_bytes(out), flags
+            shutil.rmtree(again)
 
     def test_basis_flag_accepted(self, clean_fixture, capsys):
         config, out = clean_fixture

@@ -553,6 +553,92 @@ class TestCaseReaders:
             assert ingest._read_case_blocks(path) is None
             assert _outcome(path) == expected
 
+    @pytest.mark.parametrize("old, new", [
+        (b"Synthville 1", lambda width: b"N" * width),
+        (b",2\n", lambda width: b"," + b"2".rjust(width) + b"\n"),
+    ], ids=["name", "count"])
+    @pytest.mark.parametrize("width", [ingest.FIELD_MAX, ingest.FIELD_MAX + 1],
+                             ids=["at-cap", "past-cap"])
+    def test_field_width_cap(self, old, new, width, tmp_path):
+        """A field of ``FIELD_MAX`` bytes is keyed by the block reader; one byte
+        wider declines the file to the ``csv`` reader, with the same result."""
+        path = tmp_path / "cases.csv"
+        path.write_bytes(base_files()["cases"].encode("utf-8").replace(old, new(width)))
+        read = ingest._read_case_blocks(path)
+        expected = ingest._read_case_records(path)
+        if width > ingest.FIELD_MAX:
+            assert read is None
+        else:
+            assert read is not None
+            assert read[0] == expected[0]
+            assert all(np.array_equal(a, b) for a, b in zip(read[1:], expected[1:]))
+        outcome = _outcome(path)
+        assert not isinstance(outcome, str)
+        assert outcome == _reference_outcome(path)
+
+    def test_csv_field_limit_below_cap(self, tmp_path):
+        """While ``csv.field_size_limit()`` is below ``FIELD_MAX``, the ``csv``
+        reader reads every file, so its limit holds for the header as well."""
+        path = tmp_path / "cases.csv"
+        path.write_text(cases_csv_text([("2020-10-01", "a", "b", "c", g.value, 1) for g in Group]),
+                        encoding="utf-8")
+        limit = csv.field_size_limit(12)
+        try:
+            assert ingest._read_case_blocks(path) is None
+            outcome = _outcome(path)
+        finally:
+            csv.field_size_limit(limit)
+        assert outcome == f"{path}:1: field larger than field limit (12)"
+
+    @staticmethod
+    def _rename_one_line(tmp_path, name: bytes, first: bytes = b"Synthville 1"):
+        """The base cases file with m001 named ``first``, but ``name`` on its
+        ninth data line, m001's on its third day."""
+        lines = base_files()["cases"].replace("Synthville 1,", f"{first.decode()},")
+        lines = lines.encode("utf-8").split(b"\n")
+        assert lines[9].startswith(b"2020-10-03,m001," + first + b",")
+        lines[9] = lines[9].replace(first, name)
+        path = tmp_path / "cases.csv"
+        path.write_bytes(b"\n".join(lines))
+        return path
+
+    @pytest.mark.parametrize("first, name", [
+        (b"Synthville 1", b"Synthville 9"),
+        (b"N" * 9, b"N" * 10),     # the same two windows, 9 and 10 bytes long
+    ], ids=["other-bytes", "other-length"])
+    @pytest.mark.parametrize("block_bytes", [1 << 16, 1], ids=["one-block", "two-blocks"])
+    def test_id_with_two_names(self, first, name, block_bytes, tmp_path):
+        """An id whose name changes, within a block or from one block to the
+        next, declines the file, and the ``csv`` reader words the conflict."""
+        path = self._rename_one_line(tmp_path, name, first)
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            assert ingest._read_case_blocks(path) is None
+            outcome = _outcome(path)
+        assert outcome == _reference_outcome(path)
+        assert outcome == (f"{path}:10: municipality 'm001' has conflicting name/county "
+                           f"'{name.decode()}'/'Synth County' vs '{first.decode()}'/'Synth County'")
+
+    @pytest.mark.parametrize("block_bytes", [1 << 16, 1], ids=["one-block", "two-blocks"])
+    def test_name_differing_in_whitespace(self, block_bytes, tmp_path):
+        """A trailing space on one line's name is stripped, so the cube is that of
+        the file without it. The block reader declines it within a block, where
+        it compares bytes, and takes it from another block, where it compares
+        the stripped text."""
+        plain = tmp_path / "plain.csv"
+        plain.write_text(base_files()["cases"], encoding="utf-8")
+        path = self._rename_one_line(tmp_path, b"Synthville 1 ")
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            read = ingest._read_case_blocks(path)
+            outcome = _outcome(path)
+        if block_bytes == 1 << 16:
+            assert read is None
+        else:
+            expected = ingest._read_case_records(path)
+            assert read[0] == expected[0]
+            assert all(np.array_equal(a, b) for a, b in zip(read[1:], expected[1:]))
+        assert not isinstance(outcome, str)
+        assert outcome == _reference_outcome(plain)
+
     def test_row_orders(self, synth_cases, tmp_path):
         """Municipality-major, date-major and shuffled rows of one file are each
         read by the block reader, as ``csv`` reads them, into the same cube."""

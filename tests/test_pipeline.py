@@ -62,7 +62,7 @@ def test_overrides_win(tmp_path):
         "basis": "ma7", "group": "hl", "regime": {"min": 0.0, "max": 10.0},
     }), encoding="utf-8")
     cfg = RunConfig.from_file(config).with_overrides(
-        basis="cumulative", regime_min=2.0, group="w", out=str(tmp_path / "elsewhere")
+        basis="cumulative", regime_min="2", group="w", out=str(tmp_path / "elsewhere")
     )
     assert cfg.basis == "cumulative"
     assert cfg.group is Group.W
