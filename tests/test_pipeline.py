@@ -12,10 +12,13 @@ import pytest
 from rankdiff import cli, pipeline, render
 from rankdiff.classify import ClassifierConfig
 from rankdiff.errors import ConfigError
+from rankdiff.ingest import write_cases_csv, write_populations_csv
 from rankdiff.metrics import RegimeConfig
-from rankdiff.model import Group
+from rankdiff.model import CaseCube, Group, PopulationTable
 from rankdiff.pipeline import RunConfig, parse_basis, parse_group, run
 from rankdiff.synth import SynthSpec, write_fixture
+
+from conftest import geojson_text, make_cube, make_pops, square_feature
 
 
 def test_config_paths_resolve_relative_to_file(tmp_path):
@@ -224,8 +227,22 @@ GOLDEN_DIGESTS = {
 }
 
 
-def _run_fixture(spec: SynthSpec, tmp_path) -> RunConfig:
-    paths = write_fixture(spec, tmp_path / "fx")
+def _write_inputs(cube: CaseCube, pops: PopulationTable, out: Path) -> dict[str, Path]:
+    """Input files of a hand-built cube and population table, one square per town."""
+    paths = {name: out / name for name in ("cases", "populations", "boundaries")}
+    out.mkdir()
+    write_cases_csv(cube, paths["cases"])
+    write_populations_csv(pops, paths["populations"])
+    paths["boundaries"].write_text(geojson_text(
+        [square_feature(mid, x0=float(i)) for i, mid in enumerate(cube.ids())]), encoding="utf-8")
+    return paths
+
+
+def _run_fixture(spec: SynthSpec | tuple[CaseCube, PopulationTable], tmp_path) -> RunConfig:
+    if isinstance(spec, SynthSpec):
+        paths = write_fixture(spec, tmp_path / "fx")
+    else:
+        paths = _write_inputs(*spec, tmp_path / "fx")
     cfg = RunConfig(cases=paths["cases"], populations=paths["populations"],
                     boundaries=paths["boundaries"], out=tmp_path / "out")
     run(cfg)
@@ -257,11 +274,39 @@ def _uniform_spec(m: int, n_days: int) -> SynthSpec:
                      seed=3, base_rate=5e-3)
 
 
+# Each town's (populations, case totals) for BAA, HL, OTH and W, chosen for
+# the edges of a pie: what draws a full disc, what a wedge, what nothing.
+PIE_EDGE_TOWNS = {
+    "full": ((0, 0, 0, 500), (0, 0, 0, 6)),               # one group at 100%: full discs
+    "sliver": ((1, 0, 0, 999_999), (1, 0, 0, 399_999)),   # a sweep >= 359.999 disc and a sliver
+    "below": ((1, 0, 0, 359_999), (0, 2, 0, 3)),          # a sweep just under 359.999: a wedge
+    "large": ((300, 100, 50, 50), (5, 1, 0, 2)),          # wedges over 180 degrees
+    "zeros": ((0, 40, 0, 60), (0, 3, 0, 0)),              # zero shares beside non-zero ones
+    "no-people": ((0, 0, 0, 0), (1, 0, 2, 3)),            # all-zero populations: an n/a disc
+    "nothing": ((0, 0, 0, 0), (0, 0, 0, 0)),              # no people, no cases: two n/a discs
+    "no-cases": ((10, 20, 30, 40), (0, 0, 0, 0)),         # a zero case total
+}
+
+
+def _pie_edge_inputs() -> tuple[CaseCube, PopulationTable]:
+    """The towns of PIE_EDGE_TOWNS over three days, each group's cases spread
+    over the days."""
+    ids, n_days = list(PIE_EDGE_TOWNS), 3
+    counts = np.zeros((len(ids), n_days, 4), dtype=np.int64)
+    for i, (_, cases) in enumerate(PIE_EDGE_TOWNS.values()):
+        for k, total in enumerate(cases):
+            counts[i, :, k] = total // n_days
+            counts[i, 0, k] += total % n_days
+    return (make_cube(counts, ids=ids),
+            make_pops([pops for pops, _ in PIE_EDGE_TOWNS.values()], ids=ids))
+
+
 DASHBOARD_SPECS = {
     "wide": _wide_shaped_spec,
     "long-series": _long_series_spec,
     "one-day": lambda: _uniform_spec(5, 1),            # each series is a circle, not a polyline
     "one-municipality": lambda: _uniform_spec(1, 10),  # rd_bound clamps to 1
+    "pie-edges": _pie_edge_inputs,
 }
 
 DASHBOARD_DIGESTS = {
@@ -269,6 +314,7 @@ DASHBOARD_DIGESTS = {
     "long-series": "bb036de977f9fa8c69b7458028c51c28b19852cc24ffc1d80db14023e277bacb",
     "one-day": "6649ad46039e940bf8a3f59fe009534b3f39f4b3e41120b6279e6061eae7a09a",
     "one-municipality": "a0e4df2e68b0061efda536d4dfb4036929bc2a67b71b48be25779a4fa92abdbd",
+    "pie-edges": "e4cc52867aab235c50f42f0b4663d3d3516bc5fcfb46db1c2b2e2388a6d568ca",
 }
 
 
@@ -290,7 +336,8 @@ def test_dashboard_digests(tmp_path, name):
         rd = [int(line.rsplit(",", 1)[1])
               for line in (cfg.out / "rd.csv").read_text(encoding="utf-8").splitlines()[1:]]
         assert (min(rd), max(rd)) == (1 - spec.m, spec.m - 1)
-    assert len(list((cfg.out / "dashboards").iterdir())) == spec.m
+    m = spec.m if isinstance(spec, SynthSpec) else spec[0].n_municipalities
+    assert len(list((cfg.out / "dashboards").iterdir())) == m
     assert _rendered_digest(cfg.out) == DASHBOARD_DIGESTS[name]
 
 
