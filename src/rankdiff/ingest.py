@@ -222,13 +222,19 @@ def _read_case_records(path: Path):
     return roster.municipalities, *arrays
 
 
-def _whole_records(block: bytes) -> np.ndarray | None:
+def _whole_records(block: bytes, masks: np.ndarray) -> np.ndarray | None:
     """The position of every ``,`` and ``\\n`` in ``block``, a run of lines each
     ending in ``\\n``, or ``None`` unless every line has exactly
-    ``len(CASES_COLUMNS) - 1`` commas."""
+    ``len(CASES_COLUMNS) - 1`` commas.
+
+    ``masks`` is a (2, at least ``len(block)``) bool buffer that the caller
+    reuses from block to block, so that no block allocates masks of its own.
+    """
     data = np.frombuffer(block, dtype=np.uint8)
-    newlines = data == _NEWLINE
-    separators = np.flatnonzero(newlines | (data == _COMMA))
+    newlines = np.equal(data, _NEWLINE, out=masks[0, :data.size])
+    separators = np.equal(data, _COMMA, out=masks[1, :data.size])
+    separators |= newlines
+    separators = np.flatnonzero(separators)
     width = len(CASES_COLUMNS)
     # With as many newlines as lines, every width-th separator a newline leaves
     # exactly width - 1 commas in each line.
@@ -414,6 +420,7 @@ def _read_case_blocks(path: Path):
         interned = _case_columns(path, roster, lambda: 0)
         # Day ordinal, roster index, group index and count of each record.
         columns = [array("q") for _ in interned]
+        masks = np.empty((2, 0), dtype=bool)
         while block := handle.read(BLOCK_BYTES) + handle.readline():
             if not block.endswith(b"\n"):
                 block += b"\n"
@@ -423,7 +430,9 @@ def _read_case_blocks(path: Path):
                 block = block.replace(b"\r\n", b"\n")
             if b'"' in block or b"\0" in block or b"\r" in block:
                 return None
-            separators = _whole_records(block)
+            if masks.shape[1] < len(block):
+                masks = np.empty((2, 2 * len(block)), dtype=bool)
+            separators = _whole_records(block, masks)
             if separators is None:
                 return None
             parsed = _parse_block(block, separators, order, interned)

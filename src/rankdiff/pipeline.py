@@ -22,6 +22,7 @@ from __future__ import annotations
 import errno
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -198,8 +199,16 @@ class RenderResult:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    """Write ``text`` as UTF-8 through the bare file descriptor: ``run`` writes
+    a file per municipality, and a buffered text file costs more to set up
+    than the write itself."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:  # a write may take fewer bytes than it is given
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _map_name(group: Group) -> str:
@@ -219,9 +228,19 @@ def _dashboard_path(dashboards: str, mid: str) -> str:
     return os.path.join(dashboards, f"{mid}.svg")
 
 
-def _dashboard_svg(loaded: LoadedInputs, analysis: Analysis, mid: str) -> str:
-    model = render.build_dashboard(analysis.stats, loaded.cube, loaded.pops, mid, analysis.rd)
-    return render.render_dashboard(model)
+# Dashboards drawn as one block: enough rows for the column work to pay, few
+# enough that one block's texts stay small beside the run's other data.
+DASHBOARD_BLOCK_ROWS = 256
+
+
+def _dashboard_svgs(loaded: LoadedInputs, analysis: Analysis,
+                    ids: list[str]) -> Iterator[tuple[str, str]]:
+    """(id, SVG) of the dashboard of each of ``ids``, drawn a block of rows at a time."""
+    for start in range(0, len(ids), DASHBOARD_BLOCK_ROWS):
+        block = render.dashboard_block(analysis.stats, loaded.cube, loaded.pops,
+                                       ids[start:start + DASHBOARD_BLOCK_ROWS], analysis.rd)
+        for mid in block.ids:
+            yield mid, render.render_dashboard(render.build_dashboard(block, mid))
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -242,9 +261,9 @@ def run(cfg: RunConfig) -> RunResult:
 
         ids = sorted(cube.ids())
         written = set()
-        for mid in ids:
+        for mid, svg in _dashboard_svgs(loaded, analysis, ids):
             path = _dashboard_path(dashboards, mid)
-            _write_text(path, _dashboard_svg(loaded, analysis, mid))
+            _write_text(path, svg)
             written.add(os.path.basename(path))
         with os.scandir(dashboards) as entries:  # left by an earlier run over a larger roster
             stale = [entry.path for entry in entries if entry.name.endswith(".svg")
@@ -273,7 +292,7 @@ def render_map(cfg: RunConfig) -> RenderResult:
 def render_dashboard(cfg: RunConfig, mid: str) -> RenderResult:
     """Write only municipality ``mid``'s dashboard of the output tree."""
     loaded = load_inputs(cfg)
-    svg = _dashboard_svg(loaded, analyze(cfg, loaded), mid)
+    [(_, svg)] = _dashboard_svgs(loaded, analyze(cfg, loaded), [mid])
     target = Path(_dashboard_path(_dashboards_dir(cfg.out), mid))
     with writing(target, RenderError):
         target.parent.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Per-municipality dashboard assembly and rendering.
+"""Per-municipality dashboards, drawn for a block of municipalities at once.
 
 A dashboard is a single self-contained SVG: population and case pies for the
 four groups, the rank-difference history for BAA/HL/OTH with persistence and
@@ -11,21 +11,31 @@ rank-difference panels side by side below.
 
 ``_frame`` draws everything a dashboard shares with the others of its run
 once: the document's literal pieces, between which ``render_dashboard``
-joins one municipality's values, and each panel's special-case markers. The
-frame is a pure function of ``(axis, rd_bound)``, so warm and cold caches give
-the same bytes.
+joins one municipality's values, and each panel's special-case markers and
+notes. The frame is a pure function of ``(axis, rd_bound)``, so warm and cold
+caches give the same bytes.
+
+``dashboard_block`` draws the values of a block of municipalities, one row
+each, as columns: shares, wedge angles and arc points as arrays, and each
+column of text by one ``map`` over the block, not one call chain per
+dashboard. A caller goes through a roster in blocks of rows, so only one
+block's texts are held at a time. ``build_dashboard`` looks up one row of a
+block, and ``render_dashboard`` joins it into the SVG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from ..errors import RenderError
 from ..metrics import GroupStats, Special
-from ..model import GROUPS, MINORITY_GROUPS, CaseCube, DateAxis, Group, Municipality, PopulationTable
+from ..model import (GROUPS, MINORITY_GROUPS, CaseCube, DateAxis, Group, Municipality,
+                     PopulationTable)
 from .svg import (
     GROUP_COLORS,
     circle,
@@ -34,7 +44,7 @@ from .svg import (
     escape,
     fnum,
     line,
-    pie,
+    pies,
     polyline,
     rect,
     star,
@@ -56,57 +66,37 @@ SPECIAL_MARKERS = {  # the shape and size of each special case's marker
 
 @dataclass(frozen=True)
 class DashboardModel:
+    """One municipality's dashboard: the values, in document order, that
+    ``render_dashboard`` joins between the pieces of its run's frame."""
+
     municipality: Municipality
     axis: DateAxis
-    pop_shares: dict[Group, float] | None   # percent of 4-group total, sums to 100
-    case_shares: dict[Group, float] | None
-    pop_total: int
-    case_total: int
-    rd_series: dict[Group, tuple[int, ...]]  # BAA, HL, OTH
-    stats: dict[Group, GroupStats]           # BAA, HL, OTH
-    rd_bound: int                            # max(M - 1, 1), y-axis limit for rd panels
+    rd_bound: int                # max(M - 1, 1), y-axis limit for rd panels
+    values: tuple[str, ...]
 
 
-def _shares(values: list[int], total: int) -> dict[Group, float] | None:
-    if total == 0:
-        return None
-    return {g: float(v) / total * 100.0 for g, v in zip(GROUPS, values)}
+@dataclass(frozen=True)
+class DashboardBlock:
+    """The dashboards of a block of municipalities as columns, a row per id.
 
-
-def build_dashboard(
-    stats: dict[str, dict[Group, GroupStats]],
-    cube: CaseCube,
-    pops: PopulationTable,
-    municipality_id: str,
-    rd: np.ndarray,
-) -> DashboardModel:
-    """Assemble the render-ready model for one municipality.
-
-    ``rd`` is the (M, N, K) rank-difference tensor that ``stats`` was
-    computed from, under whichever basis the analysis used.
+    A value of each dashboard is one column, in document order; a row's
+    values are gathered only when ``build_dashboard`` asks for it, so a block
+    holds a few dozen lists, not a container per dashboard.
     """
-    try:
-        i = cube.index_of(municipality_id)
-    except KeyError:
-        raise RenderError(f"unknown municipality id {municipality_id!r}") from None
 
-    populations = pops.pops[i].tolist()
-    case_totals = cube.counts[i].sum(axis=0, dtype=np.int64).tolist()
-    pop_total, case_total = sum(populations), sum(case_totals)
-    return DashboardModel(
-        municipality=cube.municipalities[i],
-        axis=cube.axis,
-        pop_shares=_shares(populations, pop_total),
-        case_shares=_shares(case_totals, case_total),
-        pop_total=pop_total,
-        case_total=case_total,
-        rd_series={g: tuple(rd[i, :, GROUPS.index(g)].tolist()) for g in MINORITY_GROUPS},
-        stats={g: stats[municipality_id][g] for g in MINORITY_GROUPS},
-        rd_bound=max(cube.n_municipalities - 1, 1),
-    )
+    ids: tuple[str, ...]
+    municipalities: tuple[Municipality, ...]
+    axis: DateAxis
+    rd_bound: int                # max(M - 1, 1), y-axis limit for rd panels
+    pop_totals: list[int]
+    case_totals: list[int]
+    pop_shares: np.ndarray       # (rows, groups) percent of each row's total; 0 where that is 0
+    case_shares: np.ndarray
+    columns: list[list[str]]
+    rows: dict[str, int]
 
 
-# The fixed layout, shared by ``_frame`` and ``render_dashboard``.
+# The fixed layout, shared by ``_frame`` and ``dashboard_block``.
 WIDTH, HEIGHT = 880, 560
 LEGEND_X, LEGEND_Y = 450, 120
 PANEL_Y, PANEL_W, PANEL_H = 300, 250, 150
@@ -125,11 +115,12 @@ NOTE_Y = PANEL_Y + PANEL_H + 38  # the baseline of each panel's relative-change 
 @lru_cache(maxsize=8)
 def _frame(axis: DateAxis, bound: int) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...],
                                                 dict[int, str],
-                                                dict[tuple[int, Special], tuple[str, float]]]:
+                                                dict[tuple[int, Special], tuple[str, list[str]]]]:
     """What every dashboard of a run shares: the document's literal pieces,
     split at its slots, each panel's x strings, the y string of every
     rd value in ``[-bound, bound]``, and per (panel column, special case) the
-    marker and the x of the relative-change note."""
+    marker with its note where the relative change is undefined, and the
+    marker with its note split where a defined relative change goes."""
     x, y = LEGEND_X, LEGEND_Y
     elements = [rect(0, 0, WIDTH, HEIGHT, fill="#ffffff"),
                 text(20, 32, f"{_SLOT} ({_SLOT})", size=20, weight="bold"),
@@ -154,7 +145,7 @@ def _frame(axis: DateAxis, bound: int) -> tuple[tuple[str, ...], tuple[tuple[str
                  text(x, 228, f"total cases {_SLOT}", size=11, fill="#666666"))
 
     y, w, h = PANEL_Y, PANEL_W, PANEL_H
-    markers = {}
+    notes = {}
     for column, g in enumerate(MINORITY_GROUPS):
         x = _panel_x(column)
         by = y + h + 18
@@ -171,9 +162,14 @@ def _frame(axis: DateAxis, bound: int) -> tuple[tuple[str, ...], tuple[tuple[str
                      text(x, by + 20, "vs W:", size=11, fill="#444444"),
                      _SLOT)  # the marker and the relative change
         marker_x = x + 40  # a marker and its note are one slot value, a line apart
-        markers[column, Special.NORMAL] = "", marker_x - 6
+        markers = {Special.NORMAL: ("", marker_x - 6)}
         for special, (shape, size) in SPECIAL_MARKERS.items():
-            markers[column, special] = shape(marker_x, NOTE_Y - 4, size) + "\n", marker_x + 10
+            markers[special] = shape(marker_x, NOTE_Y - 4, size) + "\n", marker_x + 10
+        for special, (marker, text_x) in markers.items():
+            notes[column, special] = (
+                marker + text(text_x, NOTE_Y, SPECIAL_NOTES.get(special, "undefined"), size=10,
+                              fill="#666666"),
+                (marker + text(text_x, NOTE_Y, _SLOT, size=11, weight="bold")).split(_SLOT))
 
     elements.append(text(
         20, 545,
@@ -187,18 +183,101 @@ def _frame(axis: DateAxis, bound: int) -> tuple[tuple[str, ...], tuple[tuple[str
                for column in range(len(MINORITY_GROUPS)))
     ys = {value: fnum(PANEL_MID - (value / bound) * (h / 2.0))
           for value in range(-bound, bound + 1)}
-    return pieces, xs, ys, markers
+    return pieces, xs, ys, notes
 
 
-def _pie_or_disc(cx: float, shares: dict[Group, float] | None) -> str:
-    if shares is None:
-        return (circle(cx, 170, 64, fill="#eeeeee", stroke="#cccccc") + "\n"
-                + text(cx, 174, "n/a", size=13, anchor="middle", fill="#888888"))
-    return pie(cx, 170, 64, [(GROUP_COLORS[g], shares[g]) for g in GROUPS])
+def _shares(values: np.ndarray, totals: list[int]) -> np.ndarray:
+    """``float(v) / total * 100.0`` of each value of each row, in the same
+    float64 arithmetic; 0 where the total is 0."""
+    totals = np.array(totals, dtype=np.float64)[:, None]
+    shares = np.zeros(values.shape)
+    np.divide(values.astype(np.float64), totals, out=shares, where=totals > 0)
+    return shares * 100.0
 
 
-def _share(shares: dict[Group, float] | None, g: Group) -> str:
-    return "n/a" if shares is None else f"{shares[g]:.2f}%"
+def _totals(values: np.ndarray) -> list[int]:
+    """The exact sum of each row, in Python integers, which do not wrap."""
+    return list(map(sum, map(np.ndarray.tolist, values)))
+
+
+def dashboard_block(
+    stats: dict[str, dict[Group, GroupStats]],
+    cube: CaseCube,
+    pops: PopulationTable,
+    ids: list[str],
+    rd: np.ndarray,
+) -> DashboardBlock:
+    """Draw the dashboards of the municipalities ``ids`` as one block.
+
+    ``rd`` is the (M, N, K) rank-difference tensor that ``stats`` was
+    computed from, under whichever basis the analysis used.
+    """
+    try:
+        rows = [cube.index_of(mid) for mid in ids]
+    except KeyError as exc:
+        raise RenderError(f"unknown municipality id {exc.args[0]!r}") from None
+    municipalities = tuple(cube.municipalities[i] for i in rows)
+    names = escape("\0".join(chain.from_iterable(
+        (muni.name, muni.county, muni.id) for muni in municipalities))).split("\0")
+    if len(names) != 3 * len(rows):
+        raise RenderError("a municipality name, county or id holds a NUL, which SVG cannot carry")
+    bound = max(cube.n_municipalities - 1, 1)
+    _, panel_xs, ys, notes = _frame(cube.axis, bound)
+    columns = [names[0::3], names[1::3], names[2::3]]
+
+    populations = pops.pops[rows]
+    case_counts = cube.counts[rows].sum(axis=1, dtype=np.int64)
+    pop_totals, case_totals = _totals(populations), _totals(case_counts)
+    pop_shares, case_shares = _shares(populations, pop_totals), _shares(case_counts, case_totals)
+    colors = [GROUP_COLORS[g] for g in GROUPS]
+    shown = []
+    for cx, shares, totals in ((120, pop_shares, pop_totals), (320, case_shares, case_totals)):
+        drawn = pies(cx, 170, 64, colors, shares)
+        texts = np.array(list(map("{:.2f}%".format, shares.ravel().tolist())),
+                         dtype=object).reshape(shares.shape)
+        for i in [i for i, total in enumerate(totals) if total == 0]:
+            drawn[i] = (circle(cx, 170, 64, fill="#eeeeee", stroke="#cccccc") + "\n"
+                        + text(cx, 174, "n/a", size=13, anchor="middle", fill="#888888"))
+            texts[i] = "n/a"
+        columns.append(drawn)
+        shown.append(texts.T.tolist())
+    columns += chain.from_iterable(zip(*shown))  # population then case share, group by group
+    columns += list(map("{:,}".format, pop_totals)), list(map("{:,}".format, case_totals))
+
+    block_stats = [stats[mid] for mid in ids]
+    for column, g in enumerate(MINORITY_GROUPS):
+        series = rd[rows, :, GROUPS.index(g)]
+        if cube.n_days > 1:
+            columns.append([polyline(panel_xs[column], map(ys.__getitem__, values.tolist()),
+                                     stroke=GROUP_COLORS[g], stroke_width=1.2)
+                            for values in series])
+        else:
+            columns.append([circle(_panel_x(column) + PANEL_W / 2.0,
+                                   PANEL_MID - (int(value) / bound) * (PANEL_H / 2.0), 2.0,
+                                   fill=GROUP_COLORS[g]) for value in series[:, 0]])
+        cells = list(map(itemgetter(g), block_stats))
+        columns.append(list(map("{:.1f}".format, map(attrgetter("persistence_pct"), cells))))
+        columns.append(["n/a" if cell.skewness is None else f"{cell.skewness:.2f}"
+                        for cell in cells])
+        columns.append([notes[column, cell.special][0] if cell.relative_change_pct is None
+                        else "{1}{0:+.1f}%{2}".format(cell.relative_change_pct,
+                                                      *notes[column, cell.special][1])
+                        for cell in cells])
+
+    return DashboardBlock(ids=tuple(ids), municipalities=municipalities, axis=cube.axis,
+                          rd_bound=bound, pop_totals=pop_totals, case_totals=case_totals,
+                          pop_shares=pop_shares, case_shares=case_shares, columns=columns,
+                          rows={mid: i for i, mid in enumerate(ids)})
+
+
+def build_dashboard(block: DashboardBlock, municipality_id: str) -> DashboardModel:
+    """The model of one municipality of ``block``: its row of the columns."""
+    try:
+        i = block.rows[municipality_id]
+    except KeyError:
+        raise RenderError(f"unknown municipality id {municipality_id!r}") from None
+    return DashboardModel(block.municipalities[i], block.axis, block.rd_bound,
+                          tuple([column[i] for column in block.columns]))
 
 
 def render_dashboard(model: DashboardModel) -> str:
@@ -207,36 +286,8 @@ def render_dashboard(model: DashboardModel) -> str:
     Joins this municipality's values, in document order, between the run's
     pieces from ``_frame``.
     """
-    pieces, panel_xs, ys, markers = _frame(model.axis, model.rd_bound)
-    muni = model.municipality
-    values = [escape(muni.name), escape(muni.county), escape(muni.id),
-              _pie_or_disc(120, model.pop_shares),
-              _pie_or_disc(320, model.case_shares)]
-    for g in GROUPS:
-        values += _share(model.pop_shares, g), _share(model.case_shares, g)
-    values += f"{model.pop_total:,}", f"{model.case_total:,}"
-
-    for column, g in enumerate(MINORITY_GROUPS):
-        series, stats = model.rd_series[g], model.stats[g]
-        if len(series) > 1:
-            values.append(polyline(panel_xs[column], map(ys.__getitem__, series),
-                                   stroke=GROUP_COLORS[g], stroke_width=1.2))
-        else:
-            values.append(circle(_panel_x(column) + PANEL_W / 2.0,
-                                 PANEL_MID - (series[0] / model.rd_bound) * (PANEL_H / 2.0), 2.0,
-                                 fill=GROUP_COLORS[g]))
-        skew = "n/a" if stats.skewness is None else f"{stats.skewness:.2f}"
-        values += f"{stats.persistence_pct:.1f}", skew
-
-        marker, text_x = markers[column, stats.special]
-        if stats.relative_change_pct is None:
-            note = text(text_x, NOTE_Y, SPECIAL_NOTES.get(stats.special, "undefined"),
-                        size=10, fill="#666666")
-        else:
-            note = text(text_x, NOTE_Y, f"{stats.relative_change_pct:+.1f}%",
-                        size=11, weight="bold")
-        values.append(marker + note)
+    values = model.values
     parts = [""] * (2 * len(values) + 1)
-    parts[::2] = pieces
+    parts[::2] = _frame(model.axis, model.rd_bound)[0]
     parts[1::2] = values
     return "".join(parts)

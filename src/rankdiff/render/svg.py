@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import repeat
+
+import numpy as np
 
 from ..classify import ClassLabel
 from ..model import Group
@@ -109,15 +112,16 @@ def document(width: int, height: int, elements: Iterable[str]) -> str:
     return header + "\n".join(elements) + "\n</svg>\n"
 
 
-def pie_angles(shares: list[float]) -> list[tuple[float, float]]:
-    """(start, sweep) degrees per wedge; shares are percentages of the disc."""
-    out = []
-    start = -90.0
-    for share in shares:
-        sweep = share / 100.0 * 360.0
-        out.append((start, sweep))
-        start += sweep
-    return out
+def pie_angles(shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sweeps and bounds in degrees of the wedges of a block of pies, a row per
+    pie and a column per wedge; ``shares`` are percentages of each disc.
+
+    Wedge k runs from ``bounds[:, k]`` to ``bounds[:, k + 1]``, the first from
+    -90 degrees. The sums run along the row one wedge at a time, so each bound
+    is the float that adding up that pie's sweeps in turn gives."""
+    sweeps = shares / 100.0 * 360.0
+    bounds = np.cumsum(np.hstack([np.full((len(shares), 1), -90.0), sweeps]), axis=1)
+    return sweeps, bounds
 
 
 def _arc_point(cx: float, cy: float, r: float, angle_deg: float) -> tuple[float, float]:
@@ -125,27 +129,52 @@ def _arc_point(cx: float, cy: float, r: float, angle_deg: float) -> tuple[float,
     return cx + r * math.cos(rad), cy + r * math.sin(rad)
 
 
-def pie(cx: float, cy: float, r: float, shares: list[tuple[str, float]]) -> str:
-    """One pie from (color, percent) wedges, one element per line; zero
-    wedges are skipped."""
-    angles = pie_angles([s for _, s in shares])
+def _points(cx: float, cy: float, r: float, degrees: np.ndarray) -> list[str]:
+    """``f"{fnum(x)} {fnum(y)}"`` of the point at each angle on the circle.
+
+    The points go through ``math.cos`` and ``math.sin``, whose results do not
+    depend on the CPU's vector unit as NumPy's can."""
+    radians = (degrees * (math.pi / 180.0)).tolist()
+    xs, ys = (cx + r * np.array(list(map(math.cos, radians))),
+              cy + r * np.array(list(map(math.sin, radians))))
+    xs, ys = (np.where(np.abs(v) < 0.005, 0.0, v).tolist() for v in (xs, ys))  # no '-0.00'
+    return list(map("{:.2f} {:.2f}".format, xs, ys))
+
+
+def pies(cx: float, cy: float, r: float, colors: Sequence[str], shares: np.ndarray) -> list[str]:
+    """One pie per row of ``shares``, from a percentage per wedge and a column
+    per color, each wedge on its own line. Zero wedges are skipped, a wedge
+    of 359.999 degrees or more is a full disc, and a row without wedges is
+    the empty string."""
+    sweeps, bounds = pie_angles(shares)
+    drawn, disc = shares > 0.0, sweeps >= 359.999
+    wedges = drawn & ~disc
+    ends = np.zeros(bounds.shape, dtype=bool)  # a bound that starts or ends a wedge
+    ends[:, :-1] |= wedges
+    ends[:, 1:] |= wedges
+    points = np.full(bounds.shape, None, dtype=object)
+    points[ends] = _points(cx, cy, r, bounds[ends])
+
+    # Each wedge is its path's pieces around its two points, joined by
+    # element-wise + on object arrays: the large-arc flag picks the middle
+    # piece and the column (the color) the last.
+    slot = "\0"
     centre, radius = f"{fnum(cx)} {fnum(cy)}", fnum(r)
-    wedges = []
-    for (color, share), (start, sweep) in zip(shares, angles):
-        if share <= 0.0:
-            continue
-        if sweep >= 359.999:
-            wedges.append(circle(cx, cy, r, fill=color, stroke="#ffffff", stroke_width=1.0))
-            continue
-        x1, y1 = _arc_point(cx, cy, r, start)
-        x2, y2 = _arc_point(cx, cy, r, start + sweep)
-        large = 1 if sweep > 180.0 else 0
-        d = (
-            f"M {centre} L {fnum(x1)} {fnum(y1)} "
-            f"A {radius} {radius} 0 {large} 1 {fnum(x2)} {fnum(y2)} Z"
-        )
-        wedges.append(path(d, fill=color, stroke="#ffffff", stroke_width=1.0))
-    return "\n".join(wedges)
+    head, arc, sweep_flag, tail = np.array([
+        path(f"M {centre} L {slot} A {radius} {radius} 0 {slot} 1 {slot} Z", fill=color,
+             stroke="#ffffff", stroke_width=1.0).split(slot)
+        for color in colors], dtype=object).T
+    middles = np.array([arc[0] + large + sweep_flag[0] for large in "01"], dtype=object)
+    rows, columns = np.nonzero(wedges)
+    cells = np.full(shares.shape, None, dtype=object)
+    cells[rows, columns] = (head[0] + points[rows, columns]
+                            + middles[(sweeps[rows, columns] > 180.0).astype(np.intp)]
+                            + points[rows, columns + 1] + tail[columns])
+    discs = np.array([circle(cx, cy, r, fill=color, stroke="#ffffff", stroke_width=1.0)
+                      for color in colors], dtype=object)
+    rows, columns = np.nonzero(drawn & disc)
+    cells[rows, columns] = discs[columns]
+    return list(map("\n".join, map(filter, repeat(None), cells.tolist())))
 
 
 def cross(cx: float, cy: float, size: float, color: str = "#cc3311") -> str:

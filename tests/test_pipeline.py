@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,38 @@ def test_dashboard_digests(tmp_path, name):
     m = spec.m if isinstance(spec, SynthSpec) else spec[0].n_municipalities
     assert len(list((cfg.out / "dashboards").iterdir())) == m
     assert _rendered_digest(cfg.out) == DASHBOARD_DIGESTS[name]
+
+
+def test_render_dashboard_matches_run_for_every_id(tmp_path, monkeypatch):
+    """``render-dashboard`` draws its id as a block of one row, and ``run``
+    draws the roster in blocks; every id's file is the same either way, also
+    when ``run``'s blocks split the roster unevenly."""
+    cfg = _run_fixture(_pie_edge_inputs(), tmp_path)
+    expected = {path.name: path.read_bytes() for path in (cfg.out / "dashboards").iterdir()}
+    assert len(expected) == len(PIE_EDGE_TOWNS)
+    for name in expected:
+        path = pipeline.render_dashboard(replace(cfg, out=tmp_path / "one"), name[:-4]).path
+        assert path.read_bytes() == expected[name]
+    monkeypatch.setattr(pipeline, "DASHBOARD_BLOCK_ROWS", 3)
+    run(replace(cfg, out=tmp_path / "blocks"))
+    assert {path.name: path.read_bytes()
+            for path in (tmp_path / "blocks" / "dashboards").iterdir()} == expected
+
+
+def test_write_text_completes_short_writes(tmp_path, monkeypatch):
+    """A write may take fewer bytes than it is given; the file is still whole."""
+    write, taken = os.write, []
+
+    def short(fd, data):
+        taken.append(write(fd, bytes(data[:7])))
+        return taken[-1]
+
+    text = "Sainte-Anne-des-Plaines, Québec\n" * 3
+    monkeypatch.setattr(os, "write", short)
+    pipeline._write_text(tmp_path / "out.txt", text)
+    monkeypatch.undo()
+    assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
+    assert len(taken) == -(-len(text.encode("utf-8")) // 7)
 
 
 def _traced_attributes():

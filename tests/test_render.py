@@ -1,5 +1,6 @@
 import datetime as dt
 import hashlib
+from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from rankdiff.model import MINORITY_GROUPS, Group
 from rankdiff.render import (
     build_choropleth,
     build_dashboard,
+    dashboard_block,
     render_choropleth,
     render_dashboard,
     render_index,
@@ -52,19 +54,24 @@ def golden_inputs():
     return stats, cube, pops, rd
 
 
+def block_of(inputs, ids=None):
+    """The dashboard block of ``ids`` (every id of the cube by default) of
+    ``(stats, cube, pops, rd)``."""
+    stats, cube, pops, rd = inputs
+    return dashboard_block(stats, cube, pops, cube.ids() if ids is None else ids, rd)
+
+
 def golden_model():
-    stats, cube, pops, rd = golden_inputs()
-    return build_dashboard(stats, cube, pops, "alpha", rd=rd)
+    return build_dashboard(block_of(golden_inputs()), "alpha")
 
 
-def models_of(counts, populations, start=START):
-    """Dashboard models of every municipality of a cube with ids m0, m1, ..."""
-    ids = [f"m{i}" for i in range(len(populations))]
+def inputs_of(counts, populations, start=START, ids=None):
+    """``(stats, cube, pops, rd)`` of a cube with ids m0, m1, ... by default."""
+    ids = [f"m{i}" for i in range(len(populations))] if ids is None else ids
     cube = make_cube(counts, ids=ids, start=start)
     pops = make_pops(populations, ids=ids)
     rd = rank_diff(rank_population(pops), rank_cases(cube))
-    stats = group_stats(cube, pops, rd, RegimeConfig())
-    return [build_dashboard(stats, cube, pops, mid, rd) for mid in ids]
+    return group_stats(cube, pops, rd, RegimeConfig()), cube, pops, rd
 
 
 # (cases, population) of one group that give each special case, in the
@@ -117,61 +124,51 @@ MARKER_DIGESTS = {
 
 class TestDashboardModel:
     def test_shares_sum_to_100(self):
-        model = golden_model()
-        assert sum(model.pop_shares.values()) == pytest.approx(100.0, abs=1e-9)
-        assert sum(model.case_shares.values()) == pytest.approx(100.0, abs=1e-9)
-        assert list(model.rd_series) == [Group.BAA, Group.HL, Group.OTH]
+        block = block_of(golden_inputs())
+        assert block.pop_shares.sum(axis=1) == pytest.approx([100.0] * 3, abs=1e-9)
+        assert block.case_shares.sum(axis=1) == pytest.approx([100.0] * 3, abs=1e-9)
+        svg = render_dashboard(build_dashboard(block, "alpha"))
+        panels = [svg.index(f"{g.value} rank difference") for g in MINORITY_GROUPS]
+        assert panels == sorted(panels) and MINORITY_GROUPS == (Group.BAA, Group.HL, Group.OTH)
 
     def test_pie_shares_match_inputs(self):
         counts = np.zeros((1, 1, 4), dtype=np.int64)
         counts[0, 0] = [117, 2883, 1500, 5500]          # 1.17% of 10000 cases are BAA
-        cube = make_cube(counts, ids=["a"])
-        pops = make_pops([[18, 982, 1500, 7500]], ids=["a"])  # BAA is 0.18%
-        rd = rank_diff(rank_population(pops), rank_cases(cube))
-        stats = group_stats(cube, pops, rd, RegimeConfig())
-        model = build_dashboard(stats, cube, pops, "a", rd=rd)
-        assert model.pop_shares[Group.BAA] == pytest.approx(0.18, abs=1e-12)
-        assert model.case_shares[Group.BAA] == pytest.approx(1.17, abs=1e-12)
-        svg = render_dashboard(model)
+        block = block_of(inputs_of(counts, [[18, 982, 1500, 7500]], ids=["a"]))  # BAA is 0.18%
+        assert block.pop_shares[0, 0] == pytest.approx(0.18, abs=1e-12)
+        assert block.case_shares[0, 0] == pytest.approx(1.17, abs=1e-12)
+        svg = render_dashboard(build_dashboard(block, "a"))
         assert "0.18%" in svg and "1.17%" in svg
 
     def test_zero_population_pie_degenerates(self):
         counts = np.zeros((2, 2, 4), dtype=np.int64)
         counts[0, :, 3] = [1, 1]
-        cube = make_cube(counts, ids=["a", "b"])
-        pops = make_pops([[0, 0, 0, 0], [1, 1, 1, 1]], ids=["a", "b"])
-        rd = rank_diff(rank_population(pops), rank_cases(cube))
-        stats = group_stats(cube, pops, rd, RegimeConfig())
-        model = build_dashboard(stats, cube, pops, "a", rd=rd)
-        assert model.pop_shares is None
-        assert "n/a" in render_dashboard(model)
+        block = block_of(inputs_of(counts, [[0, 0, 0, 0], [1, 1, 1, 1]], ids=["a", "b"]))
+        assert block.pop_totals[0] == 0 and not block.pop_shares[0].any()
+        assert "n/a" in render_dashboard(build_dashboard(block, "a"))
 
     def test_all_zero_minorities_three_crosses(self):
         counts = np.zeros((2, 3, 4), dtype=np.int64)
         counts[0, :, 3] = [2, 1, 2]
         counts[1, :, 3] = [1, 0, 1]
-        cube = make_cube(counts, ids=["a", "b"])
-        pops = make_pops([[0, 0, 0, 100], [5, 5, 5, 50]], ids=["a", "b"])
-        rd = rank_diff(rank_population(pops), rank_cases(cube))
-        stats = group_stats(cube, pops, rd, RegimeConfig())
-        model = build_dashboard(stats, cube, pops, "a", rd=rd)
-        specials = [s.special.value for s in model.stats.values()]
+        inputs = inputs_of(counts, [[0, 0, 0, 100], [5, 5, 5, 50]], ids=["a", "b"])
+        stats, block = inputs[0], block_of(inputs)
+        specials = [stats["a"][g].special.value for g in MINORITY_GROUPS]
         assert specials == ["undefined_zero_zero"] * 3
-        svg = render_dashboard(model)
+        svg = render_dashboard(build_dashboard(block, "a"))
         assert svg.count('stroke="#cc3311"') == 6  # two strokes per cross marker
 
     def test_star_case_still_shows_persistence_badge(self):
-        stats, cube, pops, rd = golden_inputs()
-        model = build_dashboard(stats, cube, pops, "beta", rd=rd)
-        assert model.stats[Group.BAA].special is Special.POP_ZERO_CASES_NONZERO
-        svg = render_dashboard(model)
+        inputs = golden_inputs()
+        assert inputs[0]["beta"][Group.BAA].special is Special.POP_ZERO_CASES_NONZERO
+        svg = render_dashboard(build_dashboard(block_of(inputs), "beta"))
         assert "per " in svg
         assert "cases despite zero recorded population" in svg
 
     def test_undefined_skew_shows_na(self):
-        model = golden_model()
-        assert model.stats[Group.OTH].skewness is None
-        assert "skew n/a" in render_dashboard(model)
+        stats, *_ = golden_inputs()
+        assert stats["alpha"][Group.OTH].skewness is None
+        assert "skew n/a" in render_dashboard(golden_model())
 
     def test_case_total_of_int64_max(self):
         """A municipality's cases may sum to exactly int64's maximum, which the
@@ -179,18 +176,27 @@ class TestDashboardModel:
         counts = np.zeros((2, 2, 4), dtype=np.int64)
         counts[0, :, 0] = [2**61, 2**61]
         counts[0, :, 3] = [2**61, 2**61 - 1]
-        cube = make_cube(counts, ids=["a", "b"])
-        pops = make_pops([[10, 10, 10, 10], [10, 10, 10, 10]], ids=["a", "b"])
-        rd = rank_diff(rank_population(pops), rank_cases(cube))
-        model = build_dashboard(group_stats(cube, pops, rd, RegimeConfig()), cube, pops, "a", rd)
-        assert model.case_total == 2**63 - 1
-        assert model.case_shares[Group.BAA] == pytest.approx(50.0, abs=1e-12)
-        assert "total cases 9,223,372,036,854,775,807" in render_dashboard(model)
+        block = block_of(inputs_of(counts, [[10, 10, 10, 10], [10, 10, 10, 10]], ids=["a", "b"]))
+        assert block.case_totals[0] == 2**63 - 1
+        assert block.case_shares[0, 0] == pytest.approx(50.0, abs=1e-12)
+        svg = render_dashboard(build_dashboard(block, "a"))
+        assert "total cases 9,223,372,036,854,775,807" in svg
+
+    def test_nul_in_a_name_is_refused(self):
+        """A block escapes its names as one NUL-joined text, which a NUL in a
+        name would misalign; SVG text cannot carry a NUL either."""
+        stats, cube, pops, rd = golden_inputs()
+        towns = (replace(cube.municipalities[0], name="Al\0pha"), *cube.municipalities[1:])
+        cube = replace(cube, municipalities=towns)
+        with pytest.raises(RenderError, match="holds a NUL"):
+            dashboard_block(stats, cube, pops, cube.ids(), rd)
 
     def test_unknown_municipality(self):
-        stats, cube, pops, rd = golden_inputs()
-        with pytest.raises(RenderError, match="unknown municipality"):
-            build_dashboard(stats, cube, pops, "nowhere", rd=rd)
+        inputs = golden_inputs()
+        with pytest.raises(RenderError, match="unknown municipality id 'nowhere'"):
+            block_of(inputs, ["alpha", "nowhere"])
+        with pytest.raises(RenderError, match="unknown municipality id 'gamma'"):
+            build_dashboard(block_of(inputs, ["alpha", "beta"]), "gamma")
 
 
 class TestDeterminismAndGolden:
@@ -199,27 +205,32 @@ class TestDeterminismAndGolden:
         assert render_dashboard(model) == render_dashboard(model)
 
     def test_cache_state_does_not_change_bytes(self):
-        """Dashboards of three runs, each with its own frame, rendered interleaved
-        with every cache warm match the same dashboards rendered from cold caches.
-        Every cache of the dashboard module is found and cleared, so a cache
-        added later is gated too."""
-        stats, cube, pops, rd = golden_inputs()
+        """Dashboards of three runs, each with its own frame, drawn in one block
+        per run and rendered interleaved with every cache warm, match the same
+        dashboards drawn one row at a time from cold caches. Every cache of the
+        dashboard module is found and cleared, so a cache added later is gated
+        too."""
         runs = [
-            [build_dashboard(stats, cube, pops, mid, rd) for mid in cube.ids()],
-            models_of(np.arange(8).reshape(2, 1, 4), [[1, 2, 3, 4], [4, 3, 2, 1]]),     # N=1
-            models_of(np.ones((1, 4, 4), dtype=np.int64), [[5, 0, 5, 5]],               # M=1
+            golden_inputs(),
+            inputs_of(np.arange(8).reshape(2, 1, 4), [[1, 2, 3, 4], [4, 3, 2, 1]]),     # N=1
+            inputs_of(np.ones((1, 4, 4), dtype=np.int64), [[5, 0, 5, 5]],               # M=1
                       start=dt.date(2021, 2, 28)),
         ]
-        assert len({(run[0].axis, run[0].rd_bound) for run in runs}) == 3
-        models = [m for batch in zip_longest(*runs) for m in batch if m is not None]
+        blocks = [block_of(inputs) for inputs in runs]
+        models = [[build_dashboard(block, mid) for mid in block.ids] for block in blocks]
+        assert len({(run[0].axis, run[0].rd_bound) for run in models}) == 3
+        pairs = [pair for batch in zip_longest(*[[(inputs, mid) for mid in inputs[1].ids()]
+                                                 for inputs in runs])
+                 for pair in batch if pair is not None]
         caches = [obj for obj in vars(dashboard).values() if hasattr(obj, "cache_clear")]
         assert caches
         cold = []
-        for model in models:
+        for inputs, mid in pairs:
             for cached in caches:
                 cached.cache_clear()
-            cold.append(render_dashboard(model))
-        assert [render_dashboard(model) for model in models] == cold
+            cold.append(render_dashboard(build_dashboard(block_of(inputs, [mid]), mid)))
+        warm = [m for batch in zip_longest(*models) for m in batch if m is not None]
+        assert [render_dashboard(model) for model in warm] == cold
 
     def test_golden(self):
         assert GOLDEN.exists(), "golden missing; regenerate via tests/make_golden.py"
@@ -232,11 +243,13 @@ class TestDeterminismAndGolden:
         digests, shown = {}, set()
         for name, (counts, populations) in MARKER_RUNS.items():
             digest = hashlib.sha256()
-            for model in models_of(counts, populations):
+            inputs = inputs_of(counts, populations)
+            block = block_of(inputs)
+            for mid in block.ids:
                 for column, g in enumerate(MINORITY_GROUPS):
-                    stats = model.stats[g]
+                    stats = inputs[0][mid][g]
                     shown.add((column, stats.special, stats.relative_change_pct is None))
-                digest.update(render_dashboard(model).encode())
+                digest.update(render_dashboard(build_dashboard(block, mid)).encode())
             digests[name] = digest.hexdigest()
         assert shown == {(column, special, undefined) for column in range(3)
                          for special, undefined in MARKER_CASES}
@@ -248,8 +261,9 @@ class TestDeterminismAndGolden:
          [33.3, 33.3, 33.4, 0.0]],
     )
     def test_wedge_angles_sum_to_circle(self, shares):
-        total = sum(sweep for _, sweep in pie_angles(shares))
-        assert total == pytest.approx(360.0, abs=0.1)
+        sweeps, bounds = pie_angles(np.array([shares]))
+        assert sweeps.sum() == pytest.approx(360.0, abs=0.1)
+        assert bounds[0, -1] - bounds[0, 0] == pytest.approx(360.0, abs=0.1)
 
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
