@@ -18,9 +18,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classify": ("ClassifierConfig", "ClassLabel", "classify_municipalities", "classify_one"),
     "ingest": ("load_boundaries", "load_cases", "load_populations"),
-    "metrics": ("GroupStats", "RegimeConfig", "Special", "moving_average_7d",
-                "persistence_index", "rank_cases", "rank_diff", "rank_population",
-                "relative_change", "skewness", "special_case", "statewide_aggregate"),
+    "metrics": ("GroupStats", "GroupStatsTable", "RegimeConfig", "Special",
+                "moving_average_7d", "persistence_index", "rank_cases", "rank_diff",
+                "rank_population", "relative_change", "skewness", "special_case",
+                "statewide_aggregate"),
     "model": ("GROUPS", "CaseCube", "DateAxis", "Group", "Municipality", "PopulationTable",
               "QualityReport"),
     "oracle": ("oracle_stats",),

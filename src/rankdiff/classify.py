@@ -10,6 +10,10 @@ The groups describe qualitatively different rank-difference histories:
 Municipalities whose skewness is undefined (constant series) are left
 unclassified. Thresholds are configurable; the defaults approximate the
 verbal group descriptions and can be tuned per dataset.
+
+``classify_one`` states the rules for one ``GroupStats`` cell.
+``classify_municipalities`` applies the same rules, in the same order, to
+one group column of a ``GroupStatsTable`` at once.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ClassifyError
-from .metrics import GroupStats
-from .model import Group
+from .metrics import GroupStats, GroupStatsTable
+from .model import GROUP_INDEX, Group
 
 
 class ClassLabel(str, Enum):
@@ -70,13 +76,28 @@ def classify_one(stats: GroupStats, cfg: ClassifierConfig = ClassifierConfig()) 
     return ClassLabel.G3
 
 
+# The label of each of classify_one's rules, in rule order, then the fall-through.
+_RULE_LABELS = (ClassLabel.UNCLASSIFIED, ClassLabel.G0, ClassLabel.G1, ClassLabel.G2,
+                ClassLabel.G3)
+
+
 def classify_municipalities(
-    stats_by_id: dict[str, dict[Group, GroupStats]],
+    stats: GroupStatsTable,
     group: Group,
     cfg: ClassifierConfig = ClassifierConfig(),
 ) -> dict[str, ClassLabel]:
-    """Label every municipality for one population group."""
-    return {mid: classify_one(per_group[group], cfg) for mid, per_group in stats_by_id.items()}
+    """Label every municipality for one population group, in the table's row
+    order: ``classify_one``'s rules as comparisons over the group's column,
+    the first that holds giving the label."""
+    k = GROUP_INDEX[group]
+    skew, per = stats.skewness[:, k], stats.persistence[:, k]
+    with np.errstate(invalid="ignore"):  # NaN is caught by the first rule
+        rules = [np.isnan(skew),
+                 np.abs(skew) < cfg.g0_skew_max,
+                 (cfg.g1_skew_min <= skew) & (skew <= cfg.g1_skew_max) & (per >= cfg.g1_per_min),
+                 (cfg.g2_skew_min <= skew) & (skew <= cfg.g2_skew_max) & (per < cfg.g2_per_max)]
+    codes = np.select(rules, range(len(rules)), len(rules))
+    return dict(zip(stats.ids, map(_RULE_LABELS.__getitem__, codes.tolist())))
 
 
 def write_labels_csv(path: str | Path, labels: dict[str, ClassLabel], group: Group) -> None:

@@ -69,6 +69,10 @@ POPS_COLUMNS = ["municipality_id", "group", "population"]
 OTH_COMPONENTS = ("OTH", "ASIAN", "HPI", "AIAN")
 EXCLUDED_POP_GROUPS = ("MO", "UNK")
 POP_SOURCE_GROUPS = ("BAA", "HL", "W") + OTH_COMPONENTS + EXCLUDED_POP_GROUPS
+# The source labels of each group, and those a population total counts, by index.
+_GROUP_SOURCES = [[POP_SOURCE_GROUPS.index(c) for c in (OTH_COMPONENTS if g is Group.OTH
+                                                          else (g.value,))] for g in GROUPS]
+_COUNTED_SOURCES = sorted(sum(_GROUP_SOURCES, []))
 
 BLOCK_BYTES = 1 << 18      # cases bytes read at a time, extended to the next line end
 FIELD_MAX = 64             # bytes in the widest field the block reader keys
@@ -533,6 +537,16 @@ def _cumulative_to_daily(
     return daily
 
 
+def _pop_label(raw: str, path: Path, line: int) -> int:
+    label = raw.strip().upper()
+    if label not in POP_SOURCE_GROUPS:
+        raise IngestError(
+            f"{path}:{line}: unknown group label {raw!r}; "
+            f"expected one of {', '.join(POP_SOURCE_GROUPS)}"
+        )
+    return POP_SOURCE_GROUPS.index(label)
+
+
 def load_populations(
     path: str | Path,
     municipalities: Sequence[Municipality],
@@ -543,33 +557,40 @@ def load_populations(
     Accepts the canonical four groups plus source categories: ASIAN/HPI/AIAN
     rows are summed into OTH, MO/UNK rows are excluded with totals reported.
     Group rows absent from the file default to zero population.
+
+    Each distinct id, group label and population text is looked up or parsed
+    once, as records are read, so a bad label or value is reported at the
+    first line that holds one. The values of roster ids are scattered into an
+    (M, source label) table; one ``np.bincount`` over the cell index then finds
+    duplicate and missing rows.
     """
     path = Path(path)
-    raw: dict[tuple[str, str], int] = {}
-    excluded: dict[str, int] = {g: 0 for g in EXCLUDED_POP_GROUPS}
-    unknown_ids: set[str] = set()
-    roster_ids = {m.id for m in municipalities}
+    roster = {m.id: i for i, m in enumerate(municipalities)}
+    line = 0
+    ids = _Interned(lambda raw: roster.get(raw.strip(), -1))
+    labels = _Interned(lambda raw: _pop_label(raw, path, line))
+    values = _Interned(lambda raw: _parse_int(raw, path, line, "population"))
+    row_of, label_of, value_of = [], [], []
     for line, (raw_id, raw_group, raw_value) in _csv_records(path, POPS_COLUMNS):
-        mid = raw_id.strip()
-        label = raw_group.strip().upper()
-        if label not in POP_SOURCE_GROUPS:
-            raise IngestError(
-                f"{path}:{line}: unknown group label {raw_group!r}; "
-                f"expected one of {', '.join(POP_SOURCE_GROUPS)}"
-            )
-        value = _parse_int(raw_value, path, line, "population")
-        if mid not in roster_ids:
-            unknown_ids.add(mid)
-            continue
-        key = (mid, label)
-        if key in raw:
-            raise IngestError(f"{path}:{line}: duplicate row for ({mid}, {label})")
-        raw[key] = value
-        if label in excluded:
-            excluded[label] += value
+        label_of.append(labels[raw_group])
+        value_of.append(values[raw_value])
+        row_of.append(ids[raw_id])
 
-    seen_ids = {mid for mid, _ in raw}
-    missing = sorted(roster_ids - seen_ids)
+    m, width = len(municipalities), len(POP_SOURCE_GROUPS)
+    row = np.array(row_of, dtype=np.intp)
+    known = np.flatnonzero(row >= 0)  # the records of roster ids
+    row = row[known]
+    label = np.array(label_of, dtype=np.intp)[known]
+    cell = row * width + label
+    if np.bincount(cell, minlength=m * width).max(initial=0) > 1:
+        # The first record that repeats a cell: in a stable sort by cell, every
+        # record after the first of its cell is a repeat.
+        order = np.argsort(cell, kind="stable")
+        first = order[1:][cell[order[1:]] == cell[order[:-1]]].min()
+        raise IngestError(f"{path}:{known[first] + 2}: duplicate row for "
+                          f"({municipalities[row[first]].id}, {POP_SOURCE_GROUPS[label[first]]})")
+    missing = sorted(municipalities[i].id
+                     for i in np.flatnonzero(np.bincount(row, minlength=m) == 0))
     if missing:
         raise IngestError(
             f"{path}: no population rows for {len(missing)} municipalities: "
@@ -577,17 +598,17 @@ def load_populations(
             + ("..." if len(missing) > 10 else "")
         )
 
-    rows = np.array([
-        [sum(raw.get((muni.id, c), 0) for c in OTH_COMPONENTS) if g is Group.OTH
-         else raw.get((muni.id, g.value), 0) for g in GROUPS]
-        for muni in municipalities
-    ], dtype=object).reshape(len(municipalities), K)   # OTH may pass int64 before the check
-    check_totals(f"{path}: total population", municipalities, rows)
-    pops = rows.astype(np.int64)
+    table = np.zeros((m, width), dtype=np.int64)
+    table[row, label] = np.array(value_of, dtype=np.int64)[known]
+    # Each group sums to at most its row's total, so once that fits, OTH's int64 sum is exact.
+    check_totals(f"{path}: total population", municipalities, table[:, _COUNTED_SOURCES])
+    pops = np.stack([table[:, sources].sum(axis=1) for sources in _GROUP_SOURCES], axis=1)
 
     if report is not None:
-        for g, total in excluded.items():
+        for g in EXCLUDED_POP_GROUPS:
+            total = sum(table[:, POP_SOURCE_GROUPS.index(g)].tolist())
             report.excluded_groups_totals[g] = report.excluded_groups_totals.get(g, 0) + total
+        unknown_ids = {raw.strip() for raw, i in ids.items() if i < 0}
         if unknown_ids:
             report.warnings.append(
                 "populations file lists ids not in the case roster (ignored): "

@@ -3,6 +3,12 @@
 Ranks are dense 1..M per group: municipalities are ordered by descending
 value and ties are broken by ascending municipality id, so every rank slice
 is an exact permutation and daily rank differences sum to zero.
+
+``group_stats`` summarizes every (municipality, group) cell at once into a
+``GroupStatsTable`` of (M, K) columns, which the classifier and every writer
+read directly. ``GroupStats`` is one cell of it (``table.cell``), and the
+scalar ``persistence_index``, ``skewness``, ``special_case`` and
+``relative_change`` define the value of each cell.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MetricsError
-from .model import GROUPS, INT64_MAX, K, MINORITY_GROUPS, CaseCube, Group, PopulationTable
+from .model import (GROUP_INDEX, GROUPS, INT64_MAX, K, MINORITY_GROUPS, CaseCube, Group,
+                    Municipality, PopulationTable)
 
 BASES = ("raw_daily", "ma7", "cumulative")
 
@@ -57,6 +66,9 @@ class RegimeConfig:
         return RegimeConfig(t_min=self.t_min, t_max=float(n_municipalities))
 
 
+SPECIALS: tuple[Special, ...] = tuple(Special)  # a GroupStatsTable's special codes index this
+
+
 @dataclass(frozen=True)
 class GroupStats:
     """Per-municipality, per-group summary of the rank-difference series."""
@@ -65,6 +77,41 @@ class GroupStats:
     skewness: float | None
     relative_change_pct: float | None
     special: Special
+
+
+@dataclass(frozen=True)
+class GroupStatsTable:
+    """The ``GroupStats`` of every (municipality, group) cell as (M, K) columns.
+
+    Rows follow the roster order of the cube the table was computed from,
+    named by ``ids``, and columns follow ``GROUPS``. ``skewness`` is NaN where
+    it is undefined, ``relative_change`` is NaN where there is none (the whole
+    W column), and ``special`` holds each cell's index into ``SPECIALS``.
+    """
+
+    ids: tuple[str, ...]
+    persistence: np.ndarray       # float64 percent
+    skewness: np.ndarray          # float64
+    relative_change: np.ndarray   # float64 percent
+    special: np.ndarray           # int8
+
+    def __post_init__(self) -> None:
+        for column in (self.persistence, self.skewness, self.relative_change, self.special):
+            column.setflags(write=False)
+
+    @cached_property
+    def rows(self) -> dict[str, int]:
+        """The row of each municipality id."""
+        return {mid: i for i, mid in enumerate(self.ids)}
+
+    def cell(self, municipality_id: str, group: Group) -> GroupStats:
+        """One cell as a record, with None for NaN; raises ``KeyError`` for an unknown id."""
+        i, k = self.rows[municipality_id], GROUP_INDEX[group]
+        skew, change = float(self.skewness[i, k]), float(self.relative_change[i, k])
+        return GroupStats(persistence_pct=float(self.persistence[i, k]),
+                          skewness=None if math.isnan(skew) else skew,
+                          relative_change_pct=None if math.isnan(change) else change,
+                          special=SPECIALS[self.special[i, k]])
 
 
 def _dense_ranks(values: np.ndarray, ids: Sequence[str]) -> np.ndarray:
@@ -185,24 +232,27 @@ def _persistence_pcts(x: np.ndarray, regime: RegimeConfig) -> np.ndarray:
     return 100.0 * hits / n
 
 
-def _skewnesses(x: np.ndarray) -> list[float | None]:
-    """Adjusted skewness along the last axis of a C-contiguous float64 ``x``.
+def _skewnesses(x: np.ndarray) -> np.ndarray:
+    """Adjusted skewness along the last axis of a C-contiguous float64 ``x``,
+    NaN where it is undefined.
 
     Each reduction runs over one contiguous series, so it sums in the same
-    order as it would over that series alone. The last step stays a scalar
-    expression: NumPy's array ``**`` can round differently from the scalar one.
+    order as it would over that series alone. ``m2 ** 1.5`` stays the scalar
+    C ``pow`` of each value: NumPy's array ``**`` can round differently.
     """
-    n = x.shape[-1]
+    shape, n = x.shape[:-1], x.shape[-1]
     if n < 3:
-        return [None] * math.prod(x.shape[:-1])
+        return np.full(shape, np.nan)
     d = x - x.mean(axis=-1, keepdims=True)
     dd = d * d
     m2 = dd.mean(axis=-1)
     m3 = (dd * d).mean(axis=-1)
     adjust = np.sqrt(n * (n - 1.0)) / (n - 2.0)
-    return [
-        None if s2 == 0.0 else float(adjust * s3 / s2**1.5) for s2, s3 in zip(m2.flat, m3.flat)
-    ]
+    scale = np.fromiter(map(pow, m2.ravel().tolist(), repeat(1.5)), np.float64, m2.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skew = adjust * m3 / scale.reshape(shape)
+    skew[m2 == 0.0] = np.nan
+    return skew
 
 
 def persistence_index(series: Sequence[float] | np.ndarray, regime: RegimeConfig) -> float:
@@ -216,7 +266,8 @@ def skewness(series: Sequence[float] | np.ndarray) -> float | None:
     m2 and m3 are central sample moments. Returns None when the series is
     shorter than 3 or constant (m2 = 0), where the coefficient is undefined.
     """
-    return _skewnesses(np.ascontiguousarray(series, dtype=np.float64).reshape(1, -1))[0]
+    skew = float(_skewnesses(np.ascontiguousarray(series, dtype=np.float64).reshape(1, -1))[0])
+    return None if math.isnan(skew) else skew
 
 
 def special_case(cases_total: int, population: int) -> Special:
@@ -251,44 +302,61 @@ def relative_change(
     return 100.0 * (y - x) / x, special
 
 
+_W = GROUP_INDEX[Group.W]
+_MINORITY = [GROUP_INDEX[g] for g in MINORITY_GROUPS]
+_CODES = {special: code for code, special in enumerate(SPECIALS)}
+_EXACT_FLOAT_INT = 2**53  # every integer below it converts to float64 exactly
+
+
+def _relative_changes(totals: np.ndarray,
+                      populations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``relative_change`` of every (M, K) cell against its row's W cell, as
+    the change (NaN for None, and in the W column) and the special codes.
+
+    Where every total and population of a row is below ``_EXACT_FLOAT_INT``,
+    ``t / p`` on the arrays is the scalar's Python int division, and the
+    change follows in the same float64 operations. Other rows go through the
+    scalar ``relative_change``.
+    """
+    zero = populations == 0
+    special = np.select(
+        [zero & (totals == 0), zero, totals > populations],
+        [_CODES[s] for s in (Special.UNDEFINED_ZERO_ZERO, Special.POP_ZERO_CASES_NONZERO,
+                             Special.CASES_EXCEED_POP)],
+        _CODES[Special.NORMAL]).astype(np.int8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        incidence = totals / populations
+        x = incidence[:, _W:_W + 1]
+        change = 100.0 * (incidence - x) / x
+    change[zero | zero[:, _W:_W + 1] | (x == 0.0)] = np.nan
+    special[:, _W], change[:, _W] = _CODES[Special.NORMAL], np.nan
+    inexact = (totals >= _EXACT_FLOAT_INT) | (populations >= _EXACT_FLOAT_INT)
+    for i in np.flatnonzero(inexact.any(axis=1)):
+        t, p = totals[i].tolist(), populations[i].tolist()
+        for k in _MINORITY:
+            h, case = relative_change(t[k], p[k], t[_W], p[_W])
+            change[i, k], special[i, k] = math.nan if h is None else h, _CODES[case]
+    return change, special
+
+
 def group_stats(
     cube: CaseCube,
     pops: PopulationTable,
     rd: np.ndarray,
     regime: RegimeConfig,
-) -> dict[str, dict[Group, GroupStats]]:
-    """Assemble per-municipality, per-group statistics from a rank-difference tensor.
+) -> GroupStatsTable:
+    """Summarize every municipality's rank-difference series, group by group.
 
-    Relative change compares BAA/HL/OTH against the W reference; the W entry
-    itself carries no relative change.
+    Relative change compares BAA/HL/OTH against the W reference; the W column
+    itself carries no relative change and is never special.
     """
     regime = regime.resolved(cube.n_municipalities)
     if rd.shape != cube.counts.shape:
         raise MetricsError(f"rd shape {rd.shape} does not match cube {cube.counts.shape}")
-    totals = cube.counts.sum(axis=1, dtype=np.int64).tolist()
-    populations = pops.pops.tolist()
     series = np.ascontiguousarray(rd.transpose(0, 2, 1), dtype=np.float64)
-    persistence = _persistence_pcts(series, regime).tolist()
-    skews = _skewnesses(series)
-    w = GROUPS.index(Group.W)
-    out: dict[str, dict[Group, GroupStats]] = {}
-    for i, muni in enumerate(cube.municipalities):
-        per_group: dict[Group, GroupStats] = {}
-        for k, g in enumerate(GROUPS):
-            if g in MINORITY_GROUPS:
-                h, special = relative_change(
-                    totals[i][k], populations[i][k], totals[i][w], populations[i][w]
-                )
-            else:
-                h, special = None, Special.NORMAL
-            per_group[g] = GroupStats(
-                persistence_pct=persistence[i][k],
-                skewness=skews[i * K + k],
-                relative_change_pct=h,
-                special=special,
-            )
-        out[muni.id] = per_group
-    return out
+    change, special = _relative_changes(cube.counts.sum(axis=1, dtype=np.int64), pops.pops)
+    return GroupStatsTable(ids=tuple(cube.ids()), persistence=_persistence_pcts(series, regime),
+                           skewness=_skewnesses(series), relative_change=change, special=special)
 
 
 def write_rd_csv(path: str | Path, cube: CaseCube, rd: np.ndarray) -> None:
@@ -339,41 +407,60 @@ _RECORD = (
     + ",\n".join([_GROUP_RECORD] * K)
     + '\n      },\n      "name": %s\n    }'
 )
-_SORTED_GROUPS = sorted(GROUPS, key=lambda g: g.value)
-_GROUP_KEYS = [encode_basestring_ascii(g.value) for g in _SORTED_GROUPS]
-_SPECIALS = {s: encode_basestring_ascii(s.value) for s in Special}
+_SORTED_COLUMNS = sorted(range(K), key=lambda k: GROUPS[k].value)
+_GROUP_KEYS = [encode_basestring_ascii(GROUPS[k].value) for k in _SORTED_COLUMNS]
+_SPECIAL_TEXTS = [encode_basestring_ascii(s.value) for s in SPECIALS]
 
 
-def _json_float(value: float | None) -> str:
-    return "null" if value is None else float.__repr__(value)
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each value's JSON text, as ``float.__repr__``, with null for NaN."""
+    return ["null" if text == "nan" else text for text in map(float.__repr__, values.tolist())]
+
+
+# Municipalities whose records are formatted at a time: enough for the column
+# passes to pay, few enough that one block's texts stay small.
+_STATS_BLOCK_ROWS = 256
+
+
+def _records(municipalities: Sequence[Municipality], stats: GroupStatsTable,
+             rows: np.ndarray) -> list[str]:
+    """The stats.json record of each of ``rows``; each column of the table
+    is turned into text in one pass over the block's cells."""
+    cells = np.ix_(rows, _SORTED_COLUMNS)
+    texts = list(chain.from_iterable(zip(
+        cycle(_GROUP_KEYS), map(float.__repr__, stats.persistence[cells].ravel().tolist()),
+        _json_floats(stats.relative_change[cells].ravel()),
+        _json_floats(stats.skewness[cells].ravel()),
+        map(_SPECIAL_TEXTS.__getitem__, stats.special[cells].ravel().tolist()))))
+    width = 5 * K
+    return [_RECORD % (encode_basestring_ascii(municipalities[i].id),
+                       encode_basestring_ascii(municipalities[i].county),
+                       *texts[row * width:(row + 1) * width],
+                       encode_basestring_ascii(municipalities[i].name))
+            for row, i in enumerate(rows.tolist())]
 
 
 def write_stats_json(
     path: str | Path,
     cube: CaseCube,
-    stats: dict[str, dict[Group, GroupStats]],
+    stats: GroupStatsTable,
     regime: RegimeConfig,
     basis: str,
 ) -> None:
-    """Per-municipality statistics keyed by id, with the window, basis and regime."""
+    """Per-municipality statistics keyed by id, with the window, basis and
+    regime, from ``stats``, the table of ``cube``'s roster."""
     regime = regime.resolved(cube.n_municipalities)
+    munis = cube.municipalities
+    order = np.array(sorted(range(len(munis)), key=lambda i: munis[i].id), dtype=np.intp)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write('{\n  "basis": %s,\n  "municipalities": {' % encode_basestring_ascii(basis))
         separator = "\n"
-        for muni in sorted(cube.municipalities, key=lambda m: m.id):
-            values = [encode_basestring_ascii(muni.id), encode_basestring_ascii(muni.county)]
-            per_group = stats[muni.id]
-            for key, g in zip(_GROUP_KEYS, _SORTED_GROUPS):
-                s = per_group[g]
-                values += (key, float.__repr__(s.persistence_pct),
-                           _json_float(s.relative_change_pct), _json_float(s.skewness),
-                           _SPECIALS[s.special])
-            values.append(encode_basestring_ascii(muni.name))
-            handle.write(separator)
-            handle.write(_RECORD % tuple(values))
+        for start in range(0, order.size, _STATS_BLOCK_ROWS):
+            rows = order[start:start + _STATS_BLOCK_ROWS]
+            handle.write(separator + ",\n".join(_records(munis, stats, rows)))
             separator = ",\n"
         handle.write(
-            ("\n  },\n" if cube.municipalities else "},\n")
+            ("\n  },\n" if order.size else "},\n")
             + '  "regime": {\n    "t_max": %s,\n    "t_min": %s\n  },\n'
             '  "window": {\n    "end": %s,\n    "n_days": %s,\n    "start": %s\n  }\n}\n'
             % (json.dumps(regime.t_max), json.dumps(regime.t_min),

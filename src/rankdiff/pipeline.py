@@ -33,7 +33,7 @@ from . import ingest, metrics, render
 from .classify import ClassifierConfig, ClassLabel
 from .errors import (ConfigError, IngestError, RenderError, decimal, load_json, number, one_of,
                      read_fields, text, writing)
-from .metrics import GroupStats, RegimeConfig
+from .metrics import GroupStatsTable, RegimeConfig
 from .model import CaseCube, Group, PopulationTable, QualityReport, Ring
 
 BASIS_ALIASES = {"raw": "raw_daily", "raw_daily": "raw_daily", "ma7": "ma7",
@@ -169,7 +169,7 @@ def validate(cfg: RunConfig) -> QualityReport:
 @dataclass(frozen=True)
 class Analysis:
     rd: np.ndarray                          # (M, N, K) rank differences
-    stats: dict[str, dict[Group, GroupStats]]
+    stats: GroupStatsTable
     labels: dict[str, ClassLabel]
 
 

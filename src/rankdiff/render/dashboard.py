@@ -25,16 +25,16 @@ block, and ``render_dashboard`` joins it into the SVG.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from ..errors import RenderError
-from ..metrics import GroupStats, Special
-from ..model import (GROUPS, MINORITY_GROUPS, CaseCube, DateAxis, Group, Municipality,
+from ..metrics import SPECIALS, GroupStatsTable, Special
+from ..model import (GROUP_INDEX, GROUPS, MINORITY_GROUPS, CaseCube, DateAxis, Municipality,
                      PopulationTable)
 from .svg import (
     GROUP_COLORS,
@@ -201,7 +201,7 @@ def _totals(values: np.ndarray) -> list[int]:
 
 
 def dashboard_block(
-    stats: dict[str, dict[Group, GroupStats]],
+    stats: GroupStatsTable,
     cube: CaseCube,
     pops: PopulationTable,
     ids: list[str],
@@ -209,8 +209,9 @@ def dashboard_block(
 ) -> DashboardBlock:
     """Draw the dashboards of the municipalities ``ids`` as one block.
 
-    ``rd`` is the (M, N, K) rank-difference tensor that ``stats`` was
-    computed from, under whichever basis the analysis used.
+    ``stats`` is the table of ``cube``'s roster and ``rd`` the (M, N, K)
+    rank-difference tensor it was computed from, under whichever basis the
+    analysis used.
     """
     try:
         rows = [cube.index_of(mid) for mid in ids]
@@ -244,9 +245,9 @@ def dashboard_block(
     columns += chain.from_iterable(zip(*shown))  # population then case share, group by group
     columns += list(map("{:,}".format, pop_totals)), list(map("{:,}".format, case_totals))
 
-    block_stats = [stats[mid] for mid in ids]
     for column, g in enumerate(MINORITY_GROUPS):
-        series = rd[rows, :, GROUPS.index(g)]
+        k = GROUP_INDEX[g]
+        series = rd[rows, :, k]
         if cube.n_days > 1:
             columns.append([polyline(panel_xs[column], map(ys.__getitem__, values.tolist()),
                                      stroke=GROUP_COLORS[g], stroke_width=1.2)
@@ -255,14 +256,14 @@ def dashboard_block(
             columns.append([circle(_panel_x(column) + PANEL_W / 2.0,
                                    PANEL_MID - (int(value) / bound) * (PANEL_H / 2.0), 2.0,
                                    fill=GROUP_COLORS[g]) for value in series[:, 0]])
-        cells = list(map(itemgetter(g), block_stats))
-        columns.append(list(map("{:.1f}".format, map(attrgetter("persistence_pct"), cells))))
-        columns.append(["n/a" if cell.skewness is None else f"{cell.skewness:.2f}"
-                        for cell in cells])
-        columns.append([notes[column, cell.special][0] if cell.relative_change_pct is None
-                        else "{1}{0:+.1f}%{2}".format(cell.relative_change_pct,
-                                                      *notes[column, cell.special][1])
-                        for cell in cells])
+        columns.append(list(map("{:.1f}".format, stats.persistence[rows, k].tolist())))
+        columns.append(["n/a" if math.isnan(skew) else f"{skew:.2f}"
+                        for skew in stats.skewness[rows, k].tolist()])
+        panel = [notes[column, special] for special in SPECIALS]
+        columns.append([panel[code][0] if math.isnan(change)
+                        else "{1}{0:+.1f}%{2}".format(change, *panel[code][1])
+                        for change, code in zip(stats.relative_change[rows, k].tolist(),
+                                                stats.special[rows, k].tolist())])
 
     return DashboardBlock(ids=tuple(ids), municipalities=municipalities, axis=cube.axis,
                           rd_bound=bound, pop_totals=pop_totals, case_totals=case_totals,

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from urllib.parse import quote
 
 from ..classify import ClassLabel
-from ..metrics import GroupStats
-from ..model import CaseCube, Group
+from ..metrics import GroupStatsTable
+from ..model import GROUP_INDEX, CaseCube, Group
 from .svg import escape
 
 _STYLE = """
@@ -22,24 +23,28 @@ a { color: #2a6496; text-decoration: none; }
 
 def render_index(
     cube: CaseCube,
-    stats: dict[str, dict[Group, GroupStats]],
+    stats: GroupStatsTable,
     labels: dict[str, ClassLabel],
     group: Group,
     map_filename: str,
 ) -> str:
+    """The index of ``cube``'s roster, showing ``group``'s column of ``stats``,
+    the table of that roster."""
+    k = GROUP_INDEX[group]
+    columns = zip(stats.persistence[:, k].tolist(), stats.skewness[:, k].tolist(),
+                  stats.relative_change[:, k].tolist())
     rows = []
-    for muni in sorted(cube.municipalities, key=lambda m: m.id):
-        s = stats[muni.id][group]
-        skew = "n/a" if s.skewness is None else f"{s.skewness:.2f}"
-        change = ("n/a" if s.relative_change_pct is None
-                  else f"{s.relative_change_pct:+.1f}%")
+    for muni, (persistence, skewness, change) in sorted(zip(cube.municipalities, columns),
+                                                        key=lambda row: row[0].id):
+        skew = "n/a" if math.isnan(skewness) else f"{skewness:.2f}"
+        change = "n/a" if math.isnan(change) else f"{change:+.1f}%"
         rows.append(
             "<tr>"
             f'<td><a href="dashboards/{escape(quote(muni.id, safe=""))}.svg">'
             f"{escape(muni.id)}</a></td>"
             f"<td>{escape(muni.name)}</td><td>{escape(muni.county)}</td>"
             f"<td>{labels[muni.id].value}</td>"
-            f"<td>{s.persistence_pct:.1f}%</td><td>{skew}</td><td>{change}</td>"
+            f"<td>{persistence:.1f}%</td><td>{skew}</td><td>{change}</td>"
             "</tr>"
         )
     window = f"{cube.axis.start.isoformat()} to {cube.axis.end.isoformat()}"

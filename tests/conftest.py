@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rankdiff.metrics import SPECIALS, GroupStats, GroupStatsTable
 from rankdiff.model import CaseCube, DateAxis, Municipality, PopulationTable
 
 START = dt.date(2020, 10, 1)
@@ -48,6 +49,24 @@ def random_pops_for(cube: CaseCube, seed: int, low: int = 1, high: int = 10000) 
     rng = np.random.default_rng(seed + 77)
     pops = rng.integers(low, high, size=(cube.n_municipalities, 4))
     return PopulationTable(municipalities=cube.municipalities, pops=pops.astype(np.int64))
+
+
+def stats_table(cells: dict[str, list[GroupStats]]) -> GroupStatsTable:
+    """The table of each id's four ``GroupStats``, given in ``GROUPS`` order;
+    a ``None`` skewness or relative change reads as NaN."""
+    rows = list(cells.values())
+
+    def column(value, dtype=np.float64):
+        return np.array([[value(s) for s in row] for row in rows], dtype=dtype).reshape(-1, 4)
+
+    return GroupStatsTable(
+        ids=tuple(cells),
+        persistence=column(lambda s: s.persistence_pct),
+        skewness=column(lambda s: np.nan if s.skewness is None else s.skewness),
+        relative_change=column(
+            lambda s: np.nan if s.relative_change_pct is None else s.relative_change_pct),
+        special=column(lambda s: SPECIALS.index(s.special), np.int8),
+    )
 
 
 def cases_csv_text(rows: list[tuple[str, str, str, str, str, object]]) -> str:

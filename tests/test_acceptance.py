@@ -135,7 +135,7 @@ def test_oracle_equivalence():
         minority = (Group.BAA, Group.HL, Group.OTH)
         for i, muni in enumerate(cube.municipalities):
             for k, g in enumerate(GROUPS):
-                s = stats[muni.id][g]
+                s = stats.cell(muni.id, g)
                 if not _close(s.persistence_pct, o["persistence"][i][k], tol):
                     failures.append((seed, "persistence", i, k))
                 expected_skew = o["skewness"][i][k]
@@ -144,7 +144,7 @@ def test_oracle_equivalence():
                 elif s.skewness is not None and not _close(s.skewness, expected_skew, tol):
                     failures.append((seed, "skew", i, k))
             for kk, g in enumerate(minority):
-                s = stats[muni.id][g]
+                s = stats.cell(muni.id, g)
                 expected_h = o["relative_change"][i][kk]
                 if (s.relative_change_pct is None) != (expected_h is None):
                     failures.append((seed, "h-none", i, kk))
@@ -369,9 +369,8 @@ def test_real_dataset_reproduction():
     rd = rank_diff(rank_population(pops), rank_cases(cube))
     regime = RegimeConfig().resolved(cube.n_municipalities)
     stats = group_stats(cube, pops, rd, regime)
-    baa_skews = [
-        s[Group.BAA].skewness for s in stats.values() if s[Group.BAA].skewness is not None
-    ]
+    baa_skews = [s for s in stats.skewness[:, GROUPS.index(Group.BAA)].tolist()
+                 if not math.isnan(s)]
     positive = sum(1 for v in baa_skews if v > 0)
     labels = classify_municipalities(stats, Group.BAA, ClassifierConfig())
     sizes = {name: sum(1 for v in labels.values() if v.value == name)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,9 @@ from rankdiff.classify import (
 )
 from rankdiff.errors import ClassifyError
 from rankdiff.metrics import GroupStats, Special
-from rankdiff.model import Group
+from rankdiff.model import GROUPS, Group
+
+from conftest import stats_table
 
 
 def stats(skew, per):
@@ -109,17 +113,45 @@ class TestProperties:
 
 class TestBatch:
     def test_all_municipalities_labeled(self):
-        by_id = {
-            "a": {Group.BAA: stats(0.0, 10.0)},
-            "b": {Group.BAA: stats(3.0, 99.0)},
-            "c": {Group.BAA: stats(None, 0.0)},
-        }
-        labels = classify_municipalities(by_id, Group.BAA)
+        table = stats_table({
+            "a": [stats(0.0, 10.0)] * 4,
+            "b": [stats(3.0, 99.0)] * 4,
+            "c": [stats(None, 0.0)] * 4,
+        })
+        labels = classify_municipalities(table, Group.BAA)
         assert labels == {
             "a": ClassLabel.G0,
             "b": ClassLabel.G1,
             "c": ClassLabel.UNCLASSIFIED,
         }
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_labels_equal_classify_one(self, data):
+        """Each label of a table's column is ``classify_one``'s for that cell,
+        also where a threshold equals a cell's value or is infinite."""
+        values = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, 4.0, 5.0, 90.0)),
+                           st.floats(-10, 10), st.floats(0, 100))
+        m = data.draw(st.integers(1, 6))
+        cells = {f"m{i}": [stats(data.draw(st.one_of(st.none(), values)), data.draw(values))
+                           for _ in GROUPS] for i in range(m)}
+        table = stats_table(cells)
+        seen = [v for row in cells.values() for s in row
+                for v in (s.skewness, s.persistence_pct) if v is not None]
+        bounds = st.sampled_from(seen + [math.inf, -math.inf])
+
+        def band():
+            lo, hi = sorted((data.draw(bounds), data.draw(bounds)))
+            return (lo, hi) if lo < hi else (-math.inf, hi) if hi > -math.inf else (lo, math.inf)
+
+        (g1_lo, g1_hi), (g2_lo, g2_hi) = band(), band()
+        cfg = ClassifierConfig(g0_skew_max=data.draw(bounds), g1_per_min=data.draw(bounds),
+                               g1_skew_min=g1_lo, g1_skew_max=g1_hi, g2_skew_min=g2_lo,
+                               g2_skew_max=g2_hi, g2_per_max=data.draw(bounds))
+        group = data.draw(st.sampled_from(GROUPS))
+        labels = classify_municipalities(table, group, cfg)
+        assert list(labels.items()) == [(mid, classify_one(table.cell(mid, group), cfg))
+                                         for mid in cells]
 
     def test_labels_csv(self, tmp_path):
         labels = {"b": ClassLabel.G1, "a": ClassLabel.G0}

@@ -789,6 +789,92 @@ class TestLoadPopulations:
         assert np.array_equal(again.pops, table.pops)
 
 
+def load_populations_by_rows(path, municipalities, report):
+    """The reference for ``load_populations``: one record at a time into a
+    dict, with a repeated (id, label) reported once every record is read."""
+    raw, duplicate = {}, None
+    excluded = dict.fromkeys(ingest.EXCLUDED_POP_GROUPS, 0)
+    unknown, roster = set(), {m.id for m in municipalities}
+    for line, (raw_id, raw_group, raw_value) in ingest._csv_records(path, ingest.POPS_COLUMNS):
+        mid, label = raw_id.strip(), raw_group.strip().upper()
+        if label not in ingest.POP_SOURCE_GROUPS:
+            raise IngestError(f"{path}:{line}: unknown group label {raw_group!r}; "
+                              f"expected one of {', '.join(ingest.POP_SOURCE_GROUPS)}")
+        value = ingest._parse_int(raw_value, path, line, "population")
+        if mid not in roster:
+            unknown.add(mid)
+        elif (mid, label) in raw:
+            duplicate = duplicate or f"{path}:{line}: duplicate row for ({mid}, {label})"
+        else:
+            raw[mid, label] = value
+            excluded[label] = excluded.get(label, 0) + value
+    if duplicate:
+        raise IngestError(duplicate)
+    missing = sorted(roster - {mid for mid, _ in raw})
+    if missing:
+        raise IngestError(f"{path}: no population rows for {len(missing)} municipalities: "
+                          + ", ".join(missing[:10]) + ("..." if len(missing) > 10 else ""))
+    rows = [[sum(raw.get((m.id, c), 0) for c in ingest.OTH_COMPONENTS) if g is Group.OTH
+             else raw.get((m.id, g.value), 0) for g in Group] for m in municipalities]
+    for m, row in zip(municipalities, rows):
+        if sum(row) > 2**63 - 1:
+            raise IngestError(f"{path}: total population of {m.id} is {sum(row)}, "
+                              f"beyond {2**63 - 1}")
+    for g in ingest.EXCLUDED_POP_GROUPS:
+        report.excluded_groups_totals[g] = excluded[g]
+    if unknown:
+        report.warnings.append("populations file lists ids not in the case roster (ignored): "
+                               + ", ".join(sorted(unknown)[:10]))
+    return rows
+
+
+def _population_outcome(load, path):
+    report = QualityReport()
+    try:
+        pops = load(path, make_municipalities(["a", "b", "c"]), report=report)
+    except IngestError as exc:
+        return str(exc)
+    return getattr(pops, "pops", np.array(pops)).tolist(), report.to_dict()
+
+
+population_records = st.lists(st.tuples(
+    st.sampled_from(("a", "b", "c", " a ", "zz")),
+    st.sampled_from(ingest.POP_SOURCE_GROUPS + (" w", "asian", "OTHER")),
+    st.one_of(st.sampled_from((0, 2**62, 2**63 - 1, 2**63, -1, "x", " 7 ")),
+              st.integers(0, 100))), max_size=14)
+
+
+class TestPopulationDiagnostics:
+    """Exact texts of the populations-file errors; ``:line`` counts the header as 1."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(population_records)
+    @example([("a", "W", 1), ("b", "W", 2), ("c", "ASIAN", 2**63 - 1), ("c", "OTH", 1)])
+    @example([("a", "W", 1), ("b", "mo", 2), ("c", "UNK", 3), ("zz", "W", 1), ("b", " w", 4)])
+    def test_matches_reading_by_rows(self, write_file, records):
+        path = write_file("pops.csv", pops_csv_text(records))
+        assert (_population_outcome(load_populations, path)
+                == _population_outcome(load_populations_by_rows, path))
+
+    def test_duplicate_names_its_line_and_label(self, write_file):
+        rows = [("a", "W", 1), ("a", "BAA", 3), ("zz", "W", 1), ("zz", "W", 1), ("a ", " w", 2)]
+        path = write_file("pops.csv", pops_csv_text(rows))
+        with pytest.raises(IngestError) as info:
+            load_populations(path, make_municipalities(["a"]))
+        assert str(info.value) == f"{path}:6: duplicate row for (a, W)"
+
+    def test_bad_value_reported_before_an_earlier_duplicate(self, write_file):
+        """A label or value is checked as its record is read; a repeated row
+        is found only once every record is read."""
+        rows = [("a", "W", 1), ("a", "W", 2), ("a", "HL", "many")]
+        path = write_file("pops.csv", pops_csv_text(rows))
+        with pytest.raises(IngestError) as info:
+            load_populations(path, make_municipalities(["a"]))
+        assert str(info.value) == (f"{path}:4: column 'population' must be an integer, "
+                                   "got 'many'")
+
+
 class TestLoadBoundaries:
     def test_single_square(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a")]))

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankdiff import metrics
 from rankdiff.errors import MetricsError
 from rankdiff.metrics import (
+    SPECIALS,
     GroupStats,
     RegimeConfig,
     Special,
@@ -30,9 +32,10 @@ from rankdiff.metrics import (
     write_stats_json,
 )
 from rankdiff.model import GROUPS, INT64_MAX, CaseCube, DateAxis, Group, Municipality
+from rankdiff.oracle import oracle_stats
 from rankdiff.synth import SynthSpec, generate
 
-from conftest import make_cube, make_pops, random_cube, random_pops_for
+from conftest import make_cube, make_pops, random_cube, random_pops_for, stats_table
 
 
 def ranks_by_sort(values, ids):
@@ -437,10 +440,13 @@ class TestGroupStats:
         pops = random_pops_for(cube, 9)
         rd = rank_diff(rank_population(pops), rank_cases(cube))
         stats = group_stats(cube, pops, rd, RegimeConfig())
-        for per_group in stats.values():
-            assert per_group[Group.W].relative_change_pct is None
-            assert per_group[Group.W].special is Special.NORMAL
-            assert set(per_group) == set(GROUPS)
+        assert stats.ids == tuple(cube.ids())
+        for mid in stats.ids:
+            assert stats.cell(mid, Group.W).relative_change_pct is None
+            assert stats.cell(mid, Group.W).special is Special.NORMAL
+        w = GROUPS.index(Group.W)
+        assert np.isnan(stats.relative_change[:, w]).all()
+        assert (stats.special[:, w] == SPECIALS.index(Special.NORMAL)).all()
 
     def test_stats_match_direct_calls(self):
         cube = random_cube(21)
@@ -451,7 +457,7 @@ class TestGroupStats:
         i = 0
         mid = cube.ids()[0]
         for k, g in enumerate(GROUPS):
-            s = stats[mid][g]
+            s = stats.cell(mid, g)
             assert s.persistence_pct == persistence_index(rd[i, :, k], regime)
             assert s.skewness == skewness(rd[i, :, k])
 
@@ -460,6 +466,115 @@ class TestGroupStats:
         pops = random_pops_for(cube, 2)
         with pytest.raises(MetricsError, match="rd shape"):
             group_stats(cube, pops, np.zeros((1, 1, 4), dtype=int), RegimeConfig())
+
+    def test_cell_of_an_unknown_id(self):
+        stats = stats_table({"a": [GroupStats(0.0, None, None, Special.NORMAL)] * 4})
+        with pytest.raises(KeyError):
+            stats.cell("b", Group.BAA)
+
+
+def skewness_by_scalars(series) -> float | None:
+    """The skewness as one series' NumPy moments and scalar last steps: the
+    order of operations a table cell must reproduce bit for bit."""
+    x = np.asarray(series, dtype=np.float64)
+    n = x.size
+    if n < 3:
+        return None
+    d = x - x.mean()
+    dd = d * d
+    s2, s3 = dd.mean(), (dd * d).mean()
+    if s2 == 0.0:
+        return None
+    return float(np.sqrt(n * (n - 1.0)) / (n - 2.0) * s3 / s2**1.5)
+
+
+# Totals and populations where float64 stops being exact, and at int64's end.
+EDGE_INTS = (0, 1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**62, INT64_MAX - 1, INT64_MAX)
+cell_ints = st.one_of(st.sampled_from(EDGE_INTS), st.integers(0, 100), st.integers(0, INT64_MAX))
+
+
+@st.composite
+def totals_pops_rd(draw):
+    """(M, 4) case totals whose rows sum to at most int64's maximum, (M, 4)
+    populations and an (M, N, 4) rd."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    totals = []
+    for _ in range(m):
+        room, row = INT64_MAX, [0] * 4
+        for k in draw(st.permutations(range(4))):  # which group may take the most
+            row[k] = min(draw(cell_ints), room)
+            room -= row[k]
+        totals.append(row)
+    pops = draw(st.lists(st.lists(cell_ints, min_size=4, max_size=4), min_size=m, max_size=m))
+    rd = draw(st.lists(st.integers(-m, m), min_size=m * n * 4, max_size=m * n * 4))
+    return totals, pops, np.array(rd, dtype=np.int64).reshape(m, n, 4)
+
+
+TABLE_EXAMPLES = [
+    # every float64 edge in one row, and a row that overflows float64's integers
+    ([[2**53 + 1, 2**53 - 1, 2**53, 2**53 + 1], [INT64_MAX - 3, 1, 1, 1]],
+     [[2**53 - 1, 2**53 + 1, INT64_MAX, 2**53], [INT64_MAX, 3, 0, INT64_MAX]]),
+    # zero group population with and without cases, zero W population
+    ([[0, 5, 2, 7], [1, 0, 2, 5]], [[0, 0, 9, 70], [10, 0, 0, 0]]),
+    # zero W incidence, with and without a minority over its population
+    ([[3, 4, 0, 0], [0, 0, 0, 0]], [[10, 2, 0, 100], [1, 1, 1, 1]]),
+]
+
+
+class TestGroupStatsTable:
+    """Every cell of the table equals the scalar definitions, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(totals_pops_rd(), st.sampled_from((RegimeConfig(), RegimeConfig(-2.0, 1.0))))
+    @example((*TABLE_EXAMPLES[0], np.arange(2 * 5 * 4).reshape(2, 5, 4) % 3 - 1), RegimeConfig())
+    @example((*TABLE_EXAMPLES[1], np.zeros((2, 3, 4), dtype=np.int64)), RegimeConfig())
+    @example((*TABLE_EXAMPLES[2], np.ones((2, 1, 4), dtype=np.int64)), RegimeConfig())
+    def test_cells_equal_scalar_definitions(self, data, regime):
+        totals, populations, rd = data
+        m, n = rd.shape[:2]
+        counts = np.zeros((m, n, 4), dtype=np.int64)
+        counts[:, 0, :] = totals
+        cube, pops = make_cube(counts), make_pops(populations)
+        stats = group_stats(cube, pops, rd, regime)
+        resolved = regime.resolved(m)
+        w = GROUPS.index(Group.W)
+        for i, mid in enumerate(cube.ids()):
+            for k, g in enumerate(GROUPS):
+                if g is Group.W:
+                    change, special = None, Special.NORMAL
+                else:
+                    change, special = relative_change(totals[i][k], populations[i][k],
+                                                      totals[i][w], populations[i][w])
+                    assert special is special_case(totals[i][k], populations[i][k])
+                expected = GroupStats(persistence_index(rd[i, :, k], resolved),
+                                      skewness(rd[i, :, k]), change, special)
+                assert expected.skewness == skewness_by_scalars(rd[i, :, k])
+                cell = stats.cell(mid, g)
+                assert cell == expected
+                assert repr(cell) == repr(expected)  # also the sign of a zero
+
+    def test_table_equals_oracle(self):
+        """Persistence, relative change and special equal the oracle's lists
+        exactly. The oracle sums moments with math.fsum, so skewness agrees to
+        the acceptance tolerance, and is undefined in the same cells."""
+        for seed in range(40):
+            cube = random_cube(seed, max_m=7, max_n=12)
+            pops = random_pops_for(cube, seed, low=0, high=40)
+            m = cube.n_municipalities
+            rd = rank_diff(rank_population(pops), rank_cases(cube))
+            stats = group_stats(cube, pops, rd, RegimeConfig(0.0, float(m)))
+            o = oracle_stats(cube, pops, (0.0, float(m)))
+            assert stats.persistence.tolist() == o["persistence"]
+            minority = stats.relative_change[:, :3].tolist()
+            assert [[None if math.isnan(h) else h for h in row] for row in minority] \
+                == o["relative_change"]
+            assert [[SPECIALS[code].value for code in row] for row in stats.special[:, :3]] \
+                == o["special"]
+            for row, expected_row in zip(stats.skewness.tolist(), o["skewness"]):
+                for skew, expected in zip(row, expected_row):
+                    assert math.isnan(skew) == (expected is None)
+                    if expected is not None:
+                        assert skew == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -1e-310, -2.2250738585072014e-308, 1e308, -1e308, 100.0, 1e16,
@@ -504,7 +619,7 @@ class TestStatsJson:
         municipalities = tuple(Municipality(mid, name, county) for mid, name, county, _ in records)
         axis = DateAxis(start, n_days)
         cube = CaseCube(axis, municipalities, np.zeros((len(records), n_days, 4), dtype=np.int64))
-        stats = {mid: dict(zip(GROUPS, values)) for mid, _, _, values in records}
+        stats = stats_table({mid: values for mid, _, _, values in records})
         ref = {
             "window": {"start": start.isoformat(), "end": axis.end.isoformat(), "n_days": n_days},
             "basis": basis,
@@ -524,6 +639,18 @@ class TestStatsJson:
             write_stats_json(path, cube, stats, regime, basis)
             written = path.read_bytes()
         assert written == (json.dumps(ref, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    def test_blocks_of_rows_do_not_change_bytes(self, tmp_path, monkeypatch, block_rows):
+        cube = random_cube(5, max_m=7)
+        pops = random_pops_for(cube, 5, low=0, high=30)
+        rd = rank_diff(rank_population(pops), rank_cases(cube))
+        stats = group_stats(cube, pops, rd, RegimeConfig())
+        write_stats_json(tmp_path / "whole.json", cube, stats, RegimeConfig(), "raw_daily")
+        monkeypatch.setattr(metrics, "_STATS_BLOCK_ROWS", block_rows)
+        write_stats_json(tmp_path / "blocks.json", cube, stats, RegimeConfig(), "raw_daily")
+        assert (tmp_path / "blocks.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
 
 def write_rd_csv_by_rows(path, cube, rd):

@@ -257,6 +257,23 @@ def test_golden_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS
 
 
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+def test_quickstart_tree_digests(tmp_path):
+    """The README Quickstart's run tree holds the files that
+    ``examples/out.sha256`` lists, with those digests; CI checks the same
+    file after the Quickstart's ``rankdiff run``."""
+    examples = tmp_path / "examples"
+    write_fixture(SynthSpec.from_file(EXAMPLES / "spec.json"), examples / "fixture")
+    (examples / "config.json").write_bytes((EXAMPLES / "config.json").read_bytes())
+    run(RunConfig.from_file(examples / "config.json"))
+    written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (examples / "out").rglob("*") if path.is_file()}
+    lines = (EXAMPLES / "out.sha256").read_text(encoding="utf-8").splitlines()
+    assert written == {name: digest for digest, name in map(str.split, lines)}
+
+
 def _long_series_spec():
     """M=8, N=90 at a low rate, populations rising with the id in every group
     except HL of m003, which is zero (a cross marker). On a day where m001

@@ -153,21 +153,21 @@ class TestDashboardModel:
         counts[1, :, 3] = [1, 0, 1]
         inputs = inputs_of(counts, [[0, 0, 0, 100], [5, 5, 5, 50]], ids=["a", "b"])
         stats, block = inputs[0], block_of(inputs)
-        specials = [stats["a"][g].special.value for g in MINORITY_GROUPS]
+        specials = [stats.cell("a", g).special.value for g in MINORITY_GROUPS]
         assert specials == ["undefined_zero_zero"] * 3
         svg = render_dashboard(build_dashboard(block, "a"))
         assert svg.count('stroke="#cc3311"') == 6  # two strokes per cross marker
 
     def test_star_case_still_shows_persistence_badge(self):
         inputs = golden_inputs()
-        assert inputs[0]["beta"][Group.BAA].special is Special.POP_ZERO_CASES_NONZERO
+        assert inputs[0].cell("beta", Group.BAA).special is Special.POP_ZERO_CASES_NONZERO
         svg = render_dashboard(build_dashboard(block_of(inputs), "beta"))
         assert "per " in svg
         assert "cases despite zero recorded population" in svg
 
     def test_undefined_skew_shows_na(self):
         stats, *_ = golden_inputs()
-        assert stats["alpha"][Group.OTH].skewness is None
+        assert stats.cell("alpha", Group.OTH).skewness is None
         assert "skew n/a" in render_dashboard(golden_model())
 
     def test_case_total_of_int64_max(self):
@@ -247,7 +247,7 @@ class TestDeterminismAndGolden:
             block = block_of(inputs)
             for mid in block.ids:
                 for column, g in enumerate(MINORITY_GROUPS):
-                    stats = inputs[0][mid][g]
+                    stats = inputs[0].cell(mid, g)
                     shown.add((column, stats.special, stats.relative_change_pct is None))
                 digest.update(render_dashboard(build_dashboard(block, mid)).encode())
             digests[name] = digest.hexdigest()
