@@ -6,9 +6,10 @@ is an exact permutation and daily rank differences sum to zero.
 
 ``group_stats`` summarizes every (municipality, group) cell at once into a
 ``GroupStatsTable`` of (M, K) columns, which the classifier and every writer
-read directly. ``GroupStats`` is one cell of it (``table.cell``), and the
-scalar ``persistence_index``, ``skewness``, ``special_case`` and
-``relative_change`` define the value of each cell.
+read directly. ``GroupStats`` is one cell of it (``table.cell``). Each
+statistic has one kernel over whole columns, and the scalar
+``persistence_index``, ``skewness``, ``special_case`` and ``relative_change``
+are one-cell calls of it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MetricsError
-from .model import (GROUP_INDEX, GROUPS, INT64_MAX, K, MINORITY_GROUPS, CaseCube, Group,
-                    Municipality, PopulationTable)
+from .model import (GROUP_INDEX, GROUPS, INT64_MAX, K, CaseCube, Group, Municipality,
+                    PopulationTable)
 
 BASES = ("raw_daily", "ma7", "cumulative")
 
@@ -272,11 +273,7 @@ def skewness(series: Sequence[float] | np.ndarray) -> float | None:
 
 def special_case(cases_total: int, population: int) -> Special:
     """Classify a (cumulative cases, population) pair into the marker taxonomy."""
-    if population == 0:
-        return Special.UNDEFINED_ZERO_ZERO if cases_total == 0 else Special.POP_ZERO_CASES_NONZERO
-    if cases_total > population:
-        return Special.CASES_EXCEED_POP
-    return Special.NORMAL
+    return relative_change(cases_total, population, 0, 0)[1]
 
 
 def relative_change(
@@ -292,50 +289,41 @@ def relative_change(
     zero group population (cross/star markers) or a degenerate reference
     (zero reference population or zero reference incidence).
     """
-    special = special_case(cases_total, population)
-    if population == 0 or ref_population == 0:
-        return None, special
-    x = ref_cases_total / ref_population
-    if x == 0.0:
-        return None, special
-    y = cases_total / population
-    return 100.0 * (y - x) / x, special
+    totals, populations = np.zeros((2, 1, K), dtype=object)  # the group in column 0
+    totals[0, 0], totals[0, _W] = cases_total, ref_cases_total
+    populations[0, 0], populations[0, _W] = population, ref_population
+    change, special = (column[0, 0].item() for column in _relative_changes(totals, populations))
+    return None if math.isnan(change) else change, SPECIALS[special]
 
 
 _W = GROUP_INDEX[Group.W]
-_MINORITY = [GROUP_INDEX[g] for g in MINORITY_GROUPS]
 _CODES = {special: code for code, special in enumerate(SPECIALS)}
-_EXACT_FLOAT_INT = 2**53  # every integer below it converts to float64 exactly
 
 
 def _relative_changes(totals: np.ndarray,
                       populations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``relative_change`` of every (M, K) cell against its row's W cell, as
-    the change (NaN for None, and in the W column) and the special codes.
+    """The relative change of every (M, K) cell against its row's W cell, NaN
+    where there is none and in the W column, and each cell's special code.
 
-    Where every total and population of a row is below ``_EXACT_FLOAT_INT``,
-    ``t / p`` on the arrays is the scalar's Python int division, and the
-    change follows in the same float64 operations. Other rows go through the
-    scalar ``relative_change``.
+    Each incidence is a total divided by its population as Python ints, which
+    rounds the exact quotient once at any size. H = 100 * (y - x) / x follows
+    in float64, with y the cell's incidence and x its row's W incidence. H is
+    undefined where the cell's population, the W population or x is zero.
     """
+    totals, populations = totals.astype(object), populations.astype(object)
     zero = populations == 0
     special = np.select(
         [zero & (totals == 0), zero, totals > populations],
         [_CODES[s] for s in (Special.UNDEFINED_ZERO_ZERO, Special.POP_ZERO_CASES_NONZERO,
                              Special.CASES_EXCEED_POP)],
         _CODES[Special.NORMAL]).astype(np.int8)
+    incidence = np.divide(totals, populations, out=np.zeros(totals.shape, dtype=object),
+                          where=~zero).astype(np.float64)
+    x = incidence[:, _W:_W + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        incidence = totals / populations
-        x = incidence[:, _W:_W + 1]
         change = 100.0 * (incidence - x) / x
     change[zero | zero[:, _W:_W + 1] | (x == 0.0)] = np.nan
     special[:, _W], change[:, _W] = _CODES[Special.NORMAL], np.nan
-    inexact = (totals >= _EXACT_FLOAT_INT) | (populations >= _EXACT_FLOAT_INT)
-    for i in np.flatnonzero(inexact.any(axis=1)):
-        t, p = totals[i].tolist(), populations[i].tolist()
-        for k in _MINORITY:
-            h, case = relative_change(t[k], p[k], t[_W], p[_W])
-            change[i, k], special[i, k] = math.nan if h is None else h, _CODES[case]
     return change, special
 
 
@@ -353,9 +341,13 @@ def group_stats(
     regime = regime.resolved(cube.n_municipalities)
     if rd.shape != cube.counts.shape:
         raise MetricsError(f"rd shape {rd.shape} does not match cube {cube.counts.shape}")
+    ids = cube.ids()
+    if [m.id for m in pops.municipalities] != ids:
+        raise MetricsError("the population table does not list the cube's municipality ids "
+                           "in the cube's order")
     series = np.ascontiguousarray(rd.transpose(0, 2, 1), dtype=np.float64)
     change, special = _relative_changes(cube.counts.sum(axis=1, dtype=np.int64), pops.pops)
-    return GroupStatsTable(ids=tuple(cube.ids()), persistence=_persistence_pcts(series, regime),
+    return GroupStatsTable(ids=tuple(ids), persistence=_persistence_pcts(series, regime),
                            skewness=_skewnesses(series), relative_change=change, special=special)
 
 

@@ -142,9 +142,14 @@ def load_inputs(cfg: RunConfig) -> LoadedInputs:
     pops = ingest.load_populations(cfg.populations, cube.municipalities, report=report)
     boundaries = ingest.load_boundaries(cfg.boundaries, cube.municipalities, report=report)
     cfg.regime.resolved(cube.n_municipalities)  # a null max means M, which may not exceed min
-    if not any(boundaries.get(m.id) for m in cube.municipalities):
+    points = [point for m in cube.municipalities for ring in boundaries.get(m.id, ())
+              for point in ring]
+    if not points:
         raise IngestError(f"{cfg.boundaries}: no feature matches a roster id, "
                           "so the map has no geometry to draw")
+    if not all(math.isfinite(max(values) - min(values)) for values in zip(*points)):
+        raise IngestError(f"{cfg.boundaries}: the roster geometry spans more than a float "
+                          "can hold, so the map cannot be scaled")
     return LoadedInputs(cube=cube, pops=pops, boundaries=boundaries, report=report)
 
 
@@ -237,10 +242,10 @@ def _dashboard_svgs(loaded: LoadedInputs, analysis: Analysis,
                     ids: list[str]) -> Iterator[tuple[str, str]]:
     """(id, SVG) of the dashboard of each of ``ids``, drawn a block of rows at a time."""
     for start in range(0, len(ids), DASHBOARD_BLOCK_ROWS):
-        block = render.dashboard_block(analysis.stats, loaded.cube, loaded.pops,
+        block = render.build_dashboard(analysis.stats, loaded.cube, loaded.pops,
                                        ids[start:start + DASHBOARD_BLOCK_ROWS], analysis.rd)
-        for mid in block.ids:
-            yield mid, render.render_dashboard(render.build_dashboard(block, mid))
+        for row, mid in enumerate(block.ids):
+            yield mid, render.render_dashboard(block, row)
 
 
 def run(cfg: RunConfig) -> RunResult:

@@ -12,15 +12,15 @@ rank-difference panels side by side below.
 ``_frame`` draws everything a dashboard shares with the others of its run
 once: the document's literal pieces, between which ``render_dashboard``
 joins one municipality's values, and each panel's special-case markers and
-notes. The frame is a pure function of ``(axis, rd_bound)``, so warm and cold
-caches give the same bytes.
+notes. The frame is a pure function of the date axis and the rd bound,
+max(M - 1, 1), so warm and cold caches give the same bytes.
 
-``dashboard_block`` draws the values of a block of municipalities, one row
+``build_dashboard`` draws the values of a block of municipalities, one row
 each, as columns: shares, wedge angles and arc points as arrays, and each
 column of text by one ``map`` over the block, not one call chain per
 dashboard. A caller goes through a roster in blocks of rows, so only one
-block's texts are held at a time. ``build_dashboard`` looks up one row of a
-block, and ``render_dashboard`` joins it into the SVG.
+block's texts are held at a time. ``render_dashboard(block, row)`` joins one
+row of the block between the frame's pieces, which the block keeps.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 
 from ..errors import RenderError
 from ..metrics import SPECIALS, GroupStatsTable, Special
-from ..model import (GROUP_INDEX, GROUPS, MINORITY_GROUPS, CaseCube, DateAxis, Municipality,
-                     PopulationTable)
+from ..model import GROUP_INDEX, GROUPS, MINORITY_GROUPS, CaseCube, DateAxis, PopulationTable
 from .svg import (
     GROUP_COLORS,
     circle,
@@ -65,38 +64,20 @@ SPECIAL_MARKERS = {  # the shape and size of each special case's marker
 
 
 @dataclass(frozen=True)
-class DashboardModel:
-    """One municipality's dashboard: the values, in document order, that
-    ``render_dashboard`` joins between the pieces of its run's frame."""
-
-    municipality: Municipality
-    axis: DateAxis
-    rd_bound: int                # max(M - 1, 1), y-axis limit for rd panels
-    values: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class DashboardBlock:
     """The dashboards of a block of municipalities as columns, a row per id.
 
-    A value of each dashboard is one column, in document order; a row's
-    values are gathered only when ``build_dashboard`` asks for it, so a block
-    holds a few dozen lists, not a container per dashboard.
+    A value of each dashboard is one column, in document order, and
+    ``pieces`` are the literal pieces of the run's frame that the values go
+    between. A block holds a few dozen lists, not a container per dashboard.
     """
 
     ids: tuple[str, ...]
-    municipalities: tuple[Municipality, ...]
-    axis: DateAxis
-    rd_bound: int                # max(M - 1, 1), y-axis limit for rd panels
-    pop_totals: list[int]
-    case_totals: list[int]
-    pop_shares: np.ndarray       # (rows, groups) percent of each row's total; 0 where that is 0
-    case_shares: np.ndarray
+    pieces: tuple[str, ...]
     columns: list[list[str]]
-    rows: dict[str, int]
 
 
-# The fixed layout, shared by ``_frame`` and ``dashboard_block``.
+# The fixed layout, shared by ``_frame`` and ``build_dashboard``.
 WIDTH, HEIGHT = 880, 560
 LEGEND_X, LEGEND_Y = 450, 120
 PANEL_Y, PANEL_W, PANEL_H = 300, 250, 150
@@ -200,7 +181,7 @@ def _totals(values: np.ndarray) -> list[int]:
     return list(map(sum, map(np.ndarray.tolist, values)))
 
 
-def dashboard_block(
+def build_dashboard(
     stats: GroupStatsTable,
     cube: CaseCube,
     pops: PopulationTable,
@@ -209,21 +190,27 @@ def dashboard_block(
 ) -> DashboardBlock:
     """Draw the dashboards of the municipalities ``ids`` as one block.
 
-    ``stats`` is the table of ``cube``'s roster and ``rd`` the (M, N, K)
-    rank-difference tensor it was computed from, under whichever basis the
-    analysis used.
+    ``stats`` and ``pops`` list ``cube``'s roster in its order, and ``rd`` is
+    the (M, N, K) rank-difference tensor ``stats`` was computed from, under
+    whichever basis the analysis used.
     """
     try:
         rows = [cube.index_of(mid) for mid in ids]
     except KeyError as exc:
         raise RenderError(f"unknown municipality id {exc.args[0]!r}") from None
-    municipalities = tuple(cube.municipalities[i] for i in rows)
+    m = cube.n_municipalities
+    if (len(pops.municipalities) != m or len(stats.ids) != m
+            or any(pops.municipalities[i].id != mid or stats.ids[i] != mid
+                   for i, mid in zip(rows, ids))):
+        raise RenderError("the population or statistics table does not list the cube's "
+                          "municipality ids in the cube's order")
+    municipalities = [cube.municipalities[i] for i in rows]
     names = escape("\0".join(chain.from_iterable(
         (muni.name, muni.county, muni.id) for muni in municipalities))).split("\0")
     if len(names) != 3 * len(rows):
         raise RenderError("a municipality name, county or id holds a NUL, which SVG cannot carry")
-    bound = max(cube.n_municipalities - 1, 1)
-    _, panel_xs, ys, notes = _frame(cube.axis, bound)
+    bound = max(m - 1, 1)
+    pieces, panel_xs, ys, notes = _frame(cube.axis, bound)
     columns = [names[0::3], names[1::3], names[2::3]]
 
     populations = pops.pops[rows]
@@ -265,30 +252,17 @@ def dashboard_block(
                         for change, code in zip(stats.relative_change[rows, k].tolist(),
                                                 stats.special[rows, k].tolist())])
 
-    return DashboardBlock(ids=tuple(ids), municipalities=municipalities, axis=cube.axis,
-                          rd_bound=bound, pop_totals=pop_totals, case_totals=case_totals,
-                          pop_shares=pop_shares, case_shares=case_shares, columns=columns,
-                          rows={mid: i for i, mid in enumerate(ids)})
+    return DashboardBlock(ids=tuple(ids), pieces=pieces, columns=columns)
 
 
-def build_dashboard(block: DashboardBlock, municipality_id: str) -> DashboardModel:
-    """The model of one municipality of ``block``: its row of the columns."""
-    try:
-        i = block.rows[municipality_id]
-    except KeyError:
-        raise RenderError(f"unknown municipality id {municipality_id!r}") from None
-    return DashboardModel(block.municipalities[i], block.axis, block.rd_bound,
-                          tuple([column[i] for column in block.columns]))
+def render_dashboard(block: DashboardBlock, row: int) -> str:
+    """Render the dashboard SVG of the ``row``-th id of ``block``.
 
-
-def render_dashboard(model: DashboardModel) -> str:
-    """Render the dashboard SVG; identical models yield identical bytes.
-
-    Joins this municipality's values, in document order, between the run's
-    pieces from ``_frame``.
+    Joins that row's values, in document order, between the frame's pieces;
+    the same row of the same block yields the same bytes.
     """
-    values = model.values
-    parts = [""] * (2 * len(values) + 1)
-    parts[::2] = _frame(model.axis, model.rd_bound)[0]
-    parts[1::2] = values
+    columns = block.columns
+    parts = [""] * (2 * len(columns) + 1)
+    parts[::2] = block.pieces
+    parts[1::2] = [column[row] for column in columns]
     return "".join(parts)

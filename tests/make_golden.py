@@ -9,11 +9,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from test_render import GOLDEN, golden_model  # noqa: E402
-
-from rankdiff.render import render_dashboard  # noqa: E402
+from test_render import GOLDEN, golden_svg  # noqa: E402
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(render_dashboard(golden_model()), encoding="utf-8")
+    GOLDEN.write_text(golden_svg(), encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -540,6 +540,28 @@ class TestRun:
                             "geometry to draw\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    def test_map_span_beyond_float_exit_2(self, tmp_path, capsys, axis):
+        """Roster geometry whose extent overflows a float would scale the map by
+        inf and write NaN coordinates, so loading refuses it, in ``validate``
+        too, and no tree is written. Geometry outside the roster is not drawn,
+        so its extent does not count."""
+        corners = [[0.0, 0.0], [0.0, 0.0]]
+        corners[0][axis], corners[1][axis] = -1.7e308, 1.7e308
+        wide = [square_feature("a", *corners[0]), square_feature("b", *corners[1])]
+        config = write_inputs(tmp_path, geo=geojson_text(wide))
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("rankdiff: ingest: ")
+            assert err.endswith("b.geojson: the roster geometry spans more than a float can "
+                                "hold, so the map cannot be scaled\n")
+        assert not (tmp_path / "out").exists()
+        foreign = [square_feature("a"), square_feature("b", 2.0), square_feature("zz", *corners[1])]
+        config = write_inputs(tmp_path, geo=geojson_text(foreign))
+        assert cli.main(["run", "--config", str(config)]) == 1  # the unmatched feature warns
+        assert "nan" not in (tmp_path / "out" / "map_baa.svg").read_text(encoding="utf-8")
+
     def test_bad_basis_exit_2(self, clean_fixture, capsys):
         config, out = clean_fixture
         assert cli.main(["run", "--config", str(config), "--basis", "weekly"]) == 2

@@ -31,7 +31,8 @@ from rankdiff.metrics import (
     write_rd_csv,
     write_stats_json,
 )
-from rankdiff.model import GROUPS, INT64_MAX, CaseCube, DateAxis, Group, Municipality
+from rankdiff.model import (GROUPS, INT64_MAX, MINORITY_GROUPS, CaseCube, DateAxis, Group,
+                            Municipality)
 from rankdiff.oracle import oracle_stats
 from rankdiff.synth import SynthSpec, generate
 
@@ -467,6 +468,19 @@ class TestGroupStats:
         with pytest.raises(MetricsError, match="rd shape"):
             group_stats(cube, pops, np.zeros((1, 1, 4), dtype=int), RegimeConfig())
 
+    def test_misaligned_population_roster_rejected(self):
+        """Populations are read by the cube's rows, so a table that lists the
+        cube's ids in another order, or other ids, is refused, not misread."""
+        counts = np.zeros((2, 1, 4), dtype=np.int64)
+        counts[0, 0] = [50, 0, 0, 10]
+        cube, rd = make_cube(counts, ids=["a", "b"]), np.zeros(counts.shape, dtype=np.int64)
+        pops = [[1000, 10, 10, 1000], [10, 10, 10, 1000]]
+        stats = group_stats(cube, make_pops(pops, ids=["a", "b"]), rd, RegimeConfig())
+        assert stats.cell("a", Group.BAA) == GroupStats(0.0, None, 400.0, Special.NORMAL)
+        for ids, rows in ((["b", "a"], pops[::-1]), (["a", "c"], pops), (["a"], pops[:1])):
+            with pytest.raises(MetricsError, match="does not list the cube's municipality ids"):
+                group_stats(cube, make_pops(rows, ids=ids), rd, RegimeConfig())
+
     def test_cell_of_an_unknown_id(self):
         stats = stats_table({"a": [GroupStats(0.0, None, None, Special.NORMAL)] * 4})
         with pytest.raises(KeyError):
@@ -522,7 +536,8 @@ TABLE_EXAMPLES = [
 
 
 class TestGroupStatsTable:
-    """Every cell of the table equals the scalar definitions, bit for bit."""
+    """Every cell of the table equals the scalar definitions, and its relative
+    change and special case equal the oracle's, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(totals_pops_rd(), st.sampled_from((RegimeConfig(), RegimeConfig(-2.0, 1.0))))
@@ -537,14 +552,17 @@ class TestGroupStatsTable:
         cube, pops = make_cube(counts), make_pops(populations)
         stats = group_stats(cube, pops, rd, regime)
         resolved = regime.resolved(m)
+        o = oracle_stats(cube, pops, (resolved.t_min, resolved.t_max))
         w = GROUPS.index(Group.W)
         for i, mid in enumerate(cube.ids()):
             for k, g in enumerate(GROUPS):
                 if g is Group.W:
                     change, special = None, Special.NORMAL
                 else:
-                    change, special = relative_change(totals[i][k], populations[i][k],
-                                                      totals[i][w], populations[i][w])
+                    kk = MINORITY_GROUPS.index(g)
+                    change, special = o["relative_change"][i][kk], Special(o["special"][i][kk])
+                    assert repr(relative_change(totals[i][k], populations[i][k], totals[i][w],
+                                                populations[i][w])) == repr((change, special))
                     assert special is special_case(totals[i][k], populations[i][k])
                 expected = GroupStats(persistence_index(rd[i, :, k], resolved),
                                       skewness(rd[i, :, k]), change, special)

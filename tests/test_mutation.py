@@ -5,8 +5,9 @@ mutations to the case, population, boundary or config file, and runs
 ``rankdiff validate`` and ``rankdiff run`` through ``cli.main``. ``validate``
 must exit as ``run`` does, with the same message when both reject the input.
 A run that completes must write a ``stats.json`` that is strict JSON (no NaN
-or Infinity), and dashboards that are well-formed XML, whose totals are
-non-negative and whose pie shares lie in [0, 100].
+or Infinity), SVGs that are well-formed XML with no NaN or infinity in an
+attribute, and dashboards whose totals are non-negative and whose pie shares
+lie in [0, 100].
 
 A second property damages a valid synth spec document and runs ``rankdiff
 synth`` on it, which must exit 0 or 2.
@@ -45,8 +46,8 @@ APPENDED_ROWS = ("m001,HPI,1", "m001,ASIAN,7", "m999,W,5", "m001,MO,3",
                  "2020-10-01,m001,Synthville 1,Synth County,BAA,1", "x")
 GEOMETRY_DAMAGE = ("drop-geometry", "null-geometry", "point", "drop-coordinates",
                    "empty-coordinates", "scalar-coordinates", "text-position", "nan-position",
-                   "short-ring", "unclosed-ring", "drop-id", "foreign-id", "numeric-id",
-                   "not-object", "duplicate-feature")
+                   "far-east", "far-west", "short-ring", "unclosed-ring", "drop-id",
+                   "foreign-id", "numeric-id", "not-object", "duplicate-feature")
 REGIME_VALUES = (None, -5, 0, 2.5, 3, 1e9, float("inf"), float("-inf"), float("nan"), "inf",
                  "abc")
 CONFIG = {"cases": "cases.txt", "populations": "populations.txt", "boundaries": "boundaries.txt",
@@ -136,6 +137,8 @@ def damage_geojson(text: str, op: str, *args) -> str:
         ring[1] = ["x", 0.0]
     elif kind == "nan-position":
         ring[1] = [float("nan"), 0.0]
+    elif kind in ("far-east", "far-west"):  # two of them span more than a float holds
+        ring[1] = [1.7e308 if kind == "far-east" else -1.7e308, 0.0]
     elif kind == "short-ring":
         del ring[2:]
     elif kind == "unclosed-ring":
@@ -158,6 +161,14 @@ def _reject_constant(name: str):
     raise ValueError(f"stats.json holds the non-JSON constant {name}")
 
 
+def _check_attributes(root: ElementTree.Element) -> None:
+    """No attribute of an SVG holds a NaN or an infinity. Text content may:
+    names and counties are free text."""
+    for element in root.iter():
+        for value in element.attrib.values():
+            assert not re.search(r"\b(?:nan|inf)", value, re.IGNORECASE), value
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(mutation, min_size=1, max_size=3))
 @example([("config", ("max", float("inf")))])
@@ -167,6 +178,7 @@ def _reject_constant(name: str):
 @example([("cases", ("cell", 4, 5, str(INT64_MAX))), ("cases", ("cell", 8, 5, str(INT64_MAX)))])
 @example([("config", ("min", 3))])  # a null max means M = 3, which does not exceed min
 @example([("boundaries", ("damage", i, "foreign-id")) for i in range(3)])  # no roster geometry
+@example([("boundaries", ("damage", 0, "far-west")), ("boundaries", ("damage", 2, "far-east"))])
 @example([("cases", ("cell", 4, 1, "../../escaped"))])  # an id that would leave dashboards/
 # m001, rows 1-16 of cases and 1-4 of populations, renamed to text XML cannot carry
 @example([("cases", ("cell", row, 1, "m\x00")) for row in range(1, 17)]
@@ -212,9 +224,11 @@ def test_mutated_inputs_end_in_an_exit_code(mutations):
             out = root / doc["out"]
             stats = (out / "stats.json").read_text(encoding="utf-8")
             json.loads(stats, parse_constant=_reject_constant)
+            for svg in out.glob("map_*.svg"):
+                _check_attributes(ElementTree.fromstring(svg.read_text(encoding="utf-8")))
             for svg in (out / "dashboards").glob("*.svg"):
                 text = svg.read_text(encoding="utf-8")
-                ElementTree.fromstring(text)
+                _check_attributes(ElementTree.fromstring(text))
                 totals = re.findall(r">total (?:population|cases) (-?[\d,]+)<", text)
                 assert len(totals) == 2 and all(int(t.replace(",", "")) >= 0 for t in totals)
                 shares = re.findall(r">(-?\d+\.\d\d)%<", text)

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 from dataclasses import replace
@@ -416,12 +417,31 @@ def test_run_renders_through_the_traced_attribute(tmp_path, monkeypatch):
     calls = []
     render_dashboard = render.render_dashboard
 
-    def counted(model):
-        calls.append(model.municipality.id)
-        return render_dashboard(model)
+    def counted(block, row):
+        calls.append(block.ids[row])
+        return render_dashboard(block, row)
 
     monkeypatch.setattr(render, "render_dashboard", counted)
     spec = _uniform_spec(5, 3)
     cfg = _run_fixture(spec, tmp_path)
     assert sorted(calls) == sorted(path.stem for path in (cfg.out / "dashboards").iterdir())
     assert len(calls) == spec.m
+
+
+def test_run_draws_through_the_traced_attribute_once_per_block(tmp_path, monkeypatch):
+    """The traced run books the drawing to ``render.build_dashboard``, so
+    ``run`` calls it once for each block of ``DASHBOARD_BLOCK_ROWS`` ids, in
+    sorted id order."""
+    blocks = []
+    build_dashboard = render.build_dashboard
+
+    def counted(stats, cube, pops, ids, rd):
+        blocks.append(list(ids))
+        return build_dashboard(stats, cube, pops, ids, rd)
+
+    monkeypatch.setattr(render, "build_dashboard", counted)
+    monkeypatch.setattr(pipeline, "DASHBOARD_BLOCK_ROWS", 2)
+    spec = _uniform_spec(5, 3)
+    cfg = _run_fixture(spec, tmp_path)
+    assert len(blocks) == math.ceil(spec.m / pipeline.DASHBOARD_BLOCK_ROWS)
+    assert sum(blocks, []) == sorted(path.stem for path in (cfg.out / "dashboards").iterdir())

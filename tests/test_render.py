@@ -21,13 +21,12 @@ from rankdiff.model import MINORITY_GROUPS, Group
 from rankdiff.render import (
     build_choropleth,
     build_dashboard,
-    dashboard_block,
     render_choropleth,
     render_dashboard,
     render_index,
 )
 from rankdiff.render import dashboard
-from rankdiff.render.svg import CLASS_COLORS, escape, pie_angles
+from rankdiff.render.svg import CLASS_COLORS, circle, escape, pie_angles, text
 
 from conftest import START, make_cube, make_pops
 
@@ -58,11 +57,27 @@ def block_of(inputs, ids=None):
     """The dashboard block of ``ids`` (every id of the cube by default) of
     ``(stats, cube, pops, rd)``."""
     stats, cube, pops, rd = inputs
-    return dashboard_block(stats, cube, pops, cube.ids() if ids is None else ids, rd)
+    return build_dashboard(stats, cube, pops, cube.ids() if ids is None else ids, rd)
 
 
-def golden_model():
-    return build_dashboard(block_of(golden_inputs()), "alpha")
+def svg_of(block, mid):
+    """The dashboard SVG of ``mid``, one of ``block``'s ids."""
+    return render_dashboard(block, block.ids.index(mid))
+
+
+def golden_svg():
+    return svg_of(block_of(golden_inputs()), "alpha")
+
+
+def pie_values(inputs):
+    """Each row's population and case totals and shares, as ``(pop_totals,
+    case_totals, pop_shares, case_shares)``, through the dashboards' own
+    ``_totals`` and ``_shares`` on the values the pies are drawn from."""
+    _, cube, pops, _ = inputs
+    cases = cube.counts.sum(axis=1, dtype=np.int64)
+    pop_totals, case_totals = dashboard._totals(pops.pops), dashboard._totals(cases)
+    return (pop_totals, case_totals, dashboard._shares(pops.pops, pop_totals),
+            dashboard._shares(cases, case_totals))
 
 
 def inputs_of(counts, populations, start=START, ids=None):
@@ -124,28 +139,35 @@ MARKER_DIGESTS = {
 
 class TestDashboardModel:
     def test_shares_sum_to_100(self):
-        block = block_of(golden_inputs())
-        assert block.pop_shares.sum(axis=1) == pytest.approx([100.0] * 3, abs=1e-9)
-        assert block.case_shares.sum(axis=1) == pytest.approx([100.0] * 3, abs=1e-9)
-        svg = render_dashboard(build_dashboard(block, "alpha"))
+        inputs = golden_inputs()
+        *_, pop_shares, case_shares = pie_values(inputs)
+        assert pop_shares.sum(axis=1) == pytest.approx([100.0] * 3, abs=1e-9)
+        assert case_shares.sum(axis=1) == pytest.approx([100.0] * 3, abs=1e-9)
+        svg = svg_of(block_of(inputs), "alpha")
         panels = [svg.index(f"{g.value} rank difference") for g in MINORITY_GROUPS]
         assert panels == sorted(panels) and MINORITY_GROUPS == (Group.BAA, Group.HL, Group.OTH)
 
     def test_pie_shares_match_inputs(self):
         counts = np.zeros((1, 1, 4), dtype=np.int64)
         counts[0, 0] = [117, 2883, 1500, 5500]          # 1.17% of 10000 cases are BAA
-        block = block_of(inputs_of(counts, [[18, 982, 1500, 7500]], ids=["a"]))  # BAA is 0.18%
-        assert block.pop_shares[0, 0] == pytest.approx(0.18, abs=1e-12)
-        assert block.case_shares[0, 0] == pytest.approx(1.17, abs=1e-12)
-        svg = render_dashboard(build_dashboard(block, "a"))
+        inputs = inputs_of(counts, [[18, 982, 1500, 7500]], ids=["a"])  # BAA is 0.18%
+        *_, pop_shares, case_shares = pie_values(inputs)
+        assert pop_shares[0, 0] == pytest.approx(0.18, abs=1e-12)
+        assert case_shares[0, 0] == pytest.approx(1.17, abs=1e-12)
+        svg = svg_of(block_of(inputs), "a")
         assert "0.18%" in svg and "1.17%" in svg
 
     def test_zero_population_pie_degenerates(self):
         counts = np.zeros((2, 2, 4), dtype=np.int64)
         counts[0, :, 3] = [1, 1]
-        block = block_of(inputs_of(counts, [[0, 0, 0, 0], [1, 1, 1, 1]], ids=["a", "b"]))
-        assert block.pop_totals[0] == 0 and not block.pop_shares[0].any()
-        assert "n/a" in render_dashboard(build_dashboard(block, "a"))
+        inputs = inputs_of(counts, [[0, 0, 0, 0], [1, 1, 1, 1]], ids=["a", "b"])
+        pop_totals, _, pop_shares, _ = pie_values(inputs)
+        assert pop_totals[0] == 0 and not pop_shares[0].any()
+        svg = svg_of(block_of(inputs), "a")
+        assert ">total population 0<" in svg
+        disc = (circle(120, 170, 64, fill="#eeeeee", stroke="#cccccc") + "\n"
+                + text(120, 174, "n/a", size=13, anchor="middle", fill="#888888"))
+        assert svg.count(disc) == 1  # the population pie only
 
     def test_all_zero_minorities_three_crosses(self):
         counts = np.zeros((2, 3, 4), dtype=np.int64)
@@ -155,20 +177,20 @@ class TestDashboardModel:
         stats, block = inputs[0], block_of(inputs)
         specials = [stats.cell("a", g).special.value for g in MINORITY_GROUPS]
         assert specials == ["undefined_zero_zero"] * 3
-        svg = render_dashboard(build_dashboard(block, "a"))
+        svg = svg_of(block, "a")
         assert svg.count('stroke="#cc3311"') == 6  # two strokes per cross marker
 
     def test_star_case_still_shows_persistence_badge(self):
         inputs = golden_inputs()
         assert inputs[0].cell("beta", Group.BAA).special is Special.POP_ZERO_CASES_NONZERO
-        svg = render_dashboard(build_dashboard(block_of(inputs), "beta"))
+        svg = svg_of(block_of(inputs), "beta")
         assert "per " in svg
         assert "cases despite zero recorded population" in svg
 
     def test_undefined_skew_shows_na(self):
         stats, *_ = golden_inputs()
         assert stats.cell("alpha", Group.OTH).skewness is None
-        assert "skew n/a" in render_dashboard(golden_model())
+        assert "skew n/a" in golden_svg()
 
     def test_case_total_of_int64_max(self):
         """A municipality's cases may sum to exactly int64's maximum, which the
@@ -176,10 +198,11 @@ class TestDashboardModel:
         counts = np.zeros((2, 2, 4), dtype=np.int64)
         counts[0, :, 0] = [2**61, 2**61]
         counts[0, :, 3] = [2**61, 2**61 - 1]
-        block = block_of(inputs_of(counts, [[10, 10, 10, 10], [10, 10, 10, 10]], ids=["a", "b"]))
-        assert block.case_totals[0] == 2**63 - 1
-        assert block.case_shares[0, 0] == pytest.approx(50.0, abs=1e-12)
-        svg = render_dashboard(build_dashboard(block, "a"))
+        inputs = inputs_of(counts, [[10, 10, 10, 10], [10, 10, 10, 10]], ids=["a", "b"])
+        _, case_totals, _, case_shares = pie_values(inputs)
+        assert case_totals[0] == 2**63 - 1
+        assert case_shares[0, 0] == pytest.approx(50.0, abs=1e-12)
+        svg = svg_of(block_of(inputs), "a")
         assert "total cases 9,223,372,036,854,775,807" in svg
 
     def test_nul_in_a_name_is_refused(self):
@@ -189,20 +212,32 @@ class TestDashboardModel:
         towns = (replace(cube.municipalities[0], name="Al\0pha"), *cube.municipalities[1:])
         cube = replace(cube, municipalities=towns)
         with pytest.raises(RenderError, match="holds a NUL"):
-            dashboard_block(stats, cube, pops, cube.ids(), rd)
+            build_dashboard(stats, cube, pops, cube.ids(), rd)
 
     def test_unknown_municipality(self):
         inputs = golden_inputs()
         with pytest.raises(RenderError, match="unknown municipality id 'nowhere'"):
             block_of(inputs, ["alpha", "nowhere"])
-        with pytest.raises(RenderError, match="unknown municipality id 'gamma'"):
-            build_dashboard(block_of(inputs, ["alpha", "beta"]), "gamma")
+
+    def test_misaligned_rosters_are_refused(self):
+        """A block reads the populations and the statistics by the cube's rows,
+        so both must list the cube's ids in its order."""
+        stats, cube, pops, rd = golden_inputs()
+        ids = cube.ids()
+        swapped = make_pops(pops.pops[[1, 0, 2]].tolist(), ids=[ids[1], ids[0], ids[2]])
+        shorter = make_pops(pops.pops[:2].tolist(), ids=ids[:2])
+        other_stats = inputs_of(np.zeros((3, 10, 4), dtype=np.int64), pops.pops.tolist(),
+                                ids=[ids[0], ids[2], ids[1]])[0]
+        for inputs in ((stats, cube, swapped, rd), (other_stats, cube, pops, rd),
+                       (stats, cube, shorter, rd)):
+            with pytest.raises(RenderError, match="does not list the cube's municipality ids"):
+                block_of(inputs, ["beta"])
 
 
 class TestDeterminismAndGolden:
     def test_same_model_same_bytes(self):
-        model = golden_model()
-        assert render_dashboard(model) == render_dashboard(model)
+        block = block_of(golden_inputs())
+        assert render_dashboard(block, 0) == render_dashboard(block, 0)
 
     def test_cache_state_does_not_change_bytes(self):
         """Dashboards of three runs, each with its own frame, drawn in one block
@@ -217,8 +252,7 @@ class TestDeterminismAndGolden:
                       start=dt.date(2021, 2, 28)),
         ]
         blocks = [block_of(inputs) for inputs in runs]
-        models = [[build_dashboard(block, mid) for mid in block.ids] for block in blocks]
-        assert len({(run[0].axis, run[0].rd_bound) for run in models}) == 3
+        assert len({block.pieces for block in blocks}) == 3
         pairs = [pair for batch in zip_longest(*[[(inputs, mid) for mid in inputs[1].ids()]
                                                  for inputs in runs])
                  for pair in batch if pair is not None]
@@ -228,13 +262,14 @@ class TestDeterminismAndGolden:
         for inputs, mid in pairs:
             for cached in caches:
                 cached.cache_clear()
-            cold.append(render_dashboard(build_dashboard(block_of(inputs, [mid]), mid)))
-        warm = [m for batch in zip_longest(*models) for m in batch if m is not None]
-        assert [render_dashboard(model) for model in warm] == cold
+            cold.append(render_dashboard(block_of(inputs, [mid]), 0))
+        rows = [[(block, row) for row in range(len(block.ids))] for block in blocks]
+        warm = [pair for batch in zip_longest(*rows) for pair in batch if pair is not None]
+        assert [render_dashboard(block, row) for block, row in warm] == cold
 
     def test_golden(self):
         assert GOLDEN.exists(), "golden missing; regenerate via tests/make_golden.py"
-        assert render_dashboard(golden_model()) == GOLDEN.read_text(encoding="utf-8")
+        assert golden_svg() == GOLDEN.read_text(encoding="utf-8")
 
     def test_marker_digests(self):
         """Every (panel, special case, relative change or not) a dashboard can
@@ -245,11 +280,11 @@ class TestDeterminismAndGolden:
             digest = hashlib.sha256()
             inputs = inputs_of(counts, populations)
             block = block_of(inputs)
-            for mid in block.ids:
+            for row, mid in enumerate(block.ids):
                 for column, g in enumerate(MINORITY_GROUPS):
                     stats = inputs[0].cell(mid, g)
                     shown.add((column, stats.special, stats.relative_change_pct is None))
-                digest.update(render_dashboard(build_dashboard(block, mid)).encode())
+                digest.update(render_dashboard(block, row).encode())
             digests[name] = digest.hexdigest()
         assert shown == {(column, special, undefined) for column in range(3)
                          for special, undefined in MARKER_CASES}
