@@ -228,6 +228,20 @@ GOLDEN_DIGESTS = {
     "stats.json": "7c6025badd5ac4ca216d4c441b6360bd70327bb0713dbc9cdeac52ae27db28f5",
 }
 
+# The same roster ranked under the other bases. Over a window of at most 7
+# days a day's trailing mean is the cumulative total divided by the day's
+# number, which ranks alike, so the two write the same rd.csv.
+BASIS_DIGESTS = {
+    "ma7": {
+        "rd.csv": "3cd353c080d40d4d7476746a7ec550ce0cbb7f7fbe433178dc053f49c5b83ec4",
+        "stats.json": "8cd0e64bfa9ebc687b2eacdae32c69e96722be323a7af9f1fa59669ddd5169ef",
+    },
+    "cumulative": {
+        "rd.csv": "3cd353c080d40d4d7476746a7ec550ce0cbb7f7fbe433178dc053f49c5b83ec4",
+        "stats.json": "471e7a8f4b8e393b4e87197777f529dfa3726deeb3052fc7b26c63133fb2d573",
+    },
+}
+
 
 def _write_inputs(cube: CaseCube, pops: PopulationTable, out: Path) -> dict[str, Path]:
     """Input files of a hand-built cube and population table, one square per town."""
@@ -240,13 +254,14 @@ def _write_inputs(cube: CaseCube, pops: PopulationTable, out: Path) -> dict[str,
     return paths
 
 
-def _run_fixture(spec: SynthSpec | tuple[CaseCube, PopulationTable], tmp_path) -> RunConfig:
+def _run_fixture(spec: SynthSpec | tuple[CaseCube, PopulationTable], tmp_path,
+                 basis: str = "raw_daily") -> RunConfig:
     if isinstance(spec, SynthSpec):
         paths = write_fixture(spec, tmp_path / "fx")
     else:
         paths = _write_inputs(*spec, tmp_path / "fx")
     cfg = RunConfig(cases=paths["cases"], populations=paths["populations"],
-                    boundaries=paths["boundaries"], out=tmp_path / "out")
+                    boundaries=paths["boundaries"], out=tmp_path / "out", basis=basis)
     run(cfg)
     return cfg
 
@@ -256,6 +271,14 @@ def test_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((cfg.out / name).read_bytes()).hexdigest()
                for name in GOLDEN_DIGESTS}
     assert digests == GOLDEN_DIGESTS
+
+
+@pytest.mark.parametrize("basis", sorted(BASIS_DIGESTS))
+def test_golden_digests_under_basis(tmp_path, basis):
+    cfg = _run_fixture(_wide_shaped_spec(), tmp_path, basis=basis)
+    digests = {name: hashlib.sha256((cfg.out / name).read_bytes()).hexdigest()
+               for name in BASIS_DIGESTS[basis]}
+    assert digests == BASIS_DIGESTS[basis]
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
