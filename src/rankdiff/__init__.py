@@ -23,7 +23,7 @@ _EXPORTS = {
                 "rank_population", "relative_change", "skewness", "special_case",
                 "statewide_aggregate"),
     "model": ("GROUPS", "CaseCube", "DateAxis", "Group", "Municipality", "PopulationTable",
-              "QualityReport"),
+              "QualityReport", "Roster"),
     "oracle": ("oracle_stats",),
     "pipeline": ("RunConfig", "run", "validate"),
     "synth": ("SynthSpec", "generate"),

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ClassifyError
 from .metrics import GroupStats, GroupStatsTable
-from .model import GROUP_INDEX, Group
+from .model import GROUP_INDEX, Group, Roster
 
 
 class ClassLabel(str, Enum):
@@ -97,12 +97,13 @@ def classify_municipalities(
                  (cfg.g1_skew_min <= skew) & (skew <= cfg.g1_skew_max) & (per >= cfg.g1_per_min),
                  (cfg.g2_skew_min <= skew) & (skew <= cfg.g2_skew_max) & (per < cfg.g2_per_max)]
     codes = np.select(rules, range(len(rules)), len(rules))
-    return dict(zip(stats.ids, map(_RULE_LABELS.__getitem__, codes.tolist())))
+    return dict(zip(stats.roster.ids, map(_RULE_LABELS.__getitem__, codes.tolist())))
 
 
-def write_labels_csv(path: str | Path, labels: dict[str, ClassLabel], group: Group) -> None:
+def write_labels_csv(path: str | Path, roster: Roster, labels: dict[str, ClassLabel],
+                     group: Group) -> None:
+    """One row per municipality of ``roster``, in ascending id order."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["municipality_id", "group", "label"])
-        for mid in sorted(labels):
-            writer.writerow([mid, group.value, labels[mid].value])
+        writer.writerows([mid, group.value, labels[mid].value] for mid in roster.sorted_ids)

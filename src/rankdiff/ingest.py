@@ -56,6 +56,7 @@ from .model import (
     PopulationTable,
     QualityReport,
     Ring,
+    Roster,
     check_totals,
 )
 
@@ -549,10 +550,10 @@ def _pop_label(raw: str, path: Path, line: int) -> int:
 
 def load_populations(
     path: str | Path,
-    municipalities: Sequence[Municipality],
+    roster: Roster,
     report: QualityReport | None = None,
 ) -> PopulationTable:
-    """Parse a populations CSV aligned to the given municipality roster.
+    """Parse a populations CSV into a table of ``roster``, the cube's.
 
     Accepts the canonical four groups plus source categories: ASIAN/HPI/AIAN
     rows are summed into OTH, MO/UNK rows are excluded with totals reported.
@@ -565,9 +566,8 @@ def load_populations(
     duplicate and missing rows.
     """
     path = Path(path)
-    roster = {m.id: i for i, m in enumerate(municipalities)}
-    line = 0
-    ids = _Interned(lambda raw: roster.get(raw.strip(), -1))
+    municipalities, line = roster.municipalities, 0
+    ids = _Interned(lambda raw: roster.index.get(raw.strip(), -1))
     labels = _Interned(lambda raw: _pop_label(raw, path, line))
     values = _Interned(lambda raw: _parse_int(raw, path, line, "population"))
     row_of, label_of, value_of = [], [], []
@@ -589,9 +589,9 @@ def load_populations(
         first = order[1:][cell[order[1:]] == cell[order[:-1]]].min()
         raise IngestError(f"{path}:{known[first] + 2}: duplicate row for "
                           f"({municipalities[row[first]].id}, {POP_SOURCE_GROUPS[label[first]]})")
-    missing = sorted(municipalities[i].id
-                     for i in np.flatnonzero(np.bincount(row, minlength=m) == 0))
-    if missing:
+    absent = np.bincount(row, minlength=m) == 0
+    if absent.any():
+        missing = [roster.ids[i] for i in roster.order[absent[roster.order]].tolist()]
         raise IngestError(
             f"{path}: no population rows for {len(missing)} municipalities: "
             + ", ".join(missing[:10])
@@ -614,7 +614,7 @@ def load_populations(
                 "populations file lists ids not in the case roster (ignored): "
                 + ", ".join(sorted(unknown_ids)[:10])
             )
-    return PopulationTable(municipalities=tuple(municipalities), pops=pops)
+    return PopulationTable(roster=roster, pops=pops)
 
 
 def _feature_id(feature: dict, index: int, path: Path) -> str:
@@ -718,27 +718,31 @@ def load_boundaries(
     return shapes
 
 
-def write_cases_csv(cube: CaseCube, path: str | Path) -> None:
-    """Write a CaseCube in the canonical cases schema (round-trip safe).
-
-    Bytes are those of a ``csv.writer`` row per cell. Only the municipality
-    fields can need quoting, so every (day, group) row is formatted once per
-    run into a ``%`` template, with a slot for those fields and a ``%s`` for
-    each count, and filled once per municipality.
-    """
-    slot = "\0"  # in no date or group text
-    template = "".join(f"{day.isoformat()},{slot},{g.value},%s\n"
-                       for day in cube.axis.dates() for g in GROUPS)
+def write_filled_csv(path: str | Path, header: str, template: str, rows) -> None:
+    """Write ``header``, then ``template`` once per ``(fields, values)`` of ``rows``,
+    with the ``csv.writer`` text of ``fields`` at its NUL and ``values`` at its
+    ``%s``: only the fields can need quoting, so the rest is formatted once."""
     quoted = io.StringIO()
     quote = csv.writer(quoted, lineterminator="\n").writerow
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(CASES_COLUMNS) + "\n")
-        for muni, counts in zip(cube.municipalities, cube.counts):
+        handle.write(header)
+        for fields, values in rows:
             quoted.seek(0)
             quoted.truncate()
-            quote((muni.id, muni.name, muni.county))
-            fields = quoted.getvalue()[:-1].replace("%", "%%")
-            handle.write(template.replace(slot, fields) % tuple(counts.ravel().tolist()))
+            quote((*fields, ""))  # cut below with its comma; a lone empty field would be ""
+            filled = quoted.getvalue()[:-2].replace("%", "%%")
+            handle.write(template.replace("\0", filled) % values)
+
+
+def write_cases_csv(cube: CaseCube, path: str | Path) -> None:
+    """Write a CaseCube in the canonical cases schema (round-trip safe): the
+    bytes of a ``csv.writer`` row per cell, each (day, group) row formatted
+    once per run."""
+    template = "".join(f"{day.isoformat()},\0,{g.value},%s\n"
+                       for day in cube.axis.dates() for g in GROUPS)
+    write_filled_csv(path, ",".join(CASES_COLUMNS) + "\n", template,
+                     (((m.id, m.name, m.county), tuple(counts.ravel().tolist()))
+                      for m, counts in zip(cube.municipalities, cube.counts)))
 
 
 def write_populations_csv(table: PopulationTable, path: str | Path) -> None:
@@ -748,5 +752,5 @@ def write_populations_csv(table: PopulationTable, path: str | Path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(POPS_COLUMNS)
         writer.writerows((muni.id, g, pop)
-                         for muni, pops in zip(table.municipalities, table.pops.tolist())
+                         for muni, pops in zip(table.roster.municipalities, table.pops.tolist())
                          for g, pop in zip(groups, pops))

@@ -1,8 +1,8 @@
 """Rank, persistence, skewness, and relative-change statistics.
 
-Ranks are dense 1..M per group: municipalities are ordered by descending
-value and ties are broken by ascending municipality id, so every rank slice
-is an exact permutation and daily rank differences sum to zero.
+Ranks are ordinal 1..M per group, as SciPy's ``method='ordinal'``: municipalities
+are ordered by descending value, tied values by ascending municipality id, so
+every rank slice is an exact permutation and daily rank differences sum to zero.
 
 ``group_stats`` summarizes every (municipality, group) cell at once into a
 ``GroupStatsTable`` of (M, K) columns, which the classifier and every writer
@@ -14,13 +14,10 @@ are one-cell calls of it.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -29,8 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MetricsError
+from .ingest import write_filled_csv
 from .model import (GROUP_INDEX, GROUPS, INT64_MAX, K, CaseCube, Group, Municipality,
-                    PopulationTable)
+                    PopulationTable, Roster)
 
 BASES = ("raw_daily", "ma7", "cumulative")
 
@@ -84,13 +82,12 @@ class GroupStats:
 class GroupStatsTable:
     """The ``GroupStats`` of every (municipality, group) cell as (M, K) columns.
 
-    Rows follow the roster order of the cube the table was computed from,
-    named by ``ids``, and columns follow ``GROUPS``. ``skewness`` is NaN where
-    it is undefined, ``relative_change`` is NaN where there is none (the whole
-    W column), and ``special`` holds each cell's index into ``SPECIALS``.
+    Rows follow ``roster``, the cube's, and columns follow ``GROUPS``. ``skewness``
+    is NaN where it is undefined, ``relative_change`` is NaN where there is none
+    (the whole W column), and ``special`` holds each cell's index into ``SPECIALS``.
     """
 
-    ids: tuple[str, ...]
+    roster: Roster
     persistence: np.ndarray       # float64 percent
     skewness: np.ndarray          # float64
     relative_change: np.ndarray   # float64 percent
@@ -100,14 +97,9 @@ class GroupStatsTable:
         for column in (self.persistence, self.skewness, self.relative_change, self.special):
             column.setflags(write=False)
 
-    @cached_property
-    def rows(self) -> dict[str, int]:
-        """The row of each municipality id."""
-        return {mid: i for i, mid in enumerate(self.ids)}
-
     def cell(self, municipality_id: str, group: Group) -> GroupStats:
         """One cell as a record, with None for NaN; raises ``KeyError`` for an unknown id."""
-        i, k = self.rows[municipality_id], GROUP_INDEX[group]
+        i, k = self.roster.index[municipality_id], GROUP_INDEX[group]
         skew, change = float(self.skewness[i, k]), float(self.relative_change[i, k])
         return GroupStats(persistence_pct=float(self.persistence[i, k]),
                           skewness=None if math.isnan(skew) else skew,
@@ -115,15 +107,14 @@ class GroupStatsTable:
                           special=SPECIALS[self.special[i, k]])
 
 
-def _dense_ranks(values: np.ndarray, ids: Sequence[str]) -> np.ndarray:
-    """Dense ranks 1..M along axis 0: descending value, ties by ascending id.
+def _ordinal_ranks(values: np.ndarray, by_id: np.ndarray) -> np.ndarray:
+    """Ordinal ranks 1..M along axis 0: descending value, ties by ascending id.
 
-    A stable sort by descending value of the rows taken in ascending-id order
-    leaves tied rows in id order. ``ids`` names the rows of ``values``.
+    A stable sort by descending value of the rows taken in ``by_id``, their
+    ascending-id order, leaves tied rows in id order.
     """
     if values.dtype.kind == "u":
         values = values.astype(np.int64)  # unsigned would wrap under negation
-    by_id = np.argsort(np.array(ids))
     order = by_id[np.argsort(-values[by_id], axis=0, kind="stable")]
     m = len(by_id)
     ranks = np.empty(values.shape, dtype=np.int64)
@@ -132,9 +123,10 @@ def _dense_ranks(values: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-def rank_population(pops: PopulationTable) -> np.ndarray:
-    """Rank municipalities 1..M by descending group population, per group."""
-    return _dense_ranks(pops.pops, [m.id for m in pops.municipalities])
+def rank_population(pops: PopulationTable, roster: Roster) -> np.ndarray:
+    """Rank the cube's ``roster`` 1..M by descending group population, per group."""
+    roster.check(pops.roster, "population table", MetricsError)
+    return _ordinal_ranks(pops.pops, roster.order)
 
 
 def _basis_values(cube: CaseCube, basis: str) -> np.ndarray:
@@ -153,7 +145,7 @@ def rank_cases(cube: CaseCube, basis: str = "raw_daily") -> np.ndarray:
     ``basis`` selects the ranked quantity: the raw daily count, its trailing
     7-day mean, or the cumulative-to-date total.
     """
-    return _dense_ranks(_basis_values(cube, basis), cube.ids())
+    return _ordinal_ranks(_basis_values(cube, basis), cube.roster.order)
 
 
 def rank_diff(pop_rank: np.ndarray, case_rank: np.ndarray) -> np.ndarray:
@@ -341,13 +333,10 @@ def group_stats(
     regime = regime.resolved(cube.n_municipalities)
     if rd.shape != cube.counts.shape:
         raise MetricsError(f"rd shape {rd.shape} does not match cube {cube.counts.shape}")
-    ids = cube.ids()
-    if [m.id for m in pops.municipalities] != ids:
-        raise MetricsError("the population table does not list the cube's municipality ids "
-                           "in the cube's order")
+    cube.roster.check(pops.roster, "population table", MetricsError)
     series = np.ascontiguousarray(rd.transpose(0, 2, 1), dtype=np.float64)
     change, special = _relative_changes(cube.counts.sum(axis=1, dtype=np.int64), pops.pops)
-    return GroupStatsTable(ids=tuple(ids), persistence=_persistence_pcts(series, regime),
+    return GroupStatsTable(roster=cube.roster, persistence=_persistence_pcts(series, regime),
                            skewness=_skewnesses(series), relative_change=change, special=special)
 
 
@@ -355,31 +344,14 @@ def write_rd_csv(path: str | Path, cube: CaseCube, rd: np.ndarray) -> None:
     """Long-form export: municipality_id,group,day,rd with day 1-based.
 
     Bytes are those of a ``csv.writer`` row per (municipality, group, day) in
-    sorted id order. Each (municipality, group) series is written as one
-    string, joined from day strings and rd strings formatted once per run.
+    sorted id order, each (group, day) row formatted once per run.
     """
-    order = sorted(range(cube.n_municipalities), key=lambda i: cube.municipalities[i].id)
-    days = [f"{day}," for day in range(1, cube.n_days + 1)]
-    groups = [f",{g.value}," for g in GROUPS]
-    # Each id is quoted by csv.writer as the first of two fields; the second,
-    # empty, is stripped with its separator. (A lone empty field would be "".)
-    quoted = io.StringIO()
-    quote = csv.writer(quoted, lineterminator="\n").writerow
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("municipality_id,group,day,rd\n")
-        if not rd.size:
-            return
-        low = int(rd.min())
-        texts = [str(value) for value in range(low, int(rd.max()) + 1)]  # indexed by rd - low
-        for i in order:
-            quoted.seek(0)
-            quoted.truncate()
-            quote((cube.municipalities[i].id, ""))
-            mid = quoted.getvalue()[:-2]
-            for group, values in zip(groups, (rd[i] - low).T.tolist()):
-                prefix = mid + group
-                rows = map(str.__add__, days, map(texts.__getitem__, values))
-                handle.write(prefix + ("\n" + prefix).join(rows) + "\n")
+    ids = cube.roster.ids
+    template = "".join(f"\0,{g.value},{day},%s\n"
+                       for g in GROUPS for day in range(1, cube.n_days + 1))
+    write_filled_csv(path, "municipality_id,group,day,rd\n", template,
+                     (((ids[i],), tuple(rd[i].T.ravel().tolist()))
+                      for i in cube.roster.order.tolist()))
 
 
 # stats.json is pinned to the bytes of json.dump(doc, indent=2, sort_keys=True)
@@ -442,8 +414,8 @@ def write_stats_json(
     """Per-municipality statistics keyed by id, with the window, basis and
     regime, from ``stats``, the table of ``cube``'s roster."""
     regime = regime.resolved(cube.n_municipalities)
-    munis = cube.municipalities
-    order = np.array(sorted(range(len(munis)), key=lambda i: munis[i].id), dtype=np.intp)
+    cube.roster.check(stats.roster, "statistics table", MetricsError)
+    munis, order = cube.municipalities, cube.roster.order
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write('{\n  "basis": %s,\n  "municipalities": {' % encode_basestring_ascii(basis))
         separator = "\n"

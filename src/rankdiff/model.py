@@ -7,6 +7,7 @@ import datetime as dt
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -73,14 +74,40 @@ class DateAxis:
             yield self.date_of(j)
 
 
-def _unique_ids(municipalities: Sequence[Municipality]) -> dict[str, int]:
-    """Map each id to its row; raises on a repeated id."""
-    index: dict[str, int] = {}
-    for i, m in enumerate(municipalities):
-        if m.id in index:
-            raise IngestError(f"duplicate municipality id {m.id!r}")
-        index[m.id] = i
-    return index
+@dataclass(frozen=True)
+class Roster:
+    """The municipalities a table lists, in its row order; ``index`` maps each
+    id to its row. ``order``, the rows in ascending-id order, breaks every
+    rank tie and orders every id-keyed output; it is sorted on first use."""
+
+    municipalities: tuple[Municipality, ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "municipalities", tuple(self.municipalities))
+        index: dict[str, int] = {}
+        for i, m in enumerate(self.municipalities):
+            if m.id in index:
+                raise IngestError(f"duplicate municipality id {m.id!r}")
+            index[m.id] = i
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "ids", tuple(index))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        order = np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__), dtype=np.intp)
+        order.setflags(write=False)
+        return order
+
+    @cached_property
+    def sorted_ids(self) -> tuple[str, ...]:
+        return tuple(map(self.ids.__getitem__, self.order.tolist()))
+
+    def check(self, table: Roster, what: str, error: type[Exception]) -> None:
+        """The alignment rule where a table meets the cube of this roster."""
+        if table is not self and table.ids != self.ids:
+            raise error(f"the {what} does not list the cube's municipality ids in the cube's order")
 
 
 def check_totals(what: str, municipalities: Sequence[Municipality], rows: np.ndarray) -> None:
@@ -108,10 +135,10 @@ class CaseCube:
     axis: DateAxis
     municipalities: tuple[Municipality, ...]
     counts: np.ndarray
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    roster: Roster = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", _unique_ids(self.municipalities))
+        object.__setattr__(self, "roster", Roster(self.municipalities))
         m = len(self.municipalities)
         expected = (m, self.axis.n_days, K)
         if self.counts.shape != expected:
@@ -135,23 +162,18 @@ class CaseCube:
         return self.axis.n_days
 
     def ids(self) -> list[str]:
-        return [m.id for m in self.municipalities]
-
-    def index_of(self, municipality_id: str) -> int:
-        """Row of ``municipality_id``; raises ``KeyError`` for an unknown id."""
-        return self._index[municipality_id]
+        return list(self.roster.ids)
 
 
 @dataclass(frozen=True)
 class PopulationTable:
-    """Group population sizes, shape (M, K), aligned to a municipality roster."""
+    """Group population sizes, shape (M, K), a row per municipality of ``roster``."""
 
-    municipalities: tuple[Municipality, ...]
+    roster: Roster
     pops: np.ndarray
 
     def __post_init__(self) -> None:
-        _unique_ids(self.municipalities)
-        expected = (len(self.municipalities), K)
+        expected = (len(self.roster.municipalities), K)
         if self.pops.shape != expected:
             raise IngestError(f"population shape {self.pops.shape} does not match {expected}")
         if self.pops.dtype.kind not in "iu":

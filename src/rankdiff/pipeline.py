@@ -22,14 +22,14 @@ from __future__ import annotations
 import errno
 import math
 import os
-from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import classify as classify_mod
-from . import ingest, metrics, render
+from . import ingest, metrics
 from .classify import ClassifierConfig, ClassLabel
 from .errors import (ConfigError, IngestError, RenderError, decimal, load_json, number, one_of,
                      read_fields, text, writing)
@@ -50,8 +50,8 @@ class RunConfig:
     out: Path = Path("out")
     cases_schema: str = "canonical"
     basis: str = "raw_daily"
-    regime: RegimeConfig = field(default_factory=RegimeConfig)
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+    regime: RegimeConfig = RegimeConfig()
+    classifier: ClassifierConfig = ClassifierConfig()
     group: Group = Group.BAA
 
     @classmethod
@@ -139,10 +139,10 @@ def load_inputs(cfg: RunConfig) -> LoadedInputs:
     """
     report = QualityReport()
     cube = ingest.load_cases(cfg.cases, schema=cfg.cases_schema, report=report)
-    pops = ingest.load_populations(cfg.populations, cube.municipalities, report=report)
+    pops = ingest.load_populations(cfg.populations, cube.roster, report=report)
     boundaries = ingest.load_boundaries(cfg.boundaries, cube.municipalities, report=report)
     cfg.regime.resolved(cube.n_municipalities)  # a null max means M, which may not exceed min
-    points = [point for m in cube.municipalities for ring in boundaries.get(m.id, ())
+    points = [point for mid in cube.roster.ids for ring in boundaries.get(mid, ())
               for point in ring]
     if not points:
         raise IngestError(f"{cfg.boundaries}: no feature matches a roster id, "
@@ -178,22 +178,26 @@ class Analysis:
     labels: dict[str, ClassLabel]
 
 
-def analyze(cfg: RunConfig, loaded: LoadedInputs) -> Analysis:
-    """Rank, difference, summarize and classify under the configured basis and regime."""
-    cube, pops = loaded.cube, loaded.pops
-    pop_rank = metrics.rank_population(pops)
-    case_rank = metrics.rank_cases(cube, basis=cfg.basis)
-    rd = metrics.rank_diff(pop_rank, case_rank)
-    stats = metrics.group_stats(cube, pops, rd, cfg.regime)
-    labels = classify_mod.classify_municipalities(stats, cfg.group, cfg.classifier)
-    return Analysis(rd=rd, stats=stats, labels=labels)
+def analyze(cube: CaseCube, pops: PopulationTable, *, basis: str = RunConfig.basis,
+            regime: RegimeConfig = RunConfig.regime, group: Group = RunConfig.group,
+            classifier: ClassifierConfig = RunConfig.classifier) -> Analysis:
+    """Rank, difference, summarize and classify ``cube`` against ``pops``, on its roster."""
+    rd = metrics.rank_diff(metrics.rank_population(pops, cube.roster),
+                           metrics.rank_cases(cube, basis=basis))
+    stats = metrics.group_stats(cube, pops, rd, regime)
+    return Analysis(rd, stats, classify_mod.classify_municipalities(stats, group, classifier))
+
+
+def _analyzed(cfg: RunConfig) -> tuple[LoadedInputs, Analysis]:
+    loaded = load_inputs(cfg)
+    return loaded, analyze(loaded.cube, loaded.pops, basis=cfg.basis, regime=cfg.regime,
+                           classifier=cfg.classifier, group=cfg.group)
 
 
 @dataclass
 class RunResult:
     out: Path
     report: QualityReport
-    labels: dict[str, ClassLabel]
     n_dashboards: int
 
 
@@ -216,13 +220,10 @@ def _write_text(path: str | Path, text: str) -> None:
         os.close(fd)
 
 
-def _map_name(group: Group) -> str:
-    return f"map_{group.value.lower()}.svg"
-
-
-def _map_svg(cfg: RunConfig, loaded: LoadedInputs, analysis: Analysis) -> str:
-    choropleth = render.build_choropleth(loaded.boundaries, analysis.labels, cfg.group)
-    return render.render_choropleth(choropleth)
+def _map_file(cfg: RunConfig, loaded: LoadedInputs, analysis: Analysis) -> tuple[str, str]:
+    from . import render  # imported where it draws, so validate does not load it
+    return f"map_{cfg.group.value.lower()}.svg", render.render_choropleth(render.build_choropleth(
+        loaded.boundaries, loaded.cube.roster, analysis.labels, cfg.group))
 
 
 def _dashboards_dir(out: Path) -> str:
@@ -239,8 +240,9 @@ DASHBOARD_BLOCK_ROWS = 256
 
 
 def _dashboard_svgs(loaded: LoadedInputs, analysis: Analysis,
-                    ids: list[str]) -> Iterator[tuple[str, str]]:
+                    ids: Sequence[str]) -> Iterator[tuple[str, str]]:
     """(id, SVG) of the dashboard of each of ``ids``, drawn a block of rows at a time."""
+    from . import render
     for start in range(0, len(ids), DASHBOARD_BLOCK_ROWS):
         block = render.build_dashboard(analysis.stats, loaded.cube, loaded.pops,
                                        ids[start:start + DASHBOARD_BLOCK_ROWS], analysis.rd)
@@ -250,10 +252,10 @@ def _dashboard_svgs(loaded: LoadedInputs, analysis: Analysis,
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute the full pipeline and write the output tree."""
-    loaded = load_inputs(cfg)
+    from . import render
+    loaded, analysis = _analyzed(cfg)
     _check_out(cfg.out)
-    analysis = analyze(cfg, loaded)
-    map_svg = _map_svg(cfg, loaded, analysis)  # drawn first: a map that fails leaves no tree
+    map_name, map_svg = _map_file(cfg, loaded, analysis)  # first: a failed map leaves no tree
     cube, out = loaded.cube, cfg.out
     dashboards = _dashboards_dir(out)
     with writing(out, RenderError):
@@ -261,33 +263,29 @@ def run(cfg: RunConfig) -> RunResult:
 
         metrics.write_rd_csv(out / "rd.csv", cube, analysis.rd)
         metrics.write_stats_json(out / "stats.json", cube, analysis.stats, cfg.regime, cfg.basis)
-        classify_mod.write_labels_csv(out / "labels.csv", analysis.labels, cfg.group)
+        classify_mod.write_labels_csv(out / "labels.csv", cube.roster, analysis.labels, cfg.group)
         _write_text(out / "quality.json", loaded.report.to_json())
 
-        ids = sorted(cube.ids())
-        written = set()
+        ids = cube.roster.sorted_ids
         for mid, svg in _dashboard_svgs(loaded, analysis, ids):
-            path = _dashboard_path(dashboards, mid)
-            _write_text(path, svg)
-            written.add(os.path.basename(path))
+            _write_text(_dashboard_path(dashboards, mid), svg)
         with os.scandir(dashboards) as entries:  # left by an earlier run over a larger roster
             stale = [entry.path for entry in entries if entry.name.endswith(".svg")
-                     and entry.name not in written and entry.is_file()]
+                     and entry.name[:-4] not in cube.roster.index and entry.is_file()]
         for path in stale:
             os.unlink(path)
-        map_name = _map_name(cfg.group)
         _write_text(out / map_name, map_svg)
         _write_text(out / "index.html", render.render_index(
             cube, analysis.stats, analysis.labels, cfg.group, map_name))
 
-    return RunResult(out=out, report=loaded.report, labels=analysis.labels, n_dashboards=len(ids))
+    return RunResult(out=out, report=loaded.report, n_dashboards=len(ids))
 
 
 def render_map(cfg: RunConfig) -> RenderResult:
     """Write only the classification choropleth of the output tree."""
-    loaded = load_inputs(cfg)
-    svg = _map_svg(cfg, loaded, analyze(cfg, loaded))
-    target = cfg.out / _map_name(cfg.group)
+    loaded, analysis = _analyzed(cfg)
+    name, svg = _map_file(cfg, loaded, analysis)
+    target = cfg.out / name
     with writing(target, RenderError):
         target.parent.mkdir(parents=True, exist_ok=True)
         _write_text(target, svg)
@@ -296,8 +294,8 @@ def render_map(cfg: RunConfig) -> RenderResult:
 
 def render_dashboard(cfg: RunConfig, mid: str) -> RenderResult:
     """Write only municipality ``mid``'s dashboard of the output tree."""
-    loaded = load_inputs(cfg)
-    [(_, svg)] = _dashboard_svgs(loaded, analyze(cfg, loaded), [mid])
+    loaded, analysis = _analyzed(cfg)
+    [(_, svg)] = _dashboard_svgs(loaded, analysis, [mid])
     target = Path(_dashboard_path(_dashboards_dir(cfg.out), mid))
     with writing(target, RenderError):
         target.parent.mkdir(parents=True, exist_ok=True)

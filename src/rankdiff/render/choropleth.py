@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from ..classify import ClassLabel
 from ..errors import RenderError
-from ..model import Group, Ring
+from ..model import Group, Ring, Roster
 from .svg import CLASS_COLORS, document, fnum, path, rect, text
 
 
@@ -19,19 +19,20 @@ class ChoroplethModel:
     group: Group
     entries: tuple[tuple[str, ClassLabel, str, tuple[Ring, ...]], ...]  # id, label, color, rings
     legend: tuple[tuple[ClassLabel, str, int], ...]                     # label, color, count
-    missing: tuple[str, ...]                                            # labeled, no geometry
+    missing: tuple[str, ...]                                            # no geometry
 
 
 def build_choropleth(
     boundaries: dict[str, list[Ring]],
+    roster: Roster,
     labels: dict[str, ClassLabel],
     group: Group,
 ) -> ChoroplethModel:
-    """Join geometry with class labels; municipalities lacking geometry are
-    collected for the omissions footnote rather than failing the render."""
+    """Join geometry with the class labels of ``roster``, in id order; municipalities
+    lacking geometry are collected for the omissions footnote rather than failing."""
     entries = []
     missing = []
-    for mid in sorted(labels):
+    for mid in roster.sorted_ids:
         label = labels[mid]
         rings = boundaries.get(mid)
         if rings is None:

@@ -98,10 +98,10 @@ def _frame(axis: DateAxis, bound: int) -> tuple[tuple[str, ...], tuple[tuple[str
                                                 dict[int, str],
                                                 dict[tuple[int, Special], tuple[str, list[str]]]]:
     """What every dashboard of a run shares: the document's literal pieces,
-    split at its slots, each panel's x strings, the y string of every
-    rd value in ``[-bound, bound]``, and per (panel column, special case) the
-    marker with its note where the relative change is undefined, and the
-    marker with its note split where a defined relative change goes."""
+    split at its slots, each panel's x strings, the y string of each rd value
+    in ``[-bound, bound]``, formatted when first drawn, and per (panel column,
+    special case) the marker with its note where the relative change is
+    undefined, and the marker with its note split where a defined one goes."""
     x, y = LEGEND_X, LEGEND_Y
     elements = [rect(0, 0, WIDTH, HEIGHT, fill="#ffffff"),
                 text(20, 32, f"{_SLOT} ({_SLOT})", size=20, weight="bold"),
@@ -162,9 +162,12 @@ def _frame(axis: DateAxis, bound: int) -> tuple[tuple[str, ...], tuple[tuple[str
     n = axis.n_days  # a one-day panel draws a circle, not these x strings
     xs = tuple(tuple(fnum(_panel_x(column) + w * j / max(n - 1, 1)) for j in range(n))
                for column in range(len(MINORITY_GROUPS)))
-    ys = {value: fnum(PANEL_MID - (value / bound) * (h / 2.0))
-          for value in range(-bound, bound + 1)}
-    return pieces, xs, ys, notes
+
+    class YTexts(dict):
+        def __missing__(self, value: int) -> str:
+            return self.setdefault(value, fnum(PANEL_MID - (value / bound) * (h / 2.0)))
+
+    return pieces, xs, YTexts(), notes
 
 
 def _shares(values: np.ndarray, totals: list[int]) -> np.ndarray:
@@ -195,21 +198,17 @@ def build_dashboard(
     whichever basis the analysis used.
     """
     try:
-        rows = [cube.index_of(mid) for mid in ids]
+        rows = [cube.roster.index[mid] for mid in ids]
     except KeyError as exc:
         raise RenderError(f"unknown municipality id {exc.args[0]!r}") from None
-    m = cube.n_municipalities
-    if (len(pops.municipalities) != m or len(stats.ids) != m
-            or any(pops.municipalities[i].id != mid or stats.ids[i] != mid
-                   for i, mid in zip(rows, ids))):
-        raise RenderError("the population or statistics table does not list the cube's "
-                          "municipality ids in the cube's order")
+    for table in (pops.roster, stats.roster):
+        cube.roster.check(table, "population or statistics table", RenderError)
     municipalities = [cube.municipalities[i] for i in rows]
     names = escape("\0".join(chain.from_iterable(
         (muni.name, muni.county, muni.id) for muni in municipalities))).split("\0")
     if len(names) != 3 * len(rows):
         raise RenderError("a municipality name, county or id holds a NUL, which SVG cannot carry")
-    bound = max(m - 1, 1)
+    bound = max(cube.n_municipalities - 1, 1)
     pieces, panel_xs, ys, notes = _frame(cube.axis, bound)
     columns = [names[0::3], names[1::3], names[2::3]]
 

@@ -6,6 +6,7 @@ import math
 from urllib.parse import quote
 
 from ..classify import ClassLabel
+from ..errors import RenderError
 from ..metrics import GroupStatsTable
 from ..model import GROUP_INDEX, CaseCube, Group
 from .svg import escape
@@ -28,14 +29,14 @@ def render_index(
     group: Group,
     map_filename: str,
 ) -> str:
-    """The index of ``cube``'s roster, showing ``group``'s column of ``stats``,
-    the table of that roster."""
+    """The index of ``cube``'s roster in ascending id order, showing
+    ``group``'s column of ``stats``, the table of that roster."""
+    cube.roster.check(stats.roster, "statistics table", RenderError)
     k = GROUP_INDEX[group]
     columns = zip(stats.persistence[:, k].tolist(), stats.skewness[:, k].tolist(),
                   stats.relative_change[:, k].tolist())
-    rows = []
-    for muni, (persistence, skewness, change) in sorted(zip(cube.municipalities, columns),
-                                                        key=lambda row: row[0].id):
+    rows = []  # in row order, listed in id order
+    for muni, (persistence, skewness, change) in zip(cube.municipalities, columns):
         skew = "n/a" if math.isnan(skewness) else f"{skewness:.2f}"
         change = "n/a" if math.isnan(change) else f"{change:+.1f}%"
         rows.append(
@@ -56,7 +57,7 @@ def render_index(
         f'<p><a href="{escape(map_filename)}">classification map ({group.value})</a></p>\n'
         "<table>\n<tr><th>id</th><th>name</th><th>county</th><th>class</th>"
         f"<th>persistence</th><th>skewness</th><th>vs W</th></tr>\n"
-        + "\n".join(rows)
+        + "\n".join(map(rows.__getitem__, cube.roster.order.tolist()))
         + "\n</table>\n"
         '<p class="note">persistence and skewness describe each municipality\'s daily '
         "rank-difference history; vs W is the percent difference in per-capita incidence "

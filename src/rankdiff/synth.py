@@ -98,7 +98,7 @@ def generate(spec: SynthSpec) -> tuple[CaseCube, PopulationTable]:
     )
     axis = DateAxis(start=spec.start_date, n_days=spec.n_days)
     cube = CaseCube(axis=axis, municipalities=municipalities, counts=counts)
-    table = PopulationTable(municipalities=municipalities, pops=pops)
+    table = PopulationTable(roster=cube.roster, pops=pops)
     return cube, table
 
 

@@ -10,13 +10,17 @@ import numpy as np
 import pytest
 
 from rankdiff.metrics import SPECIALS, GroupStats, GroupStatsTable
-from rankdiff.model import CaseCube, DateAxis, Municipality, PopulationTable
+from rankdiff.model import CaseCube, DateAxis, Municipality, PopulationTable, Roster
 
 START = dt.date(2020, 10, 1)
 
 
 def make_municipalities(ids: list[str]) -> tuple[Municipality, ...]:
     return tuple(Municipality(id=mid, name=f"Town {mid}", county="Test County") for mid in ids)
+
+
+def make_roster(ids: list[str]) -> Roster:
+    return Roster(make_municipalities(ids))
 
 
 def make_cube(counts, ids: list[str] | None = None, start: dt.date = START) -> CaseCube:
@@ -33,7 +37,7 @@ def make_cube(counts, ids: list[str] | None = None, start: dt.date = START) -> C
 def make_pops(pops, ids: list[str] | None = None) -> PopulationTable:
     pops = np.asarray(pops, dtype=np.int64)
     ids = ids if ids is not None else [f"m{i + 1:03d}" for i in range(pops.shape[0])]
-    return PopulationTable(municipalities=make_municipalities(ids), pops=pops)
+    return PopulationTable(roster=make_roster(ids), pops=pops)
 
 
 def random_cube(seed: int, max_m: int = 6, max_n: int = 10, high: int = 9) -> CaseCube:
@@ -48,7 +52,7 @@ def random_cube(seed: int, max_m: int = 6, max_n: int = 10, high: int = 9) -> Ca
 def random_pops_for(cube: CaseCube, seed: int, low: int = 1, high: int = 10000) -> PopulationTable:
     rng = np.random.default_rng(seed + 77)
     pops = rng.integers(low, high, size=(cube.n_municipalities, 4))
-    return PopulationTable(municipalities=cube.municipalities, pops=pops.astype(np.int64))
+    return PopulationTable(roster=cube.roster, pops=pops.astype(np.int64))
 
 
 def stats_table(cells: dict[str, list[GroupStats]]) -> GroupStatsTable:
@@ -60,7 +64,7 @@ def stats_table(cells: dict[str, list[GroupStats]]) -> GroupStatsTable:
         return np.array([[value(s) for s in row] for row in rows], dtype=dtype).reshape(-1, 4)
 
     return GroupStatsTable(
-        ids=tuple(cells),
+        roster=make_roster(list(cells)),
         persistence=column(lambda s: s.persistence_pct),
         skewness=column(lambda s: np.nan if s.skewness is None else s.skewness),
         relative_change=column(

@@ -58,7 +58,7 @@ def _random_cube_and_pops(seed: int, m_low=2, m_high=6, n_high=10):
         pops = rng.integers(0, 51, size=(m, 4)).astype(np.int64)
         if (pops.sum(axis=0) > 0).all():
             break
-    return cube, PopulationTable(municipalities=cube.municipalities, pops=pops)
+    return cube, PopulationTable(roster=cube.roster, pops=pops)
 
 
 def test_permutation_invariants():
@@ -71,10 +71,10 @@ def test_permutation_invariants():
         n = int(rng.integers(1, 21))
         cube = make_cube(rng.integers(0, 6, size=(m, n, 4)))
         pops = PopulationTable(
-            municipalities=cube.municipalities,
+            roster=cube.roster,
             pops=rng.integers(0, 1000, size=(m, 4)).astype(np.int64),
         )
-        pop_rank = rank_population(pops)
+        pop_rank = rank_population(pops, cube.roster)
         case_rank = rank_cases(cube)
         rd = rank_diff(pop_rank, case_rank)
         expected = list(range(1, m + 1))
@@ -104,7 +104,7 @@ def test_oracle_equivalence():
         regime = RegimeConfig(0.0, float(m))
         o = oracle_stats(cube, pops, (0.0, float(m)))
 
-        pop_rank = rank_population(pops)
+        pop_rank = rank_population(pops, cube.roster)
         case_rank = rank_cases(cube)
         rd = rank_diff(pop_rank, case_rank)
         if pop_rank.tolist() != o["pop_rank"]:
@@ -265,7 +265,7 @@ def test_planted_disparity_detection():
     for seed in range(100):
         spec = SynthSpec(m=8, n_days=365, populations=pops, lam=lam, seed=seed)
         cube, table = generate(spec)
-        rd = rank_diff(rank_population(table), rank_cases(cube))
+        rd = rank_diff(rank_population(table, cube.roster), rank_cases(cube))
         series = rd[7, :, 0]
         per = persistence_index(series, RegimeConfig().resolved(8))
         sk = skewness(series)
@@ -358,7 +358,7 @@ def test_real_dataset_reproduction():
     from rankdiff.ingest import load_cases, load_populations
 
     cube = load_cases(Path(data_dir) / "cases.csv")
-    pops = load_populations(Path(data_dir) / "populations.csv", cube.municipalities)
+    pops = load_populations(Path(data_dir) / "populations.csv", cube.roster)
     ma = moving_average_7d(cube, scale_by_population=True, statewide=True, pops=pops)
     hl, w = GROUPS.index(Group.HL), GROUPS.index(Group.W)
     window = slice(39, 70)  # peak reported near day 54
@@ -366,7 +366,7 @@ def test_real_dataset_reproduction():
     hl_peak = float(ma[peak_day - 1, hl])
     w_value = float(ma[peak_day - 1, w])
 
-    rd = rank_diff(rank_population(pops), rank_cases(cube))
+    rd = rank_diff(rank_population(pops, cube.roster), rank_cases(cube))
     regime = RegimeConfig().resolved(cube.n_municipalities)
     stats = group_stats(cube, pops, rd, regime)
     baa_skews = [s for s in stats.skewness[:, GROUPS.index(Group.BAA)].tolist()

@@ -15,7 +15,7 @@ from rankdiff.errors import ClassifyError
 from rankdiff.metrics import GroupStats, Special
 from rankdiff.model import GROUPS, Group
 
-from conftest import stats_table
+from conftest import make_roster, stats_table
 
 
 def stats(skew, per):
@@ -156,7 +156,7 @@ class TestBatch:
     def test_labels_csv(self, tmp_path):
         labels = {"b": ClassLabel.G1, "a": ClassLabel.G0}
         path = tmp_path / "labels.csv"
-        write_labels_csv(path, labels, Group.BAA)
+        write_labels_csv(path, make_roster(["b", "a"]), labels, Group.BAA)
         assert path.read_text(encoding="utf-8") == (
             "municipality_id,group,label\na,BAA,G0\nb,BAA,G1\n"
         )

@@ -31,6 +31,7 @@ from conftest import (
     geojson_text,
     make_cube,
     make_municipalities,
+    make_roster,
     pops_csv_text,
     square_feature,
 )
@@ -56,11 +57,11 @@ class TestLoadCases:
     def test_values_land_in_right_cells(self, write_file):
         rows = full_cases_rows(["a", "b"], 2, overrides={("b", 2, "HL"): 7, ("a", 1, "W"): 3})
         cube = load_cases(write_file("cases.csv", cases_csv_text(rows)))
-        assert cube.counts[cube.index_of("b"), 1, 1] == 7
-        assert cube.counts[cube.index_of("a"), 0, 3] == 3
+        assert cube.counts[cube.roster.index["b"], 1, 1] == 7
+        assert cube.counts[cube.roster.index["a"], 0, 3] == 3
         assert cube.counts.sum() == 10
         with pytest.raises(KeyError):
-            cube.index_of("c")
+            cube.roster.index["c"]
 
     def test_cumulative_differencing(self, write_file):
         overrides = {("a", 1, "BAA"): 5, ("a", 2, "BAA"): 5, ("a", 3, "BAA"): 8}
@@ -284,7 +285,7 @@ class TestCaseDiagnostics:
             return load_cases(path)
 
         again = load_rows(list(rng.permutation(rows)))
-        order = [again.index_of(mid) for mid in cube.ids()]
+        order = [again.roster.index[mid] for mid in cube.ids()]
         assert again.axis == cube.axis
         assert [again.municipalities[i] for i in order] == list(cube.municipalities)
         assert np.array_equal(again.counts[order], cube.counts)
@@ -663,7 +664,7 @@ class TestCaseReaders:
             cubes[name] = cube
         reference = cubes["municipality-major"]
         for cube in cubes.values():
-            order = [cube.index_of(mid) for mid in reference.ids()]
+            order = [cube.roster.index[mid] for mid in reference.ids()]
             assert cube.axis == reference.axis
             assert [cube.municipalities[i] for i in order] == list(reference.municipalities)
             assert np.array_equal(cube.counts[order], reference.counts)
@@ -713,32 +714,32 @@ class TestLoadPopulations:
         rows = [("a", "BAA", 1), ("a", "HL", 2), ("a", "W", 3),
                 ("a", "ASIAN", 10), ("a", "HPI", 2), ("a", "AIAN", 5)]
         table = load_populations(write_file("pops.csv", pops_csv_text(rows)),
-                                 make_municipalities(["a"]))
+                                 make_roster(["a"]))
         assert table.pops[0].tolist() == [1, 2, 17, 3]
 
     def test_oth_direct_plus_components(self, write_file):
         rows = [("a", "OTH", 4), ("a", "ASIAN", 1)]
         table = load_populations(write_file("pops.csv", pops_csv_text(rows)),
-                                 make_municipalities(["a"]))
+                                 make_roster(["a"]))
         assert table.pops[0, 2] == 5
 
     def test_zero_population_accepted(self, write_file):
         rows = [("a", "BAA", 0), ("a", "W", 50)]
         table = load_populations(write_file("pops.csv", pops_csv_text(rows)),
-                                 make_municipalities(["a"]))
+                                 make_roster(["a"]))
         assert table.pops[0].tolist() == [0, 0, 0, 50]
 
     def test_missing_municipality_named(self, write_file):
         rows = [("a", "W", 5)]
         with pytest.raises(IngestError, match="b"):
             load_populations(write_file("pops.csv", pops_csv_text(rows)),
-                             make_municipalities(["a", "b"]))
+                             make_roster(["a", "b"]))
 
     def test_excluded_groups_reported(self, write_file):
         rows = [("a", "W", 5), ("a", "MO", 7), ("a", "UNK", 2), ("b", "W", 1), ("b", "MO", 3)]
         report = QualityReport()
         table = load_populations(write_file("pops.csv", pops_csv_text(rows)),
-                                 make_municipalities(["a", "b"]), report=report)
+                                 make_roster(["a", "b"]), report=report)
         assert report.excluded_groups_totals == {"MO": 10, "UNK": 2}
         assert table.pops.sum() == 6
 
@@ -746,25 +747,25 @@ class TestLoadPopulations:
         rows = [("a", "OTHER", 5)]
         with pytest.raises(IngestError, match="unknown group"):
             load_populations(write_file("pops.csv", pops_csv_text(rows)),
-                             make_municipalities(["a"]))
+                             make_roster(["a"]))
 
     def test_negative_population_rejected(self, write_file):
         rows = [("a", "W", -1)]
         with pytest.raises(IngestError, match=">= 0"):
             load_populations(write_file("pops.csv", pops_csv_text(rows)),
-                             make_municipalities(["a"]))
+                             make_roster(["a"]))
 
     def test_duplicate_row_rejected(self, write_file):
         rows = [("a", "W", 1), ("a", "W", 2)]
         with pytest.raises(IngestError, match="duplicate"):
             load_populations(write_file("pops.csv", pops_csv_text(rows)),
-                             make_municipalities(["a"]))
+                             make_roster(["a"]))
 
     def test_extra_municipality_warned_and_ignored(self, write_file):
         rows = [("a", "W", 5), ("zz", "W", 9)]
         report = QualityReport()
         table = load_populations(write_file("pops.csv", pops_csv_text(rows)),
-                                 make_municipalities(["a"]), report=report)
+                                 make_roster(["a"]), report=report)
         assert table.pops.shape == (1, 4)
         assert any("zz" in w for w in report.warnings)
 
@@ -773,7 +774,7 @@ class TestLoadPopulations:
         rows = [("a", "W", 5)] + [(mid, g, 1) for g in ("BAA", "ASIAN", "MO") for mid in foreign]
         report = QualityReport()
         load_populations(write_file("pops.csv", pops_csv_text(rows)),
-                         make_municipalities(["a"]), report=report)
+                         make_roster(["a"]), report=report)
         assert report.warnings == [
             "populations file lists ids not in the case roster (ignored): "
             "z0001, z0002, z0003, z0004, z0005, z0006, z0007, z0008, z0009, z0010"
@@ -785,15 +786,16 @@ class TestLoadPopulations:
         table = make_pops([[1, 2, 3, 4], [5, 6, 7, 8]], ids=["a", "b"])
         path = tmp_path / "pops.csv"
         write_populations_csv(table, path)
-        again = load_populations(path, table.municipalities)
+        again = load_populations(path, table.roster)
         assert np.array_equal(again.pops, table.pops)
 
 
-def load_populations_by_rows(path, municipalities, report):
+def load_populations_by_rows(path, roster, report):
     """The reference for ``load_populations``: one record at a time into a
     dict, with a repeated (id, label) reported once every record is read."""
     raw, duplicate = {}, None
     excluded = dict.fromkeys(ingest.EXCLUDED_POP_GROUPS, 0)
+    municipalities = roster.municipalities
     unknown, roster = set(), {m.id for m in municipalities}
     for line, (raw_id, raw_group, raw_value) in ingest._csv_records(path, ingest.POPS_COLUMNS):
         mid, label = raw_id.strip(), raw_group.strip().upper()
@@ -831,7 +833,7 @@ def load_populations_by_rows(path, municipalities, report):
 def _population_outcome(load, path):
     report = QualityReport()
     try:
-        pops = load(path, make_municipalities(["a", "b", "c"]), report=report)
+        pops = load(path, make_roster(["a", "b", "c"]), report=report)
     except IngestError as exc:
         return str(exc)
     return getattr(pops, "pops", np.array(pops)).tolist(), report.to_dict()
@@ -861,7 +863,7 @@ class TestPopulationDiagnostics:
         rows = [("a", "W", 1), ("a", "BAA", 3), ("zz", "W", 1), ("zz", "W", 1), ("a ", " w", 2)]
         path = write_file("pops.csv", pops_csv_text(rows))
         with pytest.raises(IngestError) as info:
-            load_populations(path, make_municipalities(["a"]))
+            load_populations(path, make_roster(["a"]))
         assert str(info.value) == f"{path}:6: duplicate row for (a, W)"
 
     def test_bad_value_reported_before_an_earlier_duplicate(self, write_file):
@@ -870,7 +872,7 @@ class TestPopulationDiagnostics:
         rows = [("a", "W", 1), ("a", "W", 2), ("a", "HL", "many")]
         path = write_file("pops.csv", pops_csv_text(rows))
         with pytest.raises(IngestError) as info:
-            load_populations(path, make_municipalities(["a"]))
+            load_populations(path, make_roster(["a"]))
         assert str(info.value) == (f"{path}:4: column 'population' must be an integer, "
                                    "got 'many'")
 

@@ -51,7 +51,7 @@ def ranks_by_sort(values, ids):
 class TestRankPopulation:
     def test_descending_order(self):
         table = make_pops([[1000] * 4, [50] * 4, [200] * 4], ids=["a", "b", "c"])
-        ranks = rank_population(table)
+        ranks = rank_population(table, table.roster)
         assert ranks[:, 0].tolist() == [1, 3, 2]
 
     def test_two_largest_cities(self):
@@ -59,19 +59,19 @@ class TestRankPopulation:
             [[600000] * 4, [270000] * 4, [75000] * 4],
             ids=["milwaukee", "madison", "green-bay"],
         )
-        ranks = rank_population(table)
+        ranks = rank_population(table, table.roster)
         assert ranks[0, 0] == 1  # Milwaukee
         assert ranks[1, 0] == 2  # Madison
 
     def test_tie_broken_by_id(self):
         table = make_pops([[7] * 4, [7] * 4, [7] * 4], ids=["c", "a", "b"])
-        ranks = rank_population(table)
+        ranks = rank_population(table, table.roster)
         # ascending id order: a=1, b=2, c=3
         assert ranks[:, 0].tolist() == [3, 1, 2]
 
     def test_zero_populations_rank_last(self):
         table = make_pops([[0] * 4, [10] * 4], ids=["a", "b"])
-        assert rank_population(table)[:, 0].tolist() == [2, 1]
+        assert rank_population(table, table.roster)[:, 0].tolist() == [2, 1]
 
 
 class TestRankCases:
@@ -142,6 +142,20 @@ class TestRankDiff:
         with pytest.raises(MetricsError, match="mismatch"):
             rank_diff(np.ones((3, 4), dtype=int), np.ones((2, 5, 4), dtype=int))
 
+    def test_misaligned_population_table_is_not_ranked(self):
+        """Population ranks are paired with case ranks by row, so a table that
+        lists the cube's ids in another order is refused where it is ranked:
+        read by its own rows it would give rd [1, -1] where the aligned table
+        gives [0, 0]."""
+        cube = make_cube([[[5, 0, 0, 0]], [[1, 0, 0, 0]]], ids=["a", "b"])
+        aligned = make_pops([[100, 1, 1, 1], [10, 1, 1, 1]], ids=["a", "b"])
+        rd = rank_diff(rank_population(aligned, cube.roster), rank_cases(cube))
+        assert rd[:, 0, 0].tolist() == [0, 0]
+        for ids in (["b", "a"], ["a", "c"]):
+            with pytest.raises(MetricsError, match="does not list the cube's municipality ids"):
+                rank_diff(rank_population(make_pops(aligned.pops[::-1], ids=ids), cube.roster),
+                          rank_cases(cube))
+
     def test_full_year_statewide_scale(self):
         pops_col = [1000 * (i + 7) for i in range(190)]
         spec = SynthSpec(
@@ -151,7 +165,7 @@ class TestRankDiff:
             seed=11,
         )
         cube, table = generate(spec)
-        rd = rank_diff(rank_population(table), rank_cases(cube))
+        rd = rank_diff(rank_population(table, cube.roster), rank_cases(cube))
         assert rd.sum(axis=0).max() == 0 and rd.sum(axis=0).min() == 0
         assert rd.max() <= 189 and rd.min() >= -189
 
@@ -161,7 +175,7 @@ class TestRankDiff:
         cube = random_cube(seed)
         pops = random_pops_for(cube, seed)
         m = cube.n_municipalities
-        pop_rank = rank_population(pops)
+        pop_rank = rank_population(pops, cube.roster)
         case_rank = rank_cases(cube)
         expected = list(range(1, m + 1))
         for k in range(4):
@@ -439,10 +453,10 @@ class TestGroupStats:
     def test_w_group_has_no_relative_change(self):
         cube = random_cube(9)
         pops = random_pops_for(cube, 9)
-        rd = rank_diff(rank_population(pops), rank_cases(cube))
+        rd = rank_diff(rank_population(pops, cube.roster), rank_cases(cube))
         stats = group_stats(cube, pops, rd, RegimeConfig())
-        assert stats.ids == tuple(cube.ids())
-        for mid in stats.ids:
+        assert stats.roster is cube.roster
+        for mid in cube.ids():
             assert stats.cell(mid, Group.W).relative_change_pct is None
             assert stats.cell(mid, Group.W).special is Special.NORMAL
         w = GROUPS.index(Group.W)
@@ -452,7 +466,7 @@ class TestGroupStats:
     def test_stats_match_direct_calls(self):
         cube = random_cube(21)
         pops = random_pops_for(cube, 21)
-        rd = rank_diff(rank_population(pops), rank_cases(cube))
+        rd = rank_diff(rank_population(pops, cube.roster), rank_cases(cube))
         regime = RegimeConfig().resolved(cube.n_municipalities)
         stats = group_stats(cube, pops, rd, regime)
         i = 0
@@ -579,7 +593,7 @@ class TestGroupStatsTable:
             cube = random_cube(seed, max_m=7, max_n=12)
             pops = random_pops_for(cube, seed, low=0, high=40)
             m = cube.n_municipalities
-            rd = rank_diff(rank_population(pops), rank_cases(cube))
+            rd = rank_diff(rank_population(pops, cube.roster), rank_cases(cube))
             stats = group_stats(cube, pops, rd, RegimeConfig(0.0, float(m)))
             o = oracle_stats(cube, pops, (0.0, float(m)))
             assert stats.persistence.tolist() == o["persistence"]
@@ -659,11 +673,20 @@ class TestStatsJson:
         assert written == (json.dumps(ref, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
+    def test_misaligned_statistics_table_rejected(self, tmp_path):
+        """stats.json reads the statistics by the cube's rows, so a table of
+        another order is refused, not written under the wrong ids."""
+        cube = make_cube(np.zeros((2, 1, 4), dtype=np.int64), ids=["a", "b"])
+        stats = stats_table({"b": [GroupStats(0.0, None, None, Special.NORMAL)] * 4,
+                             "a": [GroupStats(100.0, None, None, Special.NORMAL)] * 4})
+        with pytest.raises(MetricsError, match="does not list the cube's municipality ids"):
+            write_stats_json(tmp_path / "stats.json", cube, stats, RegimeConfig(), "raw_daily")
+
     @pytest.mark.parametrize("block_rows", [1, 2, 3])
     def test_blocks_of_rows_do_not_change_bytes(self, tmp_path, monkeypatch, block_rows):
         cube = random_cube(5, max_m=7)
         pops = random_pops_for(cube, 5, low=0, high=30)
-        rd = rank_diff(rank_population(pops), rank_cases(cube))
+        rd = rank_diff(rank_population(pops, cube.roster), rank_cases(cube))
         stats = group_stats(cube, pops, rd, RegimeConfig())
         write_stats_json(tmp_path / "whole.json", cube, stats, RegimeConfig(), "raw_daily")
         monkeypatch.setattr(metrics, "_STATS_BLOCK_ROWS", block_rows)
@@ -684,7 +707,8 @@ def write_rd_csv_by_rows(path, cube, rd):
                 writer.writerows(zip(repeat(mid), repeat(g.value), days, values))
 
 
-CSV_IDS = ("m10", "m2", "m1", "a,b", 'say "hi"', "two\nlines", "cr\r", " pad ", "Łódź", "東京")
+CSV_IDS = ("m10", "m2", "m1", "a,b", 'say "hi"', "two\nlines", "cr\r", " pad ", "Łódź", "東京",
+           "50%", "%s %d")  # rd.csv fills a % template
 
 
 @st.composite

@@ -1,12 +1,14 @@
-"""The package's lazy exports and the CLI's single BLAS thread.
+"""The package's lazy exports, what each process imports, and the CLI's single
+BLAS thread.
 
-Both are facts about a fresh interpreter, so each check that depends on what
+These are facts about a fresh interpreter, so each check that depends on what
 was imported runs in a child process.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -30,6 +32,28 @@ def fresh_python(code: str, **env: str) -> str:
 
 def test_import_loads_no_numpy():
     assert fresh_python("import rankdiff, sys; print('numpy' in sys.modules)") == "False"
+
+
+def test_oracle_loads_no_metrics():
+    """The oracle checks the engine only while it shares no code with it."""
+    code = "import rankdiff.oracle, sys; print('rankdiff.metrics' in sys.modules)"
+    assert fresh_python(code) == "False"
+
+
+def test_validate_loads_no_renderer(tmp_path):
+    """``validate`` draws nothing, so its process never imports ``rankdiff.render``."""
+    from rankdiff.synth import SynthSpec, write_fixture
+
+    spec = SynthSpec.from_file(SRC.parent / "examples" / "spec.json")
+    paths = write_fixture(spec, tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: path.name for key, path in paths.items()}),
+                      encoding="utf-8")
+    code = ("import contextlib, io, sys; from rankdiff import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main(['validate', '--config', {str(config)!r}])\n"
+            "print(status, [name for name in sys.modules if name.startswith('rankdiff.render')])")
+    assert fresh_python(code) == "0 []"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")

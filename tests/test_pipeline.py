@@ -399,6 +399,20 @@ def test_render_dashboard_matches_run_for_every_id(tmp_path, monkeypatch):
             for path in (tmp_path / "blocks" / "dashboards").iterdir()} == expected
 
 
+def test_analysis_of_tables_in_memory_shares_the_cube_roster(tmp_path):
+    """``analyze`` takes the tables themselves, with ``RunConfig``'s settings
+    by default. Loaded as ``run`` loads them, the cube, the population table
+    and the statistics hold one roster, whose id order is sorted when the
+    ranking first reads it."""
+    cfg = _run_fixture(_uniform_spec(5, 3), tmp_path)
+    loaded = pipeline.load_inputs(cfg)
+    assert "order" not in vars(loaded.cube.roster)
+    analysis = pipeline.analyze(loaded.cube, loaded.pops)
+    assert loaded.pops.roster is loaded.cube.roster is analysis.stats.roster
+    rows = (cfg.out / "labels.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows == [f"{mid},BAA,{analysis.labels[mid].value}" for mid in sorted(analysis.labels)]
+
+
 def test_write_text_completes_short_writes(tmp_path, monkeypatch):
     """A write may take fewer bytes than it is given; the file is still whole."""
     write, taken = os.write, []

@@ -28,7 +28,7 @@ from rankdiff.render import (
 from rankdiff.render import dashboard
 from rankdiff.render.svg import CLASS_COLORS, circle, escape, pie_angles, text
 
-from conftest import START, make_cube, make_pops
+from conftest import START, make_cube, make_pops, make_roster
 
 GOLDEN = Path(__file__).parent / "goldens" / "dashboard_golden.svg"
 
@@ -48,7 +48,7 @@ def golden_inputs():
         [[40, 2, 5, 900], [0, 30, 3, 400], [10, 0, 1, 150]],
         ids=["alpha", "beta", "gamma"],
     )
-    rd = rank_diff(rank_population(pops), rank_cases(cube))
+    rd = rank_diff(rank_population(pops, cube.roster), rank_cases(cube))
     stats = group_stats(cube, pops, rd, RegimeConfig())
     return stats, cube, pops, rd
 
@@ -85,7 +85,7 @@ def inputs_of(counts, populations, start=START, ids=None):
     ids = [f"m{i}" for i in range(len(populations))] if ids is None else ids
     cube = make_cube(counts, ids=ids, start=start)
     pops = make_pops(populations, ids=ids)
-    rd = rank_diff(rank_population(pops), rank_cases(cube))
+    rd = rank_diff(rank_population(pops, cube.roster), rank_cases(cube))
     return group_stats(cube, pops, rd, RegimeConfig()), cube, pops, rd
 
 
@@ -304,10 +304,15 @@ class TestDeterminismAndGolden:
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
 
 
+def choropleth_of(shapes, labels, group):
+    """The map model of a roster listing the ids of ``labels``."""
+    return build_choropleth(shapes, make_roster(list(labels)), labels, group)
+
+
 class TestChoropleth:
     def test_single_square(self):
         shapes = {"a": [SQUARE]}
-        model = build_choropleth(shapes, {"a": ClassLabel.G2}, Group.BAA)
+        model = choropleth_of(shapes, {"a": ClassLabel.G2}, Group.BAA)
         svg = render_choropleth(model)
         assert svg.count("<path") == 1
         assert CLASS_COLORS[ClassLabel.G2] in svg
@@ -318,38 +323,38 @@ class TestChoropleth:
             "b": [[(2.0, 0.0), (3.0, 0.0), (3.0, 1.0), (2.0, 0.0)]],
         }
         labels = {"a": ClassLabel.G0, "b": ClassLabel.G0}
-        svg = render_choropleth(build_choropleth(shapes, labels, Group.BAA))
+        svg = render_choropleth(choropleth_of(shapes, labels, Group.BAA))
         assert svg.count(f'fill="{CLASS_COLORS[ClassLabel.G0]}"') >= 3  # 2 shapes + legend
 
     def test_missing_geometry_footnote(self):
         shapes = {"a": [SQUARE]}
         labels = {"a": ClassLabel.G0, "ghost": ClassLabel.G1}
-        model = build_choropleth(shapes, labels, Group.BAA)
+        model = choropleth_of(shapes, labels, Group.BAA)
         assert model.missing == ("ghost",)
         svg = render_choropleth(model)
         assert "no geometry for 1 municipality: ghost" in svg
 
     def test_unmatched_features_not_drawn(self):
         shapes = {"a": [SQUARE], "zz": [[(9.0, 9.0), (10.0, 9.0), (10.0, 10.0), (9.0, 9.0)]]}
-        model = build_choropleth(shapes, {"a": ClassLabel.G0}, Group.BAA)
+        model = choropleth_of(shapes, {"a": ClassLabel.G0}, Group.BAA)
         assert len(model.entries) == 1
 
     def test_legend_counts(self):
         shapes = {"a": [SQUARE]}
-        model = build_choropleth(shapes, {"a": ClassLabel.G3}, Group.BAA)
+        model = choropleth_of(shapes, {"a": ClassLabel.G3}, Group.BAA)
         counts = {label: n for label, _, n in model.legend}
         assert counts[ClassLabel.G3] == 1
         assert counts[ClassLabel.G0] == 0
 
     def test_no_geometry_at_all(self):
         shapes = {}
-        model = build_choropleth(shapes, {"a": ClassLabel.G0}, Group.BAA)
+        model = choropleth_of(shapes, {"a": ClassLabel.G0}, Group.BAA)
         with pytest.raises(RenderError, match="no geometry"):
             render_choropleth(model)
 
     def test_determinism(self):
         shapes = {"a": [SQUARE]}
-        model = build_choropleth(shapes, {"a": ClassLabel.G1}, Group.HL)
+        model = choropleth_of(shapes, {"a": ClassLabel.G1}, Group.HL)
         assert render_choropleth(model) == render_choropleth(model)
 
 
@@ -363,6 +368,16 @@ class TestIndexPage:
         assert html.count("<tr>") == 4  # header + 3 rows
         assert html == render_index(cube, stats, labels, Group.BAA, "map_baa.svg")
 
+    def test_misaligned_statistics_table_rejected(self):
+        """The index reads the statistics by the cube's rows, so a table of
+        another order is refused, not shown under the wrong ids."""
+        stats, cube, pops, rd = golden_inputs()
+        ids = cube.ids()
+        labels = dict.fromkeys(ids, ClassLabel.G0)
+        reversed_stats = inputs_of(cube.counts[::-1], pops.pops[::-1].tolist(), ids=ids[::-1])[0]
+        with pytest.raises(RenderError, match="does not list the cube's municipality ids"):
+            render_index(cube, reversed_stats, labels, Group.BAA, "map_baa.svg")
+
     def test_dashboard_links_are_percent_encoded(self):
         """An id is a file name in the link, so ``#``, ``?``, ``%`` and spaces are encoded."""
         links = {"a b": "a%20b", "x#1": "x%231", "q?v=1": "q%3Fv%3D1", "50%": "50%25",
@@ -370,7 +385,7 @@ class TestIndexPage:
         ids = list(links)
         cube = make_cube(np.zeros((len(ids), 2, 4), dtype=np.int64), ids=ids)
         pops = make_pops(np.ones((len(ids), 4), dtype=np.int64), ids=ids)
-        rd = rank_diff(rank_population(pops), rank_cases(cube))
+        rd = rank_diff(rank_population(pops, cube.roster), rank_cases(cube))
         stats = group_stats(cube, pops, rd, RegimeConfig())
         html = render_index(cube, stats, dict.fromkeys(ids, ClassLabel.G0), Group.BAA,
                             "map_baa.svg")

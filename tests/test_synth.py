@@ -70,7 +70,7 @@ class TestGenerate:
             spec = SynthSpec(m=6, n_days=60, populations=pops, lam=lam,
                              seed=5, base_rate=rate)
             cube, table = generate(spec)
-            rd = rank_diff(rank_population(table), rank_cases(cube))
+            rd = rank_diff(rank_population(table, cube.roster), rank_cases(cube))
             return np.abs(rd[:, :, 0]).mean()
 
         assert mean_abs_rd(1.0) < mean_abs_rd(0.001)
@@ -84,7 +84,7 @@ class TestGenerate:
             lam = tuple((5.0 if i == 7 else 1.0, 1.0, 1.0, 1.0) for i in range(8))
             spec = SynthSpec(m=8, n_days=365, populations=pops, lam=lam, seed=seed)
             cube, table = generate(spec)
-            rd = rank_diff(rank_population(table), rank_cases(cube))
+            rd = rank_diff(rank_population(table, cube.roster), rank_cases(cube))
             series = rd[7, :, 0]
             per = persistence_index(series, RegimeConfig().resolved(8))
             sk = skewness(series)
@@ -188,7 +188,7 @@ class TestFixtureFiles:
         cube, table = generate(spec)
         loaded = load_cases(paths["cases"])
         assert np.array_equal(loaded.counts, cube.counts)
-        pops = load_populations(paths["populations"], loaded.municipalities)
+        pops = load_populations(paths["populations"], loaded.roster)
         assert np.array_equal(pops.pops, table.pops)
         geo = json.loads(paths["boundaries"].read_text(encoding="utf-8"))
         assert len(geo["features"]) == spec.m
