@@ -38,7 +38,6 @@ import re
 from array import array
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -681,14 +680,14 @@ def _collect_rings(geometry: dict, fid: str, path: Path, report: QualityReport |
 
 def load_boundaries(
     path: str | Path,
-    municipalities: Sequence[Municipality],
+    roster: Roster,
     report: QualityReport | None = None,
 ) -> dict[str, list[Ring]]:
     """Parse a GeoJSON FeatureCollection into polygon rings keyed by feature id.
 
-    Features whose id is not in the roster are kept in the result; their ids
-    go to the report's ``unmatched_geometry_ids``. Roster ids without a
-    feature go to its ``missing_geometry_ids``. Neither condition is fatal.
+    Features whose id is not in ``roster``, the cube's, are kept in the result;
+    their ids go to the report's ``unmatched_geometry_ids``. Roster ids without
+    a feature go to its ``missing_geometry_ids``. Neither condition is fatal.
     """
     path = Path(path)
     doc = load_json(path, IngestError)
@@ -712,9 +711,9 @@ def load_boundaries(
         shapes.setdefault(fid, []).extend(rings)
 
     if report is not None:
-        roster_ids = {m.id for m in municipalities}
-        report.unmatched_geometry_ids.extend(sorted(set(shapes) - roster_ids))
-        report.missing_geometry_ids.extend(sorted(roster_ids - set(shapes)))
+        report.unmatched_geometry_ids.extend(sorted(shapes.keys() - roster.index.keys()))
+        if roster.index.keys() - shapes.keys():  # read the id order only when one is missing
+            report.missing_geometry_ids.extend(m for m in roster.sorted_ids if m not in shapes)
     return shapes
 
 

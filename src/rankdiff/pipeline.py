@@ -140,7 +140,7 @@ def load_inputs(cfg: RunConfig) -> LoadedInputs:
     report = QualityReport()
     cube = ingest.load_cases(cfg.cases, schema=cfg.cases_schema, report=report)
     pops = ingest.load_populations(cfg.populations, cube.roster, report=report)
-    boundaries = ingest.load_boundaries(cfg.boundaries, cube.municipalities, report=report)
+    boundaries = ingest.load_boundaries(cfg.boundaries, cube.roster, report=report)
     cfg.regime.resolved(cube.n_municipalities)  # a null max means M, which may not exceed min
     points = [point for mid in cube.roster.ids for ring in boundaries.get(mid, ())
               for point in ring]

@@ -30,7 +30,6 @@ from conftest import (
     full_cases_rows,
     geojson_text,
     make_cube,
-    make_municipalities,
     make_roster,
     pops_csv_text,
     square_feature,
@@ -881,7 +880,7 @@ class TestLoadBoundaries:
     def test_single_square(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a")]))
         report = QualityReport()
-        shapes = load_boundaries(path, make_municipalities(["a"]), report=report)
+        shapes = load_boundaries(path, make_roster(["a"]), report=report)
         assert len(shapes) == 1
         assert shapes["a"][0][0] == shapes["a"][0][-1]
         assert report.unmatched_geometry_ids == []
@@ -890,7 +889,7 @@ class TestLoadBoundaries:
     def test_unclosed_ring_autoclosed(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a", closed=False)]))
         report = QualityReport()
-        shapes = load_boundaries(path, make_municipalities(["a"]), report=report)
+        shapes = load_boundaries(path, make_roster(["a"]), report=report)
         ring = shapes["a"][0]
         assert ring[0] == ring[-1]
         assert any("auto-closed" in w for w in report.warnings)
@@ -898,14 +897,14 @@ class TestLoadBoundaries:
     def test_unmatched_feature_retained(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a"), square_feature("zz", 2.0)]))
         report = QualityReport()
-        shapes = load_boundaries(path, make_municipalities(["a"]), report=report)
+        shapes = load_boundaries(path, make_roster(["a"]), report=report)
         assert "zz" in shapes
         assert report.unmatched_geometry_ids == ["zz"]
 
     def test_missing_geometry_reported(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a")]))
         report = QualityReport()
-        shapes = load_boundaries(path, make_municipalities(["a", "b"]), report=report)
+        shapes = load_boundaries(path, make_roster(["a", "b"]), report=report)
         assert "b" not in shapes
         assert report.missing_geometry_ids == ["b"]
 
@@ -916,7 +915,7 @@ class TestLoadBoundaries:
         }
         path = write_file("b.geojson", geojson_text([feature]))
         with pytest.raises(IngestError, match="non-polygon"):
-            load_boundaries(path, make_municipalities(["a"]))
+            load_boundaries(path, make_roster(["a"]))
 
     def test_multipolygon_accepted(self, write_file):
         feature = {
@@ -930,7 +929,7 @@ class TestLoadBoundaries:
             },
         }
         shapes = load_boundaries(write_file("b.geojson", geojson_text([feature])),
-                                 make_municipalities(["a"]))
+                                 make_roster(["a"]))
         assert len(shapes["a"]) == 2
 
     def test_id_from_properties(self, write_file):
@@ -938,15 +937,15 @@ class TestLoadBoundaries:
         del feature["id"]
         feature["properties"] = {"GEOID": "g77"}
         shapes = load_boundaries(write_file("b.geojson", geojson_text([feature])),
-                                 make_municipalities(["g77"]))
+                                 make_roster(["g77"]))
         assert "g77" in shapes
 
     def test_not_a_collection(self, write_file):
         path = write_file("b.geojson", '{"type": "Feature"}')
         with pytest.raises(IngestError, match="FeatureCollection"):
-            load_boundaries(path, make_municipalities(["a"]))
+            load_boundaries(path, make_roster(["a"]))
 
     def test_invalid_json(self, write_file):
         path = write_file("b.geojson", "{nope")
         with pytest.raises(IngestError, match="invalid JSON"):
-            load_boundaries(path, make_municipalities(["a"]))
+            load_boundaries(path, make_roster(["a"]))
