@@ -22,8 +22,8 @@ _EXPORTS = {
                 "moving_average_7d", "persistence_index", "rank_cases", "rank_diff",
                 "rank_population", "relative_change", "skewness", "special_case",
                 "statewide_aggregate"),
-    "model": ("GROUPS", "CaseCube", "DateAxis", "Group", "Municipality", "PopulationTable",
-              "QualityReport", "Roster"),
+    "model": ("GROUPS", "Boundaries", "CaseCube", "DateAxis", "Group", "Municipality",
+              "PopulationTable", "QualityReport", "Roster"),
     "oracle": ("oracle_stats",),
     "pipeline": ("RunConfig", "run", "validate"),
     "synth": ("SynthSpec", "generate"),

@@ -32,10 +32,12 @@ from __future__ import annotations
 import codecs
 import csv
 import datetime as dt
+import gc
 import io
 import math
 import re
 from array import array
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -47,6 +49,7 @@ from .model import (
     GROUPS,
     INT64_MAX,
     K,
+    Boundaries,
     CaseCube,
     ClampEvent,
     DateAxis,
@@ -54,7 +57,6 @@ from .model import (
     Municipality,
     PopulationTable,
     QualityReport,
-    Ring,
     Roster,
     check_totals,
 )
@@ -639,22 +641,9 @@ def _array(value, fid: str, path: Path) -> list:
     return value
 
 
-def _position(pt, fid: str, path: Path) -> tuple[float, float]:
-    """A GeoJSON position: an array whose first two entries are JSON numbers
-    (``json`` reads those as ``int`` or ``float``, and ``true`` as ``bool``)."""
-    if not (isinstance(pt, list) and len(pt) >= 2 and type(pt[0]) in (int, float)
-            and type(pt[1]) in (int, float)):
-        raise IngestError(f"{path}: feature {fid!r} has a malformed position {pt!r}")
-    try:
-        x, y = float(pt[0]), float(pt[1])
-    except OverflowError:  # an integer past the float range
-        x = y = math.inf
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise IngestError(f"{path}: feature {fid!r} has a non-finite coordinate {pt!r}")
-    return x, y
-
-
-def _collect_rings(geometry: dict, fid: str, path: Path, report: QualityReport | None) -> list[Ring]:
+def _ring_arrays(geometry: dict, fid: str, path: Path) -> list[list]:
+    """The position arrays of the rings of a feature's geometry, each an
+    array of at least 3 entries; the positions themselves are not checked."""
     gtype = geometry.get("type")
     if gtype not in ("Polygon", "MultiPolygon"):
         raise IngestError(
@@ -664,32 +653,93 @@ def _collect_rings(geometry: dict, fid: str, path: Path, report: QualityReport |
         raise IngestError(f"{path}: feature {fid!r} has no coordinates")
     coordinates = _array(geometry["coordinates"], fid, path)
     polygons = [coordinates] if gtype == "Polygon" else coordinates
-    rings: list[Ring] = []
+    rings = []
     for polygon in polygons:
-        for ring_coords in _array(polygon, fid, path):
-            ring: Ring = [_position(pt, fid, path) for pt in _array(ring_coords, fid, path)]
-            if len(ring) < 3:
+        for ring in _array(polygon, fid, path):
+            if len(_array(ring, fid, path)) < 3:
                 raise IngestError(f"{path}: feature {fid!r} has a ring with < 3 points")
-            if ring[0] != ring[-1]:
-                ring.append(ring[0])
-                if report is not None:
-                    report.warnings.append(f"auto-closed unclosed ring in feature {fid!r}")
             rings.append(ring)
     return rings
+
+
+_NUMBERS = {int, float}  # what ``json`` reads a JSON number as; ``true`` is a ``bool``
+
+
+def _bad_position(rings: list[list], owners: list[str], path: Path) -> IngestError:
+    """The error of the first position, in document order, that is not an
+    array whose first two entries are finite JSON numbers."""
+    for ring, fid in zip(rings, owners):
+        for pt in ring:
+            if not (isinstance(pt, list) and len(pt) >= 2 and type(pt[0]) in _NUMBERS
+                    and type(pt[1]) in _NUMBERS):
+                return IngestError(f"{path}: feature {fid!r} has a malformed position {pt!r}")
+            try:
+                finite = math.isfinite(pt[0]) and math.isfinite(pt[1])
+            except OverflowError:  # an integer past the float range
+                finite = False
+            if not finite:
+                return IngestError(f"{path}: feature {fid!r} has a non-finite coordinate {pt!r}")
+    raise AssertionError("every position is valid")
+
+
+def _coordinates(rings: list[list], pairs: bool):
+    """The first two entries of each position of ``rings``, in order; with
+    ``pairs``, every position has exactly two."""
+    positions = chain.from_iterable(rings)
+    return chain.from_iterable(positions if pairs else map(itemgetter(0, 1), positions))
+
+
+def _points(rings: list[list], owners: list[str], path: Path) -> np.ndarray:
+    """The (P, 2) float64 points of the positions of ``rings``, checked in one
+    pass over them all; ``owners`` holds each ring's feature id for the
+    message of the first bad one."""
+    valid = set(map(type, chain.from_iterable(rings))) <= {list}
+    if valid:
+        lengths = set(map(len, chain.from_iterable(rings)))
+        valid = min(lengths, default=2) >= 2
+    if valid:  # entries past the first two are ignored
+        pairs = lengths <= {2}
+        valid = set(map(type, _coordinates(rings, pairs))) <= _NUMBERS
+    if valid:
+        try:
+            values = np.fromiter(_coordinates(rings, pairs), np.float64, 2 * sum(map(len, rings)))
+        except OverflowError:  # an integer past the float range
+            valid = False
+        else:
+            valid = bool(np.isfinite(values).all())
+    if not valid:
+        raise _bad_position(rings, owners, path)
+    return values.reshape(-1, 2)
 
 
 def load_boundaries(
     path: str | Path,
     roster: Roster,
     report: QualityReport | None = None,
-) -> dict[str, list[Ring]]:
-    """Parse a GeoJSON FeatureCollection into polygon rings keyed by feature id.
+) -> Boundaries:
+    """Parse a GeoJSON FeatureCollection into the rings of each feature id.
 
     Features whose id is not in ``roster``, the cube's, are kept in the result;
     their ids go to the report's ``unmatched_geometry_ids``. Roster ids without
     a feature go to its ``missing_geometry_ids``. Neither condition is fatal.
+
+    The file is read with the cyclic garbage collector paused: the parsed
+    document is a container per feature, ring and position, and holds no
+    cycle, so a collection while it is alive frees nothing. A document that
+    loads is freed before the collector resumes; one that is refused lives
+    as long as the traceback of its error. The collector resumes only if it
+    was on.
     """
-    path = Path(path)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_boundaries(Path(path), roster, report)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _read_boundaries(path: Path, roster: Roster, report: QualityReport | None) -> Boundaries:
     doc = load_json(path, IngestError)
 
     if (
@@ -699,7 +749,9 @@ def load_boundaries(
     ):
         raise IngestError(f"{path}: expected a GeoJSON FeatureCollection")
 
-    shapes: dict[str, list[Ring]] = {}
+    rings: list[list] = []               # the position array of every ring, in file order
+    owners: list[str] = []               # the feature id of each ring
+    feature_rings: dict[str, list[int]] = {}
     for index, feature in enumerate(doc["features"]):
         if not isinstance(feature, dict):
             raise IngestError(f"{path}: feature #{index} is not a JSON object")
@@ -707,14 +759,38 @@ def load_boundaries(
         geometry = feature.get("geometry")
         if not isinstance(geometry, dict):
             raise IngestError(f"{path}: feature {fid!r} has no geometry")
-        rings = _collect_rings(geometry, fid, path, report)
-        shapes.setdefault(fid, []).extend(rings)
+        first = len(rings)
+        rings += _ring_arrays(geometry, fid, path)
+        owners += [fid] * (len(rings) - first)
+        feature_rings.setdefault(fid, []).extend(range(first, len(rings)))
+
+    xy = _points(rings, owners, path)
+    lengths = np.fromiter(map(len, rings), np.intp, len(rings))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    unclosed = (xy[starts] != xy[ends - 1]).any(axis=1)
+    if unclosed.any():
+        xy = np.insert(xy, ends[unclosed], xy[starts[unclosed]], axis=0)
+        lengths += unclosed
+        ends = np.cumsum(lengths)
+        if report is not None:
+            report.warnings.extend(f"auto-closed unclosed ring in feature {owners[r]!r}"
+                                   for r in np.flatnonzero(unclosed).tolist())
+
+    listed = np.fromiter(map(roster.index.__contains__, owners), bool, len(owners))
+    roster_xy = xy if listed.all() else xy[np.repeat(listed, lengths)]
+    extent = None
+    if len(roster_xy):
+        (lon0, lat0), (lon1, lat1) = roster_xy.min(axis=0).tolist(), roster_xy.max(axis=0).tolist()
+        extent = (lon0, lat0, lon1, lat1)
 
     if report is not None:
-        report.unmatched_geometry_ids.extend(sorted(shapes.keys() - roster.index.keys()))
-        if roster.index.keys() - shapes.keys():  # read the id order only when one is missing
-            report.missing_geometry_ids.extend(m for m in roster.sorted_ids if m not in shapes)
-    return shapes
+        report.unmatched_geometry_ids.extend(sorted(feature_rings.keys() - roster.index.keys()))
+        if roster.index.keys() - feature_rings.keys():  # read the id order only when one is missing
+            report.missing_geometry_ids.extend(m for m in roster.sorted_ids
+                                               if m not in feature_rings)
+    return Boundaries(xy=xy, ends=ends, extent=extent,
+                      rings={fid: tuple(r) for fid, r in feature_rings.items()})
 
 
 def write_filled_csv(path: str | Path, header: str, template: str, rows) -> None:

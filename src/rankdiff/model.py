@@ -183,8 +183,32 @@ class PopulationTable:
         self.pops.setflags(write=False)
 
 
-# A polygon ring is a closed sequence of (longitude, latitude) pairs in degrees.
-Ring = list[tuple[float, float]]
+@dataclass(frozen=True)
+class Boundaries:
+    """The polygon rings of a boundary file, every ring closed, in one array.
+
+    Ring ``r`` is the (longitude, latitude) points in degrees
+    ``xy[starts[r]:ends[r]]``, its last point equal to its first. ``rings``
+    maps each feature id to the indices of its rings in file order; a
+    repeated id's rings follow its earlier ones.
+    ``extent`` is (lon0, lat0, lon1, lat1), the least and greatest
+    coordinates of the rings of the roster the file was read against, or
+    ``None`` when no roster id has a point.
+    """
+
+    xy: np.ndarray
+    ends: np.ndarray
+    rings: dict[str, tuple[int, ...]]
+    extent: tuple[float, float, float, float] | None
+
+    def __post_init__(self) -> None:
+        self.xy.setflags(write=False)
+        self.ends.setflags(write=False)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The index in ``xy`` of each ring's first point."""
+        return np.concatenate(([0], self.ends))[:-1]
 
 
 @dataclass(frozen=True)

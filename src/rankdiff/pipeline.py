@@ -34,7 +34,7 @@ from .classify import ClassifierConfig, ClassLabel
 from .errors import (ConfigError, IngestError, RenderError, decimal, load_json, number, one_of,
                      read_fields, text, writing)
 from .metrics import GroupStatsTable, RegimeConfig
-from .model import CaseCube, Group, PopulationTable, QualityReport, Ring
+from .model import Boundaries, CaseCube, Group, PopulationTable, QualityReport
 
 BASIS_ALIASES = {"raw": "raw_daily", "raw_daily": "raw_daily", "ma7": "ma7",
                  "cumulative": "cumulative"}
@@ -127,7 +127,7 @@ def _regime(t_min: float, t_max: float | None, source: str) -> RegimeConfig:
 class LoadedInputs:
     cube: CaseCube
     pops: PopulationTable
-    boundaries: dict[str, list[Ring]]
+    boundaries: Boundaries
     report: QualityReport
 
 
@@ -142,12 +142,11 @@ def load_inputs(cfg: RunConfig) -> LoadedInputs:
     pops = ingest.load_populations(cfg.populations, cube.roster, report=report)
     boundaries = ingest.load_boundaries(cfg.boundaries, cube.roster, report=report)
     cfg.regime.resolved(cube.n_municipalities)  # a null max means M, which may not exceed min
-    points = [point for mid in cube.roster.ids for ring in boundaries.get(mid, ())
-              for point in ring]
-    if not points:
+    if boundaries.extent is None:
         raise IngestError(f"{cfg.boundaries}: no feature matches a roster id, "
                           "so the map has no geometry to draw")
-    if not all(math.isfinite(max(values) - min(values)) for values in zip(*points)):
+    lon0, lat0, lon1, lat1 = boundaries.extent
+    if not (math.isfinite(lon1 - lon0) and math.isfinite(lat1 - lat0)):
         raise IngestError(f"{cfg.boundaries}: the roster geometry spans more than a float "
                           "can hold, so the map cannot be scaled")
     return LoadedInputs(cube=cube, pops=pops, boundaries=boundaries, report=report)

@@ -8,22 +8,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..classify import ClassLabel
 from ..errors import RenderError
-from ..model import Group, Ring, Roster
-from .svg import CLASS_COLORS, document, fnum, path, rect, text
+from ..model import Boundaries, Group, Roster
+from .svg import CLASS_COLORS, document, fpoints, path, rect, text
 
 
 @dataclass(frozen=True)
 class ChoroplethModel:
     group: Group
-    entries: tuple[tuple[str, ClassLabel, str, tuple[Ring, ...]], ...]  # id, label, color, rings
-    legend: tuple[tuple[ClassLabel, str, int], ...]                     # label, color, count
-    missing: tuple[str, ...]                                            # no geometry
+    entries: tuple[tuple[str, ClassLabel, str, int], ...]  # id, label, color, ring count
+    points: np.ndarray                          # (P, 2) lon/lat of the entries' rings, in order
+    ring_ends: np.ndarray                       # where each of those rings ends in ``points``
+    legend: tuple[tuple[ClassLabel, str, int], ...]        # label, color, count
+    missing: tuple[str, ...]                               # no geometry
 
 
 def build_choropleth(
-    boundaries: dict[str, list[Ring]],
+    geometry: Boundaries,
     roster: Roster,
     labels: dict[str, ClassLabel],
     group: Group,
@@ -32,13 +36,20 @@ def build_choropleth(
     lacking geometry are collected for the omissions footnote rather than failing."""
     entries = []
     missing = []
+    rings: list[int] = []
     for mid in roster.sorted_ids:
         label = labels[mid]
-        rings = boundaries.get(mid)
-        if rings is None:
+        indices = geometry.rings.get(mid)
+        if indices is None:
             missing.append(mid)
             continue
-        entries.append((mid, label, CLASS_COLORS[label], tuple(tuple(r) for r in rings)))
+        entries.append((mid, label, CLASS_COLORS[label], len(indices)))
+        rings += indices
+    starts, ends = geometry.starts[rings], geometry.ends[rings]
+    lengths = ends - starts
+    ring_ends = np.cumsum(lengths)
+    # the index in geometry.xy of each drawn point: each ring's start, then a step a point
+    index = np.repeat(starts - (ring_ends - lengths), lengths) + np.arange(lengths.sum())
     counts = {label: 0 for label in ClassLabel}
     for _, label, _, _ in entries:
         counts[label] += 1
@@ -50,44 +61,39 @@ def build_choropleth(
     return ChoroplethModel(
         group=group,
         entries=tuple(entries),
+        points=geometry.xy[index],
+        ring_ends=ring_ends,
         legend=legend,
         missing=tuple(missing),
     )
-
-
-def _bounds(model: ChoroplethModel) -> tuple[float, float, float, float]:
-    xs = [x for _, _, _, rings in model.entries for ring in rings for x, _ in ring]
-    ys = [y for _, _, _, rings in model.entries for ring in rings for _, y in ring]
-    if not xs:
-        raise RenderError("choropleth has no geometry to draw")
-    return min(xs), min(ys), max(xs), max(ys)
 
 
 def render_choropleth(model: ChoroplethModel) -> str:
     width, height = 720, 760
     pad = 30.0
     map_top, map_height = 60.0, 560.0
-    lon0, lat0, lon1, lat1 = _bounds(model)
+    points = model.points
+    if not len(points):
+        raise RenderError("choropleth has no geometry to draw")
+    (lon0, lat0), (lon1, lat1) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
     span_x = max(lon1 - lon0, 1e-12)
     span_y = max(lat1 - lat0, 1e-12)
     scale = min((width - 2 * pad) / span_x, map_height / span_y)
     off_x = pad + ((width - 2 * pad) - span_x * scale) / 2.0
     off_y = map_top + (map_height - span_y * scale) / 2.0
 
-    def project(lon: float, lat: float) -> tuple[float, float]:
-        return off_x + (lon - lon0) * scale, off_y + (lat1 - lat) * scale
-
     elements = [rect(0, 0, width, height, fill="#ffffff"),
                 text(20, 32, f"rank-difference classification, group {model.group.value}",
                      size=16, weight="bold")]
 
-    for mid, _, color, rings in model.entries:
-        pieces = []
-        for ring in rings:
-            coords = [project(lon, lat) for lon, lat in ring]
-            d = "M " + " L ".join(f"{fnum(x)} {fnum(y)}" for x, y in coords) + " Z"
-            pieces.append(d)
-        elements.append(path(" ".join(pieces), fill=color, stroke="#ffffff", stroke_width=0.6))
+    coords = fpoints(off_x + (points[:, 0] - lon0) * scale, off_y + (lat1 - points[:, 1]) * scale)
+    ends = model.ring_ends.tolist()
+    rings = ["M " + " L ".join(coords[start:end]) + " Z" for start, end in zip([0, *ends], ends)]
+    first = 0
+    for _, _, color, count in model.entries:
+        elements.append(path(" ".join(rings[first:first + count]), fill=color, stroke="#ffffff",
+                             stroke_width=0.6))
+        first += count
 
     legend_y = map_top + map_height + 30.0
     elements.append(text(20, legend_y - 12, "classification", size=12, weight="bold"))

@@ -40,6 +40,13 @@ def fnum(value: float) -> str:
     return "0.00" if text == "-0.00" else text
 
 
+def fpoints(xs: np.ndarray, ys: np.ndarray) -> list[str]:
+    """``f"{fnum(x)} {fnum(y)}"`` of each point (xs[j], ys[j]): a value that
+    would read -0.00 is written 0.00."""
+    xs, ys = (np.where(np.abs(v) < 0.005, 0.0, v).tolist() for v in (xs, ys))
+    return list(map("{:.2f} {:.2f}".format, xs, ys))
+
+
 def escape(text: str) -> str:
     return (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
@@ -135,10 +142,8 @@ def _points(cx: float, cy: float, r: float, degrees: np.ndarray) -> list[str]:
     The points go through ``math.cos`` and ``math.sin``, whose results do not
     depend on the CPU's vector unit as NumPy's can."""
     radians = (degrees * (math.pi / 180.0)).tolist()
-    xs, ys = (cx + r * np.array(list(map(math.cos, radians))),
-              cy + r * np.array(list(map(math.sin, radians))))
-    xs, ys = (np.where(np.abs(v) < 0.005, 0.0, v).tolist() for v in (xs, ys))  # no '-0.00'
-    return list(map("{:.2f} {:.2f}".format, xs, ys))
+    return fpoints(cx + r * np.array(list(map(math.cos, radians))),
+                   cy + r * np.array(list(map(math.sin, radians))))
 
 
 def pies(cx: float, cy: float, r: float, colors: Sequence[str], shares: np.ndarray) -> list[str]:

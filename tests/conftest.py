@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rankdiff.errors import IngestError, load_json
+from rankdiff.ingest import _array, _feature_id
 from rankdiff.metrics import SPECIALS, GroupStats, GroupStatsTable
-from rankdiff.model import CaseCube, DateAxis, Municipality, PopulationTable, Roster
+from rankdiff.model import (Boundaries, CaseCube, DateAxis, Municipality, PopulationTable,
+                            QualityReport, Roster)
 
 START = dt.date(2020, 10, 1)
 
@@ -117,6 +121,89 @@ def square_feature(fid: str, x0: float = 0.0, y0: float = 0.0, closed: bool = Tr
 
 def geojson_text(features: list[dict]) -> str:
     return json.dumps({"type": "FeatureCollection", "features": features})
+
+
+# A ring: its (longitude, latitude) points, the last equal to the first.
+Ring = list[tuple[float, float]]
+
+
+def shapes_of(boundaries: Boundaries) -> dict[str, list[Ring]]:
+    """The rings of each feature id of ``boundaries``, as lists of points."""
+    starts, ends = boundaries.starts.tolist(), boundaries.ends.tolist()
+    return {fid: [list(map(tuple, boundaries.xy[starts[r]:ends[r]].tolist())) for r in rings]
+            for fid, rings in boundaries.rings.items()}
+
+
+def boundaries_of(shapes: dict[str, list[Ring]]) -> Boundaries:
+    """``shapes``, each id's closed rings, laid out as ``load_boundaries``
+    lays out a file of those features read against a roster of all their ids."""
+    rings = [ring for id_rings in shapes.values() for ring in id_rings]
+    xy = np.array([point for ring in rings for point in ring], dtype=np.float64).reshape(-1, 2)
+    numbers = iter(range(len(rings)))
+    return Boundaries(
+        xy=xy, ends=np.cumsum([len(ring) for ring in rings], dtype=np.intp),
+        rings={fid: tuple(next(numbers) for _ in id_rings) for fid, id_rings in shapes.items()},
+        extent=(*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist()) if len(xy) else None)
+
+
+def _reference_position(pt, fid: str, path: Path) -> tuple[float, float]:
+    if not (isinstance(pt, list) and len(pt) >= 2 and type(pt[0]) in (int, float)
+            and type(pt[1]) in (int, float)):
+        raise IngestError(f"{path}: feature {fid!r} has a malformed position {pt!r}")
+    try:
+        x, y = float(pt[0]), float(pt[1])
+    except OverflowError:  # an integer past the float range
+        x = y = math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise IngestError(f"{path}: feature {fid!r} has a non-finite coordinate {pt!r}")
+    return x, y
+
+
+def _reference_rings(geometry: dict, fid: str, path: Path,
+                     report: QualityReport | None) -> list[Ring]:
+    gtype = geometry.get("type")
+    if gtype not in ("Polygon", "MultiPolygon"):
+        raise IngestError(f"{path}: feature {fid!r} has non-polygon geometry type {gtype!r}")
+    if "coordinates" not in geometry:
+        raise IngestError(f"{path}: feature {fid!r} has no coordinates")
+    coordinates = _array(geometry["coordinates"], fid, path)
+    polygons = [coordinates] if gtype == "Polygon" else coordinates
+    rings: list[Ring] = []
+    for polygon in polygons:
+        for ring_coords in _array(polygon, fid, path):
+            ring = [_reference_position(pt, fid, path) for pt in _array(ring_coords, fid, path)]
+            if len(ring) < 3:
+                raise IngestError(f"{path}: feature {fid!r} has a ring with < 3 points")
+            if ring[0] != ring[-1]:
+                ring.append(ring[0])
+                if report is not None:
+                    report.warnings.append(f"auto-closed unclosed ring in feature {fid!r}")
+            rings.append(ring)
+    return rings
+
+
+def reference_boundaries(path: Path, roster: Roster,
+                         report: QualityReport | None = None) -> dict[str, list[Ring]]:
+    """The rings of each feature id of a GeoJSON file, read a feature, a ring
+    and a position at a time, each checked as it is read: the reference
+    ``load_boundaries`` is compared with."""
+    doc = load_json(path, IngestError)
+    if (not isinstance(doc, dict) or doc.get("type") != "FeatureCollection"
+            or not isinstance(doc.get("features"), list)):
+        raise IngestError(f"{path}: expected a GeoJSON FeatureCollection")
+    shapes: dict[str, list[Ring]] = {}
+    for index, feature in enumerate(doc["features"]):
+        if not isinstance(feature, dict):
+            raise IngestError(f"{path}: feature #{index} is not a JSON object")
+        fid = _feature_id(feature, index, path)
+        geometry = feature.get("geometry")
+        if not isinstance(geometry, dict):
+            raise IngestError(f"{path}: feature {fid!r} has no geometry")
+        shapes.setdefault(fid, []).extend(_reference_rings(geometry, fid, path, report))
+    if report is not None:
+        report.unmatched_geometry_ids.extend(sorted(shapes.keys() - roster.index.keys()))
+        report.missing_geometry_ids.extend(m for m in roster.sorted_ids if m not in shapes)
+    return shapes
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import gc
 import io
 import json
 import os
@@ -14,9 +15,11 @@ import pytest
 
 import rankdiff
 from rankdiff import cli, ingest
+from rankdiff.errors import IngestError
 from rankdiff.synth import SynthSpec, write_fixture
 
-from conftest import cases_csv_text, full_cases_rows, geojson_text, pops_csv_text, square_feature
+from conftest import (cases_csv_text, full_cases_rows, geojson_text, make_roster, pops_csv_text,
+                      square_feature)
 from test_ingest import _quote_names
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -206,6 +209,40 @@ def polygon(ring) -> str:
     return geojson_text([feature, square_feature("b", 2.0)])
 
 
+# Boundary files with one fault each, and a part of the message each must give.
+MALFORMED_BOUNDARIES = [
+    pytest.param(geojson_text([{"type": "Feature", "id": "a", "properties": {},
+                                "geometry": {"type": "Polygon"}}]),
+                 "feature 'a' has no coordinates", id="no-coordinates"),
+    pytest.param(polygon([[0, 0], [1, 0], [0], [0, 0]]),
+                 "feature 'a' has a malformed position [0]", id="short-position"),
+    pytest.param(polygon([[0, 0], [1, 0], ["x", 1], [0, 0]]),
+                 "malformed position ['x', 1]", id="text-position"),
+    pytest.param(polygon([[0, 0], [1, 0], 7, [0, 0]]), "malformed position 7",
+                 id="scalar-position"),
+    pytest.param(polygon([[0, 0], [1, 0], "12", [0, 0]]), "malformed position '12'",
+                 id="string-position"),
+    pytest.param(polygon([[0, 0], [1, 0], [True, False], [0, 0]]),
+                 "malformed position [True, False]", id="boolean-position"),
+    pytest.param(polygon([[0, 0], [10**400, 0], [1, 1], [0, 0]]),
+                 "non-finite coordinate [1000", id="integer-past-float-range"),
+    pytest.param(polygon([[0, 0], ["N", 0], [1, 1], [0, 0]]).replace('"N"', "1" * 5000),
+                 "invalid JSON: Exceeds the limit (4300 digits)", id="integer-past-digit-limit"),
+    pytest.param(polygon([[0, 0], [1, float("nan")], [1, 1], [0, 0]]),
+                 "feature 'a' has a non-finite coordinate [1, nan]", id="nan"),
+    pytest.param(polygon([[0, 0], [float("inf"), 0], [1, 1], [0, 0]]),
+                 "non-finite coordinate [inf, 0]", id="inf"),
+    pytest.param(geojson_text([{"type": "Feature", "id": "a", "properties": {},
+                                "geometry": {"type": "MultiPolygon", "coordinates": [5]}}]),
+                 "feature 'a' has malformed coordinates: 5 is not an array", id="scalar-polygon"),
+    pytest.param(geojson_text(["a"]), "feature #0 is not a JSON object", id="text-feature"),
+    pytest.param("[]", "expected a GeoJSON FeatureCollection", id="top-level-array"),
+    pytest.param(b'{"type": "FeatureCollection", "features": []\xff}',
+                 "not UTF-8 text: 'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+    pytest.param(b"[" * 100_000, "JSON nested too deeply", id="deep-nesting"),
+]
+
+
 class TestMalformedInputs:
     """Malformed input files end in exit 2 with a ``rankdiff: ingest:`` message."""
 
@@ -296,37 +333,7 @@ class TestMalformedInputs:
         assert cli.main(["run", "--config", str(config)]) == 0
         assert tree_bytes(bom / "out") == tree_bytes(plain / "out")
 
-    @pytest.mark.parametrize("geo,message", [
-        pytest.param(geojson_text([{"type": "Feature", "id": "a", "properties": {},
-                                    "geometry": {"type": "Polygon"}}]),
-                     "feature 'a' has no coordinates", id="no-coordinates"),
-        pytest.param(polygon([[0, 0], [1, 0], [0], [0, 0]]),
-                     "feature 'a' has a malformed position [0]", id="short-position"),
-        pytest.param(polygon([[0, 0], [1, 0], ["x", 1], [0, 0]]),
-                     "malformed position ['x', 1]", id="text-position"),
-        pytest.param(polygon([[0, 0], [1, 0], 7, [0, 0]]), "malformed position 7",
-                     id="scalar-position"),
-        pytest.param(polygon([[0, 0], [1, 0], "12", [0, 0]]), "malformed position '12'",
-                     id="string-position"),
-        pytest.param(polygon([[0, 0], [1, 0], [True, False], [0, 0]]),
-                     "malformed position [True, False]", id="boolean-position"),
-        pytest.param(polygon([[0, 0], [10**400, 0], [1, 1], [0, 0]]),
-                     "non-finite coordinate [1000", id="integer-past-float-range"),
-        pytest.param(polygon([[0, 0], ["N", 0], [1, 1], [0, 0]]).replace('"N"', "1" * 5000),
-                     "invalid JSON: Exceeds the limit (4300 digits)", id="integer-past-digit-limit"),
-        pytest.param(polygon([[0, 0], [1, float("nan")], [1, 1], [0, 0]]),
-                     "feature 'a' has a non-finite coordinate [1, nan]", id="nan"),
-        pytest.param(polygon([[0, 0], [float("inf"), 0], [1, 1], [0, 0]]),
-                     "non-finite coordinate [inf, 0]", id="inf"),
-        pytest.param(geojson_text([{"type": "Feature", "id": "a", "properties": {},
-                                    "geometry": {"type": "MultiPolygon", "coordinates": [5]}}]),
-                     "feature 'a' has malformed coordinates: 5 is not an array", id="scalar-polygon"),
-        pytest.param(geojson_text(["a"]), "feature #0 is not a JSON object", id="text-feature"),
-        pytest.param("[]", "expected a GeoJSON FeatureCollection", id="top-level-array"),
-        pytest.param(b'{"type": "FeatureCollection", "features": []\xff}',
-                     "not UTF-8 text: 'utf-8' codec can't decode byte 0xff", id="not-utf8"),
-        pytest.param(b"[" * 100_000, "JSON nested too deeply", id="deep-nesting"),
-    ])
+    @pytest.mark.parametrize("geo,message", MALFORMED_BOUNDARIES)
     def test_malformed_boundaries(self, tmp_path, capsys, geo, message):
         config = write_inputs(tmp_path)
         (tmp_path / "b.geojson").write_bytes(geo.encode() if isinstance(geo, str) else geo)
@@ -335,6 +342,26 @@ class TestMalformedInputs:
         assert err.startswith(f"rankdiff: ingest: {tmp_path / 'b.geojson'}: ")
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_boundaries_leave_the_collector_as_found(self, tmp_path, collecting):
+        """``load_boundaries`` pauses the cyclic garbage collector while it reads,
+        and leaves it on or off as the caller had it, whether it accepts the
+        file or refuses it."""
+        path, roster = tmp_path / "b.geojson", make_roster(["a", "b"])
+        try:
+            (gc.enable if collecting else gc.disable)()
+            path.write_text(polygon([[0, 0], [1, 0], [1, 1]]), encoding="utf-8")
+            ingest.load_boundaries(path, roster)
+            assert gc.isenabled() is collecting
+            for case in MALFORMED_BOUNDARIES:
+                geo = case.values[0]
+                path.write_bytes(geo.encode() if isinstance(geo, str) else geo)
+                with pytest.raises(IngestError):
+                    ingest.load_boundaries(path, roster)
+                assert gc.isenabled() is collecting, case.id
+        finally:
+            gc.enable()
 
 
 def csv_text(rows) -> str:

@@ -1,7 +1,9 @@
 import codecs
 import csv
 import datetime as dt
+import gc
 import io
+import json
 import tempfile
 from operator import itemgetter
 from pathlib import Path
@@ -32,6 +34,8 @@ from conftest import (
     make_cube,
     make_roster,
     pops_csv_text,
+    reference_boundaries,
+    shapes_of,
     square_feature,
 )
 from test_mutation import base_files, csv_mutation, mutate_csv
@@ -876,11 +880,58 @@ class TestPopulationDiagnostics:
                                    "got 'many'")
 
 
+# Coordinates as ``json`` reads them, ints and floats, with repeats.
+boundary_coordinate = st.one_of(st.integers(-2, 2), st.integers(-2**70, 2**70),
+                                st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+                                st.floats(allow_nan=False, allow_infinity=False))
+# A position: two coordinates, then up to two entries of any JSON type, which are ignored.
+boundary_position = st.builds(
+    lambda x, y, rest: [x, y, *rest], boundary_coordinate, boundary_coordinate,
+    st.lists(st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.integers(), st.floats(),
+                       st.lists(st.integers(), max_size=1)), max_size=2))
+# A ring left open, closed by its first two coordinates, or closed by them as floats.
+boundary_ring = st.builds(
+    lambda points, close: points + ([] if close is None else [list(map(close, points[0][:2]))]),
+    st.lists(boundary_position, min_size=3, max_size=5),
+    st.sampled_from([None, lambda v: v, float]))
+boundary_polygon = st.lists(boundary_ring, max_size=2)
+# Features of roster ids, of one id twice and of an id off the roster ("zz").
+BOUNDARY_ROSTER = ["a", "b", "c", "d"]
+boundary_feature = st.builds(
+    lambda fid, geometry: {"type": "Feature", "id": fid, "properties": {}, "geometry": geometry},
+    st.sampled_from(["a", "b", "c", "zz"]),
+    st.one_of(st.builds(lambda p: {"type": "Polygon", "coordinates": p}, boundary_polygon),
+              st.builds(lambda ps: {"type": "MultiPolygon", "coordinates": ps},
+                        st.lists(boundary_polygon, max_size=2))))
+# One fault, and the part of a valid file it replaces.
+BOUNDARY_FAULTS = [
+    ("collection", []), ("collection", {"type": "FeatureCollection"}),
+    ("collection", {"type": "Feature", "features": []}),
+    ("feature", "x"), ("feature", 5), ("feature", {"type": "Feature", "geometry": None}),
+    ("geometry", None), ("geometry", "x"), ("geometry", {"type": "Point", "coordinates": [0, 0]}),
+    ("geometry", {"type": "Polygon"}), ("geometry", {"coordinates": []}),
+    ("coordinates", 5), ("coordinates", "x"), ("coordinates", None),
+    ("polygon", 5), ("polygon", {"a": 1}),
+    ("ring", 5), ("ring", "ring"), ("ring", []), ("ring", [[0, 0], [1, 1]]),
+    ("position", []), ("position", [0]), ("position", ["x", 1]), ("position", [1, "x"]),
+    ("position", [True, 0]), ("position", [0, False]), ("position", [None, 0]),
+    ("position", 7), ("position", "12"), ("position", None), ("position", {"x": 1, "y": 2}),
+    ("position", [[0, 0], 1]), ("position", [float("nan"), 0]), ("position", [0, float("inf")]),
+    ("position", [-float("inf"), 0, "z"]), ("position", [10**400, 0]),
+    ("position", [0, -10**400]),
+]
+
+
+def _polygons(feature: dict) -> list:
+    geometry = feature["geometry"]
+    return [geometry["coordinates"]] if geometry["type"] == "Polygon" else geometry["coordinates"]
+
+
 class TestLoadBoundaries:
     def test_single_square(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a")]))
         report = QualityReport()
-        shapes = load_boundaries(path, make_roster(["a"]), report=report)
+        shapes = shapes_of(load_boundaries(path, make_roster(["a"]), report=report))
         assert len(shapes) == 1
         assert shapes["a"][0][0] == shapes["a"][0][-1]
         assert report.unmatched_geometry_ids == []
@@ -889,7 +940,7 @@ class TestLoadBoundaries:
     def test_unclosed_ring_autoclosed(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a", closed=False)]))
         report = QualityReport()
-        shapes = load_boundaries(path, make_roster(["a"]), report=report)
+        shapes = shapes_of(load_boundaries(path, make_roster(["a"]), report=report))
         ring = shapes["a"][0]
         assert ring[0] == ring[-1]
         assert any("auto-closed" in w for w in report.warnings)
@@ -897,14 +948,14 @@ class TestLoadBoundaries:
     def test_unmatched_feature_retained(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a"), square_feature("zz", 2.0)]))
         report = QualityReport()
-        shapes = load_boundaries(path, make_roster(["a"]), report=report)
+        shapes = shapes_of(load_boundaries(path, make_roster(["a"]), report=report))
         assert "zz" in shapes
         assert report.unmatched_geometry_ids == ["zz"]
 
     def test_missing_geometry_reported(self, write_file):
         path = write_file("b.geojson", geojson_text([square_feature("a")]))
         report = QualityReport()
-        shapes = load_boundaries(path, make_roster(["a", "b"]), report=report)
+        shapes = shapes_of(load_boundaries(path, make_roster(["a", "b"]), report=report))
         assert "b" not in shapes
         assert report.missing_geometry_ids == ["b"]
 
@@ -928,16 +979,16 @@ class TestLoadBoundaries:
                 ],
             },
         }
-        shapes = load_boundaries(write_file("b.geojson", geojson_text([feature])),
-                                 make_roster(["a"]))
+        shapes = shapes_of(load_boundaries(write_file("b.geojson", geojson_text([feature])),
+                                           make_roster(["a"])))
         assert len(shapes["a"]) == 2
 
     def test_id_from_properties(self, write_file):
         feature = square_feature("ignored")
         del feature["id"]
         feature["properties"] = {"GEOID": "g77"}
-        shapes = load_boundaries(write_file("b.geojson", geojson_text([feature])),
-                                 make_roster(["g77"]))
+        shapes = shapes_of(load_boundaries(write_file("b.geojson", geojson_text([feature])),
+                                           make_roster(["g77"])))
         assert "g77" in shapes
 
     def test_not_a_collection(self, write_file):
@@ -949,3 +1000,105 @@ class TestLoadBoundaries:
         path = write_file("b.geojson", "{nope")
         with pytest.raises(IngestError, match="invalid JSON"):
             load_boundaries(path, make_roster(["a"]))
+
+    def test_reads_with_the_collector_paused(self, write_file):
+        """A parsed boundary file is tens of thousands of containers and no
+        cycle, so ``load_boundaries`` reads and walks it with the cyclic
+        collector paused: no collection starts while it loads."""
+        ids = [f"m{i:04d}" for i in range(2000)]
+        path = write_file("b.geojson", geojson_text(
+            [square_feature(mid, 2.0 * i) for i, mid in enumerate(ids)]))
+        roster, starts = make_roster(ids), []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(record)
+        try:
+            load_boundaries(path, roster)
+        finally:
+            gc.callbacks.remove(record)
+        assert starts == []
+
+    def test_structure_is_checked_before_positions(self, write_file):
+        """Features and rings are checked as each is read, and the positions
+        of the whole file after that, in one pass. So where a file holds
+        several faults, a feature or ring fault is reported before a bad
+        position earlier in the file, which the reference, reading a position
+        at a time, reports first."""
+        bad_position = square_feature("a")
+        bad_position["geometry"]["coordinates"][0][1] = ["x", 0]
+        point = {"type": "Feature", "id": "b", "properties": {},
+                 "geometry": {"type": "Point", "coordinates": [0, 0]}}
+        short_ring = square_feature("a")
+        short_ring["geometry"]["coordinates"] = [[[0, 0], [True, 1]]]
+        for features, message, reference_message in [
+            ([bad_position, point], "feature 'b' has non-polygon geometry type 'Point'",
+             "feature 'a' has a malformed position ['x', 0]"),
+            ([short_ring], "feature 'a' has a ring with < 3 points",
+             "feature 'a' has a malformed position [True, 1]"),
+        ]:
+            path = write_file("b.geojson", geojson_text(features))
+            with pytest.raises(IngestError) as info:
+                load_boundaries(path, make_roster(["a", "b"]))
+            assert str(info.value) == f"{path}: {message}"
+            with pytest.raises(IngestError) as info:
+                reference_boundaries(path, make_roster(["a", "b"]))
+            assert str(info.value) == f"{path}: {reference_message}"
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(features=st.lists(boundary_feature, max_size=5))
+    def test_agrees_with_the_reference(self, tmp_path, features):
+        """The bulk reader gives the reference's points, ring order, warnings
+        and unmatched and missing ids, and the extent of the roster's points."""
+        path = tmp_path / "b.geojson"
+        path.write_text(geojson_text(features), encoding="utf-8")
+        roster = make_roster(BOUNDARY_ROSTER)
+        expected_report, report = QualityReport(), QualityReport()
+        expected = reference_boundaries(path, roster, expected_report)
+        boundaries = load_boundaries(path, roster, report)
+        assert repr(shapes_of(boundaries)) == repr(expected)  # repr tells -0.0 from 0.0
+        assert report == expected_report
+        points = [point for mid in roster.ids for ring in expected.get(mid, ()) for point in ring]
+        assert boundaries.extent == ((*map(min, zip(*points)), *map(max, zip(*points)))
+                                     if points else None)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(features=st.lists(boundary_feature, max_size=4), data=st.data())
+    def test_one_fault_gives_the_reference_message(self, tmp_path, features, data):
+        """A file with a single fault, each of ``BOUNDARY_FAULTS`` in turn, is
+        refused with the reference's exact message."""
+        target = square_feature("zz", 5.0)  # a polygon, a ring and positions to damage
+        target["geometry"] = {"type": "MultiPolygon",
+                              "coordinates": [target["geometry"]["coordinates"]]}
+        text = json.dumps([*features, target])
+        path, roster = tmp_path / "b.geojson", make_roster(BOUNDARY_ROSTER)
+        for part, fault in BOUNDARY_FAULTS:
+            features = json.loads(text)
+            doc = {"type": "FeatureCollection", "features": features}
+            if part == "collection":
+                doc = fault
+            else:
+                container, key = data.draw(st.sampled_from({
+                    "feature": [(features, i) for i in range(len(features))],
+                    "geometry": [(f, "geometry") for f in features],
+                    "coordinates": [(f["geometry"], "coordinates") for f in features],
+                    "polygon": [(f["geometry"]["coordinates"], i) for f in features
+                                if f["geometry"]["type"] == "MultiPolygon"
+                                for i in range(len(f["geometry"]["coordinates"]))],
+                    "ring": [(polygon, i) for f in features for polygon in _polygons(f)
+                             for i in range(len(polygon))],
+                    "position": [(ring, i) for f in features for polygon in _polygons(f)
+                                 for ring in polygon for i in range(len(ring))],
+                }[part]))
+                container[key] = fault
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(IngestError) as expected:
+                reference_boundaries(path, roster)
+            with pytest.raises(IngestError) as info:
+                load_boundaries(path, roster)
+            assert str(info.value) == str(expected.value)

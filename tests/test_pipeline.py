@@ -5,13 +5,14 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankdiff import cli, pipeline, render
+from rankdiff import cli, ingest, pipeline, render
 from rankdiff.classify import ClassifierConfig
 from rankdiff.errors import ConfigError
 from rankdiff.ingest import write_cases_csv, write_populations_csv
@@ -463,6 +464,27 @@ def test_run_renders_through_the_traced_attribute(tmp_path, monkeypatch):
     cfg = _run_fixture(spec, tmp_path)
     assert sorted(calls) == sorted(path.stem for path in (cfg.out / "dashboards").iterdir())
     assert len(calls) == spec.m
+
+
+def test_run_maps_through_the_traced_attributes(tmp_path, monkeypatch):
+    """The traced run books the boundary file to ``ingest.load_boundaries`` and
+    the map to ``render.build_choropleth`` and ``render.render_choropleth``, so
+    ``run`` calls each once, through the module attribute."""
+    calls = Counter()
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counted(ingest, "load_boundaries")
+    counted(render, "build_choropleth")
+    counted(render, "render_choropleth")
+    _run_fixture(_uniform_spec(5, 3), tmp_path)
+    assert calls == {"load_boundaries": 1, "build_choropleth": 1, "render_choropleth": 1}
 
 
 def test_run_draws_through_the_traced_attribute_once_per_block(tmp_path, monkeypatch):

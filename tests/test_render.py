@@ -1,5 +1,7 @@
 import datetime as dt
 import hashlib
+import math
+import re
 from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 from rankdiff.classify import ClassLabel
 from rankdiff.errors import RenderError
+from rankdiff.ingest import load_boundaries
 from rankdiff.metrics import (
     RegimeConfig,
     Special,
@@ -26,9 +29,10 @@ from rankdiff.render import (
     render_index,
 )
 from rankdiff.render import dashboard
-from rankdiff.render.svg import CLASS_COLORS, circle, escape, pie_angles, text
+from rankdiff.render.svg import CLASS_COLORS, circle, escape, fnum, fpoints, pie_angles, text
 
-from conftest import START, make_cube, make_pops, make_roster
+from conftest import (START, boundaries_of, geojson_text, make_cube, make_pops, make_roster,
+                      reference_boundaries, square_feature)
 
 GOLDEN = Path(__file__).parent / "goldens" / "dashboard_golden.svg"
 
@@ -306,7 +310,7 @@ SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
 
 def choropleth_of(shapes, labels, group):
     """The map model of a roster listing the ids of ``labels``."""
-    return build_choropleth(shapes, make_roster(list(labels)), labels, group)
+    return build_choropleth(boundaries_of(shapes), make_roster(list(labels)), labels, group)
 
 
 class TestChoropleth:
@@ -356,6 +360,53 @@ class TestChoropleth:
         shapes = {"a": [SQUARE]}
         model = choropleth_of(shapes, {"a": ClassLabel.G1}, Group.HL)
         assert render_choropleth(model) == render_choropleth(model)
+
+    def test_points_written_as_fnum_writes_them(self):
+        """The one bulk formatter of the map and the pies writes each value as
+        ``fnum`` does, at the edges of the rule that writes -0.00 as 0.00."""
+        below = math.nextafter(0.005, 0.0)
+        values = [0.005, -0.005, below, -below, 0.0, -0.0, 0.004, -0.004, 0.015, -0.015, 1.005,
+                  -1.005, 2.675, 1e-300, -1e-300, 719.995, -3.0]
+        assert fpoints(np.array(values), np.array(values[::-1])) == [
+            f"{fnum(x)} {fnum(y)}" for x, y in zip(values, values[::-1])]
+
+    def test_paths_are_the_per_point_text(self, write_file):
+        """Each path of the map is the text that projecting each point and
+        writing it with ``fnum``, one at a time, gives: here for a
+        MultiPolygon, auto-closed rings, a feature off the roster, which is
+        not drawn and does not widen the map, and an id given twice. (The
+        projection keeps every point at least ``pad`` inside the canvas, so
+        the -0.00 edge is tested on the formatter alone.)"""
+        features = [
+            {"type": "Feature", "id": "b", "properties": {}, "geometry": {
+                "type": "MultiPolygon", "coordinates": [
+                    [[[0.1, 0.2], [1.3333, 0.2], [1.3333, 1.7], [0.1, 0.2]]],
+                    [[[2.005, 2], [3, 2.0], [3.0, 3.0]]]]}},
+            square_feature("zz", 40.0),
+            square_feature("a", 1 / 3, 1 / 7),
+            square_feature("b", 1.5, -0.25, closed=False),
+        ]
+        path = write_file("b.geojson", geojson_text(features))
+        roster = make_roster(["a", "b", "c"])
+        labels = {"a": ClassLabel.G0, "b": ClassLabel.G3, "c": ClassLabel.G1}
+        svg = render_choropleth(build_choropleth(load_boundaries(path, roster), roster, labels,
+                                                 Group.BAA))
+
+        shapes = reference_boundaries(path, roster)
+        xs, ys = zip(*[point for mid in "ab" for ring in shapes[mid] for point in ring])
+        lon0, lat0, lon1, lat1 = min(xs), min(ys), max(xs), max(ys)
+        width, pad, map_top, map_height = 720, 30.0, 60.0, 560.0
+        span_x, span_y = max(lon1 - lon0, 1e-12), max(lat1 - lat0, 1e-12)
+        scale = min((width - 2 * pad) / span_x, map_height / span_y)
+        off_x = pad + ((width - 2 * pad) - span_x * scale) / 2.0
+        off_y = map_top + (map_height - span_y * scale) / 2.0
+        expected = [" ".join("M " + " L ".join(f"{fnum(off_x + (lon - lon0) * scale)} "
+                                               f"{fnum(off_y + (lat1 - lat) * scale)}"
+                                               for lon, lat in ring) + " Z"
+                             for ring in shapes[mid]) for mid in "ab"]
+        assert [len(shapes[mid]) for mid in "ab"] == [1, 3]
+        assert re.findall(r'<path d="([^"]*)"', svg) == expected
+        assert "no geometry for 1 municipality: c" in svg
 
 
 class TestIndexPage:
