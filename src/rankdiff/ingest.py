@@ -682,11 +682,9 @@ def _bad_position(rings: list[list], owners: list[str], path: Path) -> IngestErr
     raise AssertionError("every position is valid")
 
 
-def _coordinates(rings: list[list], pairs: bool):
-    """The first two entries of each position of ``rings``, in order; with
-    ``pairs``, every position has exactly two."""
-    positions = chain.from_iterable(rings)
-    return chain.from_iterable(positions if pairs else map(itemgetter(0, 1), positions))
+def _coordinates(rings: list[list]):
+    """The first two entries of each position of ``rings``, in order."""
+    return chain.from_iterable(map(itemgetter(0, 1), chain.from_iterable(rings)))
 
 
 def _points(rings: list[list], owners: list[str], path: Path) -> np.ndarray:
@@ -695,14 +693,12 @@ def _points(rings: list[list], owners: list[str], path: Path) -> np.ndarray:
     message of the first bad one."""
     valid = set(map(type, chain.from_iterable(rings))) <= {list}
     if valid:
-        lengths = set(map(len, chain.from_iterable(rings)))
-        valid = min(lengths, default=2) >= 2
+        valid = min(map(len, chain.from_iterable(rings)), default=2) >= 2
     if valid:  # entries past the first two are ignored
-        pairs = lengths <= {2}
-        valid = set(map(type, _coordinates(rings, pairs))) <= _NUMBERS
+        valid = set(map(type, _coordinates(rings))) <= _NUMBERS
     if valid:
         try:
-            values = np.fromiter(_coordinates(rings, pairs), np.float64, 2 * sum(map(len, rings)))
+            values = np.fromiter(_coordinates(rings), np.float64, 2 * sum(map(len, rings)))
         except OverflowError:  # an integer past the float range
             valid = False
         else:
