@@ -19,6 +19,7 @@ one group column of a ``GroupStatsTable`` at once.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClassifyError
+from .errors import ClassifyError, write_text
 from .metrics import GroupStats, GroupStatsTable
 from .model import GROUP_INDEX, Group, Roster
 
@@ -103,7 +104,8 @@ def classify_municipalities(
 def write_labels_csv(path: str | Path, roster: Roster, labels: dict[str, ClassLabel],
                      group: Group) -> None:
     """One row per municipality of ``roster``, in ascending id order."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["municipality_id", "group", "label"])
-        writer.writerows([mid, group.value, labels[mid].value] for mid in roster.sorted_ids)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["municipality_id", "group", "label"])
+    writer.writerows([mid, group.value, labels[mid].value] for mid in roster.sorted_ids)
+    write_text(path, [text.getvalue()])

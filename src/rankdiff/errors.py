@@ -1,10 +1,12 @@
 """Exception hierarchy shared across the pipeline, the guard that turns a
-failed write into one of them, and the one reader and typed field table of
-the JSON documents a user writes. Every error carries the name of the
-subsystem that raised it so the CLI can emit module-tagged diagnostics.
+failed write into one of them, ``write_text``, the one writer of every file,
+and the one reader and typed field table of the JSON documents a user writes.
+Every error names the subsystem that raised it, for the CLI's diagnostics.
 """
 
 import json
+import os
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -47,6 +49,21 @@ def writing(target: str | Path, error: type[PipelineError]):
         yield
     except OSError as exc:
         raise error(f"cannot write {exc.filename or target}: {exc.strerror or exc}") from exc
+
+
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Create or truncate ``path`` and write each of ``chunks`` as UTF-8 with no
+    newline translation, as it comes, so a file built in pieces is never held
+    whole. It writes through the bare file descriptor: ``run`` writes a file per
+    municipality, and a buffered text file costs more to set up than a write."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        for chunk in chunks:
+            data = memoryview(chunk.encode("utf-8"))
+            while data:  # a write may take fewer bytes than it is given
+                data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def load_json(path: str | Path, error: type[PipelineError], what: str = "") -> object:

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestError, load_json
+from .errors import IngestError, load_json, write_text
 from .model import (
     GROUP_INDEX,
     GROUPS,
@@ -795,14 +795,17 @@ def write_filled_csv(path: str | Path, header: str, template: str, rows) -> None
     ``%s``: only the fields can need quoting, so the rest is formatted once."""
     quoted = io.StringIO()
     quote = csv.writer(quoted, lineterminator="\n").writerow
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header)
+
+    def chunks():
+        yield header
         for fields, values in rows:
             quoted.seek(0)
             quoted.truncate()
             quote((*fields, ""))  # cut below with its comma; a lone empty field would be ""
             filled = quoted.getvalue()[:-2].replace("%", "%%")
-            handle.write(template.replace("\0", filled) % values)
+            yield template.replace("\0", filled) % values
+
+    write_text(path, chunks())
 
 
 def write_cases_csv(cube: CaseCube, path: str | Path) -> None:
@@ -818,10 +821,7 @@ def write_cases_csv(cube: CaseCube, path: str | Path) -> None:
 
 def write_populations_csv(table: PopulationTable, path: str | Path) -> None:
     """Write a PopulationTable in the canonical populations schema."""
-    groups = [g.value for g in GROUPS]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(POPS_COLUMNS)
-        writer.writerows((muni.id, g, pop)
-                         for muni, pops in zip(table.roster.municipalities, table.pops.tolist())
-                         for g, pop in zip(groups, pops))
+    template = "".join(f"\0,{g.value},%s\n" for g in GROUPS)
+    write_filled_csv(path, ",".join(POPS_COLUMNS) + "\n", template,
+                     (((muni.id,), tuple(pops))
+                      for muni, pops in zip(table.roster.municipalities, table.pops.tolist())))

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MetricsError
+from .errors import MetricsError, write_text
 from .ingest import write_filled_csv
 from .model import (GROUP_INDEX, GROUPS, INT64_MAX, K, CaseCube, Group, Municipality,
                     PopulationTable, Roster)
@@ -416,14 +416,15 @@ def write_stats_json(
     regime = regime.resolved(cube.n_municipalities)
     cube.roster.check(stats.roster, "statistics table", MetricsError)
     munis, order = cube.municipalities, cube.roster.order
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write('{\n  "basis": %s,\n  "municipalities": {' % encode_basestring_ascii(basis))
+
+    def chunks():
+        yield '{\n  "basis": %s,\n  "municipalities": {' % encode_basestring_ascii(basis)
         separator = "\n"
         for start in range(0, order.size, _STATS_BLOCK_ROWS):
             rows = order[start:start + _STATS_BLOCK_ROWS]
-            handle.write(separator + ",\n".join(_records(munis, stats, rows)))
+            yield separator + ",\n".join(_records(munis, stats, rows))
             separator = ",\n"
-        handle.write(
+        yield (
             ("\n  },\n" if order.size else "},\n")
             + '  "regime": {\n    "t_max": %s,\n    "t_min": %s\n  },\n'
             '  "window": {\n    "end": %s,\n    "n_days": %s,\n    "start": %s\n  }\n}\n'
@@ -431,3 +432,5 @@ def write_stats_json(
                encode_basestring_ascii(cube.axis.end.isoformat()), json.dumps(cube.n_days),
                encode_basestring_ascii(cube.axis.start.isoformat()))
         )
+
+    write_text(path, chunks())

@@ -12,9 +12,10 @@ Outputs under the configured directory:
 * ``index.html``        entry page linking everything
 
 Writes are confined to the output directory and re-runs overwrite the same
-bytes for the same inputs. ``render_map`` and ``render_dashboard`` write a
-single file of that tree from the same analysis, so their bytes match
-``run``'s.
+bytes for the same inputs. Each file is written by ``errors.write_text``, the
+one writer, called here or by the writers of ``rd.csv``, ``stats.json`` and
+``labels.csv``. ``render_map`` and ``render_dashboard`` write a single file of
+that tree from the same analysis, so their bytes match ``run``'s.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import classify as classify_mod
 from . import ingest, metrics
 from .classify import ClassifierConfig, ClassLabel
 from .errors import (ConfigError, IngestError, RenderError, decimal, load_json, number, one_of,
-                     read_fields, text, writing)
+                     read_fields, text, write_text, writing)
 from .metrics import GroupStatsTable, RegimeConfig
 from .model import Boundaries, CaseCube, Group, PopulationTable, QualityReport
 
@@ -206,19 +207,6 @@ class RenderResult:
     report: QualityReport
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 through the bare file descriptor: ``run`` writes
-    a file per municipality, and a buffered text file costs more to set up
-    than the write itself."""
-    data = memoryview(text.encode("utf-8"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        while data:  # a write may take fewer bytes than it is given
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
-
-
 def _map_file(cfg: RunConfig, loaded: LoadedInputs, analysis: Analysis) -> tuple[str, str]:
     from . import render  # imported where it draws, so validate does not load it
     return f"map_{cfg.group.value.lower()}.svg", render.render_choropleth(render.build_choropleth(
@@ -263,40 +251,40 @@ def run(cfg: RunConfig) -> RunResult:
         metrics.write_rd_csv(out / "rd.csv", cube, analysis.rd)
         metrics.write_stats_json(out / "stats.json", cube, analysis.stats, cfg.regime, cfg.basis)
         classify_mod.write_labels_csv(out / "labels.csv", cube.roster, analysis.labels, cfg.group)
-        _write_text(out / "quality.json", loaded.report.to_json())
+        write_text(out / "quality.json", [loaded.report.to_json()])
 
         ids = cube.roster.sorted_ids
         for mid, svg in _dashboard_svgs(loaded, analysis, ids):
-            _write_text(_dashboard_path(dashboards, mid), svg)
+            write_text(_dashboard_path(dashboards, mid), [svg])
         with os.scandir(dashboards) as entries:  # left by an earlier run over a larger roster
             stale = [entry.path for entry in entries if entry.name.endswith(".svg")
                      and entry.name[:-4] not in cube.roster.index and entry.is_file()]
         for path in stale:
             os.unlink(path)
-        _write_text(out / map_name, map_svg)
-        _write_text(out / "index.html", render.render_index(
-            cube, analysis.stats, analysis.labels, cfg.group, map_name))
+        write_text(out / map_name, [map_svg])
+        write_text(out / "index.html", [render.render_index(
+            cube, analysis.stats, analysis.labels, cfg.group, map_name)])
 
     return RunResult(out=out, report=loaded.report, n_dashboards=len(ids))
+
+
+def _write_one(target: Path, svg: str, report: QualityReport) -> RenderResult:
+    """Write ``svg`` as the one file ``target`` of the output tree, making its directory."""
+    with writing(target, RenderError):
+        target.parent.mkdir(parents=True, exist_ok=True)
+        write_text(target, [svg])
+    return RenderResult(path=target, report=report)
 
 
 def render_map(cfg: RunConfig) -> RenderResult:
     """Write only the classification choropleth of the output tree."""
     loaded, analysis = _analyzed(cfg)
     name, svg = _map_file(cfg, loaded, analysis)
-    target = cfg.out / name
-    with writing(target, RenderError):
-        target.parent.mkdir(parents=True, exist_ok=True)
-        _write_text(target, svg)
-    return RenderResult(path=target, report=loaded.report)
+    return _write_one(cfg.out / name, svg, loaded.report)
 
 
 def render_dashboard(cfg: RunConfig, mid: str) -> RenderResult:
     """Write only municipality ``mid``'s dashboard of the output tree."""
     loaded, analysis = _analyzed(cfg)
     [(_, svg)] = _dashboard_svgs(loaded, analysis, [mid])
-    target = Path(_dashboard_path(_dashboards_dir(cfg.out), mid))
-    with writing(target, RenderError):
-        target.parent.mkdir(parents=True, exist_ok=True)
-        _write_text(target, svg)
-    return RenderResult(path=target, report=loaded.report)
+    return _write_one(Path(_dashboard_path(_dashboards_dir(cfg.out), mid)), svg, loaded.report)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (SynthError, array, integer, load_json, number, read_fields, text,
-                     writing)
+                     write_text, writing)
 from .ingest import write_cases_csv, write_populations_csv
 from .model import INT64_MAX, K, CaseCube, DateAxis, Municipality, PopulationTable
 
@@ -148,26 +148,25 @@ _RING = "          [\n%s\n          ]"
 _POSITION = "            [\n              %s,\n              %s\n            ]"
 
 
-def _write_boundaries(doc: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write('{\n  "features": [')
-        separator = "\n"
-        for feature in doc["features"]:
-            geometry = feature["geometry"]
-            rings = ",\n".join(
-                _RING % ",\n".join(_POSITION % (float.__repr__(x), float.__repr__(y))
-                                   for x, y in ring)
-                for ring in geometry["coordinates"]
-            )
-            handle.write(separator)
-            handle.write(_FEATURE % (
-                rings, encode_basestring_ascii(geometry["type"]),
-                encode_basestring_ascii(feature["id"]),
-                encode_basestring_ascii(feature["properties"]["municipality_id"]),
-                encode_basestring_ascii(feature["type"]),
-            ))
-            separator = ",\n"
-        handle.write('\n  ],\n  "type": %s\n}\n' % encode_basestring_ascii(doc["type"]))
+def _boundaries_text(doc: dict):
+    """The text of ``doc``, a feature at a time."""
+    yield '{\n  "features": ['
+    separator = "\n"
+    for feature in doc["features"]:
+        geometry = feature["geometry"]
+        rings = ",\n".join(
+            _RING % ",\n".join(_POSITION % (float.__repr__(x), float.__repr__(y))
+                               for x, y in ring)
+            for ring in geometry["coordinates"]
+        )
+        yield separator + _FEATURE % (
+            rings, encode_basestring_ascii(geometry["type"]),
+            encode_basestring_ascii(feature["id"]),
+            encode_basestring_ascii(feature["properties"]["municipality_id"]),
+            encode_basestring_ascii(feature["type"]),
+        )
+        separator = ",\n"
+    yield '\n  ],\n  "type": %s\n}\n' % encode_basestring_ascii(doc["type"])
 
 
 def write_fixture(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
@@ -183,5 +182,5 @@ def write_fixture(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
         out.mkdir(parents=True, exist_ok=True)
         write_cases_csv(cube, paths["cases"])
         write_populations_csv(table, paths["populations"])
-        _write_boundaries(grid_boundaries(spec), paths["boundaries"])
+        write_text(paths["boundaries"], _boundaries_text(grid_boundaries(spec)))
     return paths

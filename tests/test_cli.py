@@ -664,6 +664,14 @@ class TestSynthCommand:
         assert sorted(os.listdir(tmp_path)) == ["spec.json", "taken"]
         assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept"
 
+    @pytest.mark.parametrize("name", ["cases.csv", "populations.csv", "boundaries.geojson"])
+    def test_file_is_a_directory_exit_2(self, tmp_path, capsys, name):
+        target = tmp_path / "fixture" / name
+        target.mkdir(parents=True)
+        assert cli.main(["synth", str(EXAMPLES / "spec.json"), "--out", str(target.parent)]) == 2
+        assert capsys.readouterr().err.startswith(f"rankdiff: synth: cannot write {target}: ")
+        assert target.is_dir()
+
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"m": 2}), encoding="utf-8")
@@ -693,6 +701,10 @@ class TestSynthCommand:
         baa = {mid: record["groups"]["BAA"] for mid, record in stats["municipalities"].items()}
         assert max(baa, key=lambda mid: baa[mid]["persistence_pct"]) == "m008"
         assert max(baa, key=lambda mid: baa[mid]["relative_change"]) == "m008"
+
+
+# The files of the tree that run writes beside the dashboards and the map.
+TREE_FILES = ["rd.csv", "stats.json", "labels.csv", "quality.json", "index.html"]
 
 
 class TestRenderCommands:
@@ -743,11 +755,16 @@ class TestRenderCommands:
         assert os.listdir(out) == ["dashboards"]
         assert dashboards.read_text(encoding="utf-8") == "kept"
 
-    @pytest.mark.parametrize("command", [["run"], ["render-dashboard", "--id", "m001"]],
-                             ids=["run", "render-dashboard"])
-    def test_dashboard_is_a_directory_exit_2(self, clean_fixture, capsys, command):
+    @pytest.mark.parametrize("command,name", [
+        (["run"], "dashboards/m001.svg"),
+        (["render-dashboard", "--id", "m001"], "dashboards/m001.svg"),
+        *((["run"], name) for name in TREE_FILES),
+    ], ids=["run", "render-dashboard", *TREE_FILES])
+    def test_dashboard_is_a_directory_exit_2(self, clean_fixture, capsys, command, name):
+        """A file of the tree that cannot be written, here a directory in its
+        place, ends in exit 2 naming it, whichever writer writes it."""
         config, out = clean_fixture
-        target = out / "dashboards" / "m001.svg"
+        target = out / name
         target.mkdir(parents=True)
         assert cli.main([*command, "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"rankdiff: render: cannot write {target}: ")

@@ -681,6 +681,7 @@ class TestStatsJson:
                              "a": [GroupStats(100.0, None, None, Special.NORMAL)] * 4})
         with pytest.raises(MetricsError, match="does not list the cube's municipality ids"):
             write_stats_json(tmp_path / "stats.json", cube, stats, RegimeConfig(), "raw_daily")
+        assert not (tmp_path / "stats.json").exists()
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3])
     def test_blocks_of_rows_do_not_change_bytes(self, tmp_path, monkeypatch, block_rows):

@@ -7,6 +7,7 @@ was imported runs in a child process.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -80,3 +81,32 @@ def test_star_import_binds_every_export():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         rankdiff.nope
+
+
+def _file_writes(tree: ast.AST) -> list[int]:
+    """The lines of ``tree`` that call ``os.open``, or ``open`` with a mode that
+    writes: one holding ``w``, ``a``, ``x`` or ``+``, or one not written out."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "open" \
+                and isinstance(func.value, ast.Name) and func.value.id == "os":
+            lines.append(node.lineno)
+        elif isinstance(func, ast.Name) and func.id == "open":
+            modes = [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "mode")]
+            if any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+                   or set(mode.value) & set("wax+") for mode in modes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_one_writer_opens_files_for_writing():
+    """Every file the package writes goes through ``errors.write_text``, so no
+    other module opens a file for writing."""
+    package = Path(rankdiff.__file__).resolve().parent
+    writes = {path.relative_to(package).as_posix(): _file_writes(ast.parse(path.read_bytes()))
+              for path in sorted(package.rglob("*.py"))}
+    assert len(writes["errors.py"]) == 1
+    assert {name: lines for name, lines in writes.items() if lines and name != "errors.py"} == {}

@@ -14,7 +14,7 @@ import pytest
 
 from rankdiff import cli, ingest, pipeline, render
 from rankdiff.classify import ClassifierConfig
-from rankdiff.errors import ConfigError
+from rankdiff.errors import ConfigError, write_text
 from rankdiff.ingest import write_cases_csv, write_populations_csv
 from rankdiff.metrics import RegimeConfig
 from rankdiff.model import CaseCube, Group, PopulationTable
@@ -285,18 +285,28 @@ def test_golden_digests_under_basis(tmp_path, basis):
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
-def test_quickstart_tree_digests(tmp_path):
-    """The README Quickstart's run tree holds the files that
-    ``examples/out.sha256`` lists, with those digests; CI checks the same
-    file after the Quickstart's ``rankdiff run``."""
+def _quickstart_digests(tmp_path):
+    """The digest of each file that the README Quickstart's ``synth`` and
+    ``run`` write, run under ``tmp_path``, and the digests that
+    ``examples/fixture.sha256`` and ``examples/out.sha256`` pin for them."""
     examples = tmp_path / "examples"
     write_fixture(SynthSpec.from_file(EXAMPLES / "spec.json"), examples / "fixture")
     (examples / "config.json").write_bytes((EXAMPLES / "config.json").read_bytes())
     run(RunConfig.from_file(examples / "config.json"))
     written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in (examples / "out").rglob("*") if path.is_file()}
-    lines = (EXAMPLES / "out.sha256").read_text(encoding="utf-8").splitlines()
-    assert written == {name: digest for digest, name in map(str.split, lines)}
+               for tree in ("fixture", "out") for path in (examples / tree).rglob("*")
+               if path.is_file()}
+    lines = [line for pins in ("fixture.sha256", "out.sha256")
+             for line in (EXAMPLES / pins).read_text(encoding="utf-8").splitlines()]
+    return written, {name: digest for digest, name in map(str.split, lines)}
+
+
+def test_quickstart_tree_digests(tmp_path):
+    """The README Quickstart's fixture and run tree hold the files that
+    ``examples/fixture.sha256`` and ``examples/out.sha256`` list, with those
+    digests; CI checks the same files after the Quickstart's commands."""
+    written, pinned = _quickstart_digests(tmp_path)
+    assert written == pinned
 
 
 def _long_series_spec():
@@ -414,20 +424,38 @@ def test_analysis_of_tables_in_memory_shares_the_cube_roster(tmp_path):
     assert rows == [f"{mid},BAA,{analysis.labels[mid].value}" for mid in sorted(analysis.labels)]
 
 
-def test_write_text_completes_short_writes(tmp_path, monkeypatch):
-    """A write may take fewer bytes than it is given; the file is still whole."""
+def _short_writes(monkeypatch) -> list[bytes]:
+    """Make each ``os.write`` take at most 7 bytes; the bytes each took are listed."""
     write, taken = os.write, []
 
     def short(fd, data):
-        taken.append(write(fd, bytes(data[:7])))
-        return taken[-1]
+        taken.append(bytes(data[:7]))
+        return write(fd, taken[-1])
 
-    text = "Sainte-Anne-des-Plaines, Québec\n" * 3
     monkeypatch.setattr(os, "write", short)
-    pipeline._write_text(tmp_path / "out.txt", text)
+    return taken
+
+
+def test_write_text_completes_short_writes(tmp_path, monkeypatch):
+    """A write may take fewer bytes than it is given; the file is still whole,
+    written a chunk at a time, even where a write cuts a character in two."""
+    chunks = ["Sainte-Anne-des-Plaines, ", "", "Québec\n", "Trois-Rivières, Lévis\n" * 2, ""]
+    taken = _short_writes(monkeypatch)
+    write_text(tmp_path / "out.txt", iter(chunks))
     monkeypatch.undo()
-    assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
-    assert len(taken) == -(-len(text.encode("utf-8")) // 7)
+    assert (tmp_path / "out.txt").read_bytes() == "".join(chunks).encode("utf-8")
+    assert len(taken) == sum(-(-len(chunk.encode("utf-8")) // 7) for chunk in chunks)
+    assert any(part.decode("utf-8", "ignore").encode("utf-8") != part for part in taken)
+
+
+def test_quickstart_tree_survives_short_writes(tmp_path, monkeypatch):
+    """Every file of the Quickstart's fixture and run tree, written 7 bytes a
+    write, has the bytes that ``examples/*.sha256`` pin."""
+    taken = _short_writes(monkeypatch)
+    written, pinned = _quickstart_digests(tmp_path)
+    monkeypatch.undo()
+    assert written == pinned
+    assert max(map(len, taken)) == 7
 
 
 def _traced_attributes():
