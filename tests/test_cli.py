@@ -703,8 +703,8 @@ class TestSynthCommand:
         assert max(baa, key=lambda mid: baa[mid]["relative_change"]) == "m008"
 
 
-# The files of the tree that run writes beside the dashboards and the map.
-TREE_FILES = ["rd.csv", "stats.json", "labels.csv", "quality.json", "index.html"]
+# The files of the tree that run writes beside the dashboards.
+TREE_FILES = ["rd.csv", "stats.json", "labels.csv", "quality.json", "map_baa.svg", "index.html"]
 
 
 class TestRenderCommands:
