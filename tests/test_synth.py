@@ -210,6 +210,16 @@ AWKWARD_DIGESTS = {
     "cases.csv": "68a9dcd45ead0015ae4e5ebc35509f76c9c3f85d4d7a5c38d6e5548adb423888",
     "populations.csv": "e358d03b6f7c57cfc40d31fa719a23cd316a80a74d9c7c72e94bfd543625ad54",
 }
+# a wide-shaped fixture: the grid side, 18, is not a square root of 300, and the
+# default ids cross from m099 to m100
+WIDE_SPEC = dict(m=300, n_days=7, seed=29, base_rate=0.02, lam=((1.0, 1.5, 0.5, 1.0),) * 300,
+                 populations=tuple((100 + i, 200 + 3 * i, 50 + i % 7, 5000 + 11 * i)
+                                   for i in range(300)))
+WIDE_DIGESTS = {
+    "boundaries.geojson": "3af61248bb34f3b6b199e7d7019530bde40e3269ca0b3d7b85d0da07c31b1f9d",
+    "cases.csv": "4d6a02c0939bf17842e4baf4975a115071b3413492c0cee049332dba15bd69a7",
+    "populations.csv": "401d4d487af7cb497828a90974ef92c2514fff8b811c88530e5a0487505d08e3",
+}
 
 
 def fixture_digests(spec: SynthSpec, out: Path) -> dict[str, str]:
@@ -272,6 +282,9 @@ class TestFixtureBytes:
                            lam=((1.0,) * K,) * m)
         assert fixture_digests(spec, tmp_path) == AWKWARD_DIGESTS
 
+    def test_wide_shaped_digests(self, tmp_path):
+        assert fixture_digests(SynthSpec(**WIDE_SPEC), tmp_path) == WIDE_DIGESTS
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cube=case_cubes())
@@ -286,7 +299,7 @@ class TestFixtureBytes:
         reference_cases_csv(cube, tmp_path / "reference.csv")
         assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    @pytest.mark.parametrize("m", [1, 2, 5, 12, 17])
     @pytest.mark.parametrize("ids", [False, True], ids=["default-ids", "awkward-ids"])
     def test_boundaries_match_json_dump(self, tmp_path, m, ids):
         spec = simple_spec(m=m, populations=((1, 1, 1, 1),) * m, lam=((1.0,) * K,) * m,
