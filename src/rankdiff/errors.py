@@ -51,19 +51,34 @@ def writing(target: str | Path, error: type[PipelineError]):
         raise error(f"cannot write {exc.filename or target}: {exc.strerror or exc}") from exc
 
 
+WRITE_BYTES = 1 << 16  # text gathered for each write
+
+
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Create or truncate ``path`` and write each of ``chunks`` as UTF-8 with no
-    newline translation, as it comes, so a file built in pieces is never held
-    whole. It writes through the bare file descriptor: ``run`` writes a file per
+    """Create or truncate ``path`` and write ``chunks`` as UTF-8 with no newline
+    translation, in writes of 64 KiB: chunks are gathered until they hold at
+    least ``WRITE_BYTES`` characters (bytes, for ASCII text), so at most that
+    much plus one chunk is held and a file built in pieces is never held whole.
+    It writes through the bare file descriptor: ``run`` writes a file per
     municipality, and a buffered text file costs more to set up than a write."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
+        held, size = [], 0
         for chunk in chunks:
-            data = memoryview(chunk.encode("utf-8"))
-            while data:  # a write may take fewer bytes than it is given
-                data = data[os.write(fd, data):]
+            held.append(chunk)
+            size += len(chunk)
+            if size >= WRITE_BYTES:
+                _write_all(fd, "".join(held))
+                held, size = [], 0
+        _write_all(fd, "".join(held))
     finally:
         os.close(fd)
+
+
+def _write_all(fd: int, text: str) -> None:
+    data = memoryview(text.encode("utf-8"))
+    while data:  # a write may take fewer bytes than it is given
+        data = data[os.write(fd, data):]
 
 
 def load_json(path: str | Path, error: type[PipelineError], what: str = "") -> object:

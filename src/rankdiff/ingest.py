@@ -789,21 +789,27 @@ def _read_boundaries(path: Path, roster: Roster, report: QualityReport | None) -
                       rings={fid: tuple(r) for fid, r in feature_rings.items()})
 
 
+_QUOTABLE = re.compile('[,"\r\n]')  # a field holding one of these may need quoting
+
+
 def write_filled_csv(path: str | Path, header: str, template: str, rows) -> None:
     """Write ``header``, then ``template`` once per ``(fields, values)`` of ``rows``,
     with the ``csv.writer`` text of ``fields`` at its NUL and ``values`` at its
-    ``%s``: only the fields can need quoting, so the rest is formatted once."""
+    ``%s``: only the fields can need quoting, so the rest is formatted once.
+    Only fields ``csv.writer`` might quote go through it; the rest are joined."""
     quoted = io.StringIO()
     quote = csv.writer(quoted, lineterminator="\n").writerow
 
     def chunks():
         yield header
         for fields, values in rows:
-            quoted.seek(0)
-            quoted.truncate()
-            quote((*fields, ""))  # cut below with its comma; a lone empty field would be ""
-            filled = quoted.getvalue()[:-2].replace("%", "%%")
-            yield template.replace("\0", filled) % values
+            filled = ",".join(fields)
+            if fields == ("",) or any(map(_QUOTABLE.search, fields)):  # a lone "" is quoted
+                quoted.seek(0)
+                quoted.truncate()
+                quote(fields)
+                filled = quoted.getvalue()[:-1]
+            yield template.replace("\0", filled.replace("%", "%%")) % values
 
     write_text(path, chunks())
 

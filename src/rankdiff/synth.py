@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -79,9 +80,11 @@ class SynthSpec:
         return cls.from_dict(load_json(path, SynthError), str(path))
 
     def municipality_ids(self) -> tuple[str, ...]:
-        if self.ids:
-            return self.ids
-        return tuple(f"m{i + 1:03d}" for i in range(self.m))
+        return self._municipality_ids
+
+    @cached_property  # built once per spec: generate and the grid writers each read it
+    def _municipality_ids(self) -> tuple[str, ...]:
+        return self.ids or tuple(f"m{i + 1:03d}" for i in range(self.m))
 
 
 def generate(spec: SynthSpec) -> tuple[CaseCube, PopulationTable]:
@@ -124,49 +127,43 @@ def grid_boundaries(spec: SynthSpec) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
-# boundaries.geojson is pinned to the bytes of json.dump(doc, indent=2,
-# sort_keys=True) plus a newline. That encoder runs in pure Python whenever
-# ``indent`` is set, so each feature of grid_boundaries, whose keys are fixed,
-# is filled into this template instead: strings through the same ASCII
-# escaper, floats through float.__repr__ as json does. Keys appear in sorted
-# order.
-_FEATURE = """\
+# boundaries.geojson is pinned to the bytes of json.dump(grid_boundaries(spec),
+# indent=2, sort_keys=True) plus a newline. That encoder runs in pure Python
+# whenever ``indent`` is set, so each grid cell is filled into this template
+# instead, keys in sorted order: the id through the same ASCII escaper (twice),
+# and the ring's x and y texts, each float.__repr__ as json writes it.
+_POSITION = "            [\n              %s,\n              %s\n            ]"
+_FEATURE = """,
     {
       "geometry": {
         "coordinates": [
+          [
 %s
+          ]
         ],
-        "type": %s
+        "type": "Polygon"
       },
-      "id": %s,
+      "id": %%s,
       "properties": {
-        "municipality_id": %s
+        "municipality_id": %%s
       },
-      "type": %s
-    }"""
-_RING = "          [\n%s\n          ]"
-_POSITION = "            [\n              %s,\n              %s\n            ]"
+      "type": "Feature"
+    }""" % ",\n".join([_POSITION] * 5)
 
 
-def _boundaries_text(doc: dict):
-    """The text of ``doc``, a feature at a time."""
+def _grid_text(spec: SynthSpec):
+    """The text of ``grid_boundaries(spec)``, a feature at a time, from the grid."""
+    side = math.ceil(math.sqrt(spec.m))
+    coords = [float.__repr__(float(i)) for i in range(side + 1)]
     yield '{\n  "features": ['
-    separator = "\n"
-    for feature in doc["features"]:
-        geometry = feature["geometry"]
-        rings = ",\n".join(
-            _RING % ",\n".join(_POSITION % (float.__repr__(x), float.__repr__(y))
-                               for x, y in ring)
-            for ring in geometry["coordinates"]
-        )
-        yield separator + _FEATURE % (
-            rings, encode_basestring_ascii(geometry["type"]),
-            encode_basestring_ascii(feature["id"]),
-            encode_basestring_ascii(feature["properties"]["municipality_id"]),
-            encode_basestring_ascii(feature["type"]),
-        )
-        separator = ",\n"
-    yield '\n  ],\n  "type": %s\n}\n' % encode_basestring_ascii(doc["type"])
+    template = _FEATURE[1:]  # the first feature follows "[" with no comma
+    for i, mid in enumerate(spec.municipality_ids()):
+        col, row = i % side, i // side
+        x0, x1, y0, y1 = coords[col], coords[col + 1], coords[row], coords[row + 1]
+        escaped = encode_basestring_ascii(mid)
+        yield template % (x0, y0, x1, y0, x1, y1, x0, y1, x0, y0, escaped, escaped)
+        template = _FEATURE
+    yield '\n  ],\n  "type": "FeatureCollection"\n}\n'
 
 
 def write_fixture(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
@@ -182,5 +179,5 @@ def write_fixture(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
         out.mkdir(parents=True, exist_ok=True)
         write_cases_csv(cube, paths["cases"])
         write_populations_csv(table, paths["populations"])
-        write_text(paths["boundaries"], _boundaries_text(grid_boundaries(spec)))
+        write_text(paths["boundaries"], _grid_text(spec))
     return paths

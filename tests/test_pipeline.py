@@ -14,7 +14,7 @@ import pytest
 
 from rankdiff import cli, ingest, pipeline, render
 from rankdiff.classify import ClassifierConfig
-from rankdiff.errors import ConfigError, write_text
+from rankdiff.errors import WRITE_BYTES, ConfigError, write_text
 from rankdiff.ingest import write_cases_csv, write_populations_csv
 from rankdiff.metrics import RegimeConfig
 from rankdiff.model import CaseCube, Group, PopulationTable
@@ -438,14 +438,68 @@ def _short_writes(monkeypatch) -> list[bytes]:
 
 def test_write_text_completes_short_writes(tmp_path, monkeypatch):
     """A write may take fewer bytes than it is given; the file is still whole,
-    written a chunk at a time, even where a write cuts a character in two."""
+    its gathered chunks written 7 bytes a write, even where a write cuts a
+    character in two."""
     chunks = ["Sainte-Anne-des-Plaines, ", "", "Québec\n", "Trois-Rivières, Lévis\n" * 2, ""]
     taken = _short_writes(monkeypatch)
     write_text(tmp_path / "out.txt", iter(chunks))
     monkeypatch.undo()
     assert (tmp_path / "out.txt").read_bytes() == "".join(chunks).encode("utf-8")
-    assert len(taken) == sum(-(-len(chunk.encode("utf-8")) // 7) for chunk in chunks)
+    assert len(taken) == -(-len("".join(chunks).encode("utf-8")) // 7)
     assert any(part.decode("utf-8", "ignore").encode("utf-8") != part for part in taken)
+
+
+def test_write_text_holds_at_most_one_write_and_a_chunk(tmp_path):
+    """``write_text`` writes whenever it holds ``WRITE_BYTES``: each time it asks
+    for a chunk, less than that of what it was given is still unwritten."""
+    path, given, unwritten = tmp_path / "out.txt", [0], []
+
+    def chunks():
+        for size in [1, 700, WRITE_BYTES - 2, 3, 5 * WRITE_BYTES, 0, 40_000, 40_000, 9, 1]:
+            unwritten.append(given[0] - path.stat().st_size)
+            given[0] += size
+            yield "x" * size
+
+    write_text(path, chunks())
+    assert path.stat().st_size == given[0]
+    assert max(unwritten) < WRITE_BYTES
+    assert unwritten[3:6] == [0, 3, 0]  # written on passing WRITE_BYTES, not before
+
+
+def _writes_per_file(monkeypatch) -> Counter:
+    """Count the ``os.write`` calls made to each file opened by ``os.open``."""
+    opened, writes = {}, Counter()
+    os_open, os_write = os.open, os.write
+
+    def counted_open(path, *args, **kwargs):
+        fd = os_open(path, *args, **kwargs)
+        opened[fd] = Path(path)
+        return fd
+
+    def counted_write(fd, data):
+        writes[opened.get(fd)] += 1
+        return os_write(fd, data)
+
+    monkeypatch.setattr(os, "open", counted_open)
+    monkeypatch.setattr(os, "write", counted_write)
+    return writes
+
+
+def test_run_writes_in_blocks_of_write_bytes(tmp_path, monkeypatch):
+    """A run writes ``rd.csv`` in writes of ``WRITE_BYTES``, not one per
+    municipality, and each dashboard in one write."""
+    paths = write_fixture(_wide_shaped_spec(), tmp_path / "fx")
+    cfg = RunConfig(cases=paths["cases"], populations=paths["populations"],
+                    boundaries=paths["boundaries"], out=tmp_path / "out")
+    writes = _writes_per_file(monkeypatch)
+    run(cfg)
+    monkeypatch.undo()
+    size = (cfg.out / "rd.csv").stat().st_size
+    assert size > WRITE_BYTES
+    assert writes[cfg.out / "rd.csv"] <= -(-size // WRITE_BYTES) + 1
+    dashboards = sorted((cfg.out / "dashboards").iterdir())
+    assert len(dashboards) == 300
+    assert [writes[path] for path in dashboards] == [1] * 300
 
 
 def test_quickstart_tree_survives_short_writes(tmp_path, monkeypatch):

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from rankdiff import cli
 from rankdiff.errors import SynthError
-from rankdiff.ingest import CASES_COLUMNS, load_cases, load_populations, write_cases_csv
-from rankdiff.model import GROUPS, INT64_MAX, K, CaseCube, DateAxis, Municipality
-from rankdiff.metrics import RegimeConfig, persistence_index, rank_cases, rank_diff, rank_population, skewness
+from rankdiff.ingest import (CASES_COLUMNS, POPS_COLUMNS, load_cases, load_populations,
+                             write_cases_csv, write_filled_csv, write_populations_csv)
+from rankdiff.model import GROUPS, INT64_MAX, K, CaseCube, DateAxis, Municipality, PopulationTable
+from rankdiff.metrics import (RegimeConfig, persistence_index, rank_cases, rank_diff,
+                              rank_population, skewness, write_rd_csv)
 from rankdiff.oracle import oracle_stats
 from rankdiff.synth import SynthSpec, generate, grid_boundaries, write_fixture
 
@@ -227,6 +229,13 @@ def fixture_digests(spec: SynthSpec, out: Path) -> dict[str, str]:
             for path in write_fixture(spec, out).values()}
 
 
+def reference_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def reference_cases_csv(cube: CaseCube, path: Path) -> None:
     """The cases writer as one csv.writer row per cell, the bytes write_cases_csv keeps."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -242,8 +251,10 @@ def reference_cases_csv(cube: CaseCube, path: Path) -> None:
             )
 
 
-# text csv.writer and UTF-8 can carry: no lone surrogates
-field_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+# text csv.writer and UTF-8 can carry: no lone surrogates; often a character
+# csv.writer quotes, or one the writers' % templates must escape
+field_text = st.text(st.one_of(st.sampled_from(',"\r\n% éŁ東'),
+                               st.characters(blacklist_categories=("Cs",))), max_size=8)
 
 
 @st.composite
@@ -291,13 +302,38 @@ class TestFixtureBytes:
     @example(cube=CaseCube(
         axis=DateAxis(start=dt.date(2020, 10, 1), n_days=1),
         municipalities=(Municipality(id="100% %s", name='"a, b"', county=" x\r\ny"),
-                        Municipality(id="é", name="", county="%(x)d")),
-        counts=np.array([[[INT64_MAX, 0, 0, 0]], [[0, 1, 2, 3]]], dtype=np.int64),
+                        Municipality(id="é", name="", county="%(x)d"),
+                        Municipality(id="cr\r", name=" ", county="a\nb")),
+        counts=np.array([[[INT64_MAX, 0, 0, 0]], [[0, 1, 2, 3]], [[4, 0, 0, 1]]], dtype=np.int64),
     ))
     def test_cases_csv_matches_csv_writer(self, tmp_path, cube):
+        """``write_cases_csv``, ``write_populations_csv`` and ``write_rd_csv`` write
+        the bytes of a ``csv.writer`` loop, whatever their text fields hold."""
         write_cases_csv(cube, tmp_path / "written.csv")
         reference_cases_csv(cube, tmp_path / "reference.csv")
         assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+        pops = PopulationTable(roster=cube.roster, pops=cube.counts.sum(axis=1))
+        write_populations_csv(pops, tmp_path / "pops.csv")
+        reference_csv(tmp_path / "pops_reference.csv", POPS_COLUMNS,
+                      ((mid, g.value, pop) for mid, row in zip(cube.ids(), pops.pops.tolist())
+                       for g, pop in zip(GROUPS, row)))
+        assert (tmp_path / "pops.csv").read_bytes() == (tmp_path / "pops_reference.csv").read_bytes()
+
+        rd = rank_diff(rank_population(pops, cube.roster), rank_cases(cube))
+        write_rd_csv(tmp_path / "rd.csv", cube, rd)
+        reference_csv(tmp_path / "rd_reference.csv", ["municipality_id", "group", "day", "rd"],
+                      ((cube.ids()[i], g.value, day, rd[i, day - 1, k])
+                       for i in cube.roster.order.tolist() for k, g in enumerate(GROUPS)
+                       for day in range(1, cube.n_days + 1)))
+        assert (tmp_path / "rd.csv").read_bytes() == (tmp_path / "rd_reference.csv").read_bytes()
+
+    def test_lone_empty_field_is_quoted(self, tmp_path):
+        """A row whose one field is an empty id reads ``""``, as ``csv.writer``
+        writes it, not as an empty line."""
+        rows = [(("",), ()), (("a",), ())]
+        write_filled_csv(tmp_path / "ids.csv", "municipality_id\n", "\0\n", rows)
+        assert (tmp_path / "ids.csv").read_bytes() == b'municipality_id\n""\na\n'
 
     @pytest.mark.parametrize("m", [1, 2, 5, 12, 17])
     @pytest.mark.parametrize("ids", [False, True], ids=["default-ids", "awkward-ids"])
