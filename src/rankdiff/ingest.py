@@ -804,7 +804,7 @@ def write_filled_csv(path: str | Path, header: str, template: str, rows) -> None
         yield header
         for fields, values in rows:
             filled = ",".join(fields)
-            if fields == ("",) or any(map(_QUOTABLE.search, fields)):  # a lone "" is quoted
+            if not filled or any(map(_QUOTABLE.search, fields)):  # a lone "" is quoted
                 quoted.seek(0)
                 quoted.truncate()
                 quote(fields)

@@ -452,18 +452,20 @@ def test_write_text_completes_short_writes(tmp_path, monkeypatch):
 def test_write_text_holds_at_most_one_write_and_a_chunk(tmp_path):
     """``write_text`` writes whenever it holds ``WRITE_BYTES``: each time it asks
     for a chunk, less than that of what it was given is still unwritten."""
-    path, given, unwritten = tmp_path / "out.txt", [0], []
+    path, unwritten = tmp_path / "out.txt", []
+    sizes = [1, 700, WRITE_BYTES - 2, 3, 5 * WRITE_BYTES, 0, 40_000, 40_000, 9, 1]
 
     def chunks():
-        for size in [1, 700, WRITE_BYTES - 2, 3, 5 * WRITE_BYTES, 0, 40_000, 40_000, 9, 1]:
-            unwritten.append(given[0] - path.stat().st_size)
-            given[0] += size
+        given = 0
+        for size in sizes:
+            unwritten.append(given - path.stat().st_size)
+            given += size
             yield "x" * size
 
     write_text(path, chunks())
-    assert path.stat().st_size == given[0]
+    assert path.stat().st_size == sum(sizes)
     assert max(unwritten) < WRITE_BYTES
-    assert unwritten[3:6] == [0, 3, 0]  # written on passing WRITE_BYTES, not before
+    assert unwritten[:6] == [0, 1, 701, 0, 3, 0]  # written on reaching WRITE_BYTES, not before
 
 
 def _writes_per_file(monkeypatch) -> Counter:
