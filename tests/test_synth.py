@@ -182,6 +182,16 @@ class TestSpecParsing:
         with pytest.raises(SynthError, match="ids"):
             simple_spec(ids=("only-one",))
 
+    def test_default_ids_built_once(self):
+        """The default ids are built once per spec, and reading them leaves the
+        spec equal to one that never did."""
+        spec = simple_spec(m=101, populations=((1, 1, 1, 1),) * 101, lam=((1.0,) * K,) * 101)
+        ids = spec.municipality_ids()
+        assert ids[98:101] == ("m099", "m100", "m101")
+        assert spec.municipality_ids() is ids
+        fresh = simple_spec(m=101, populations=((1, 1, 1, 1),) * 101, lam=((1.0,) * K,) * 101)
+        assert spec == fresh and hash(spec) == hash(fresh)
+
 
 class TestFixtureFiles:
     def test_write_fixture_roundtrip(self, tmp_path):
@@ -230,6 +240,7 @@ def fixture_digests(spec: SynthSpec, out: Path) -> dict[str, str]:
 
 
 def reference_csv(path: Path, header: list[str], rows) -> None:
+    """``header`` and ``rows`` through one csv.writer, the bytes the writers keep."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -238,17 +249,13 @@ def reference_csv(path: Path, header: list[str], rows) -> None:
 
 def reference_cases_csv(cube: CaseCube, path: Path) -> None:
     """The cases writer as one csv.writer row per cell, the bytes write_cases_csv keeps."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CASES_COLUMNS)
-        dates = [day.isoformat() for day in cube.axis.dates()]
-        groups = [g.value for g in GROUPS]
-        for i, muni in enumerate(cube.municipalities):
-            writer.writerows(
-                (date, muni.id, muni.name, muni.county, g, v)
-                for date, values in zip(dates, cube.counts[i].tolist())
-                for g, v in zip(groups, values)
-            )
+    dates = [day.isoformat() for day in cube.axis.dates()]
+    groups = [g.value for g in GROUPS]
+    reference_csv(path, CASES_COLUMNS,
+                  ((date, muni.id, muni.name, muni.county, g, v)
+                   for muni, counts in zip(cube.municipalities, cube.counts.tolist())
+                   for date, values in zip(dates, counts)
+                   for g, v in zip(groups, values)))
 
 
 # text csv.writer and UTF-8 can carry: no lone surrogates; often a character
