@@ -18,8 +18,6 @@ one group column of a ``GroupStatsTable`` at once.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClassifyError, write_text
+from .errors import ClassifyError
+from .ingest import write_filled_csv
 from .metrics import GroupStats, GroupStatsTable
 from .model import GROUP_INDEX, Group, Roster
 
@@ -103,9 +102,7 @@ def classify_municipalities(
 
 def write_labels_csv(path: str | Path, roster: Roster, labels: dict[str, ClassLabel],
                      group: Group) -> None:
-    """One row per municipality of ``roster``, in ascending id order."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(["municipality_id", "group", "label"])
-    writer.writerows([mid, group.value, labels[mid].value] for mid in roster.sorted_ids)
-    write_text(path, [text.getvalue()])
+    """One row per municipality of ``roster``, in ascending id order, quoted as
+    ``ingest.write_filled_csv`` quotes."""
+    write_filled_csv(path, "municipality_id,group,label\n", f"\0,{group.value},%s\n",
+                     (((mid,), labels[mid].value) for mid in roster.sorted_ids))

@@ -33,7 +33,6 @@ import codecs
 import csv
 import datetime as dt
 import gc
-import io
 import math
 import re
 from array import array
@@ -449,6 +448,13 @@ def _read_case_blocks(path: Path):
     return roster.municipalities, *(np.frombuffer(c, dtype=np.int64) for c in columns)
 
 
+def _first_repeat(cell: np.ndarray) -> int:
+    """The index of the first record whose cell an earlier record holds: in a
+    stable sort by cell, every record after the first of its cell is a repeat."""
+    order = np.argsort(cell, kind="stable")
+    return int(order[1:][cell[order[1:]] == cell[order[:-1]]].min())
+
+
 def load_cases(
     path: str | Path,
     schema: str = "canonical",
@@ -489,10 +495,7 @@ def load_cases(
     cell += groups
     hits = np.bincount(cell, minlength=np.prod(shape))
     if hits.max() > 1:
-        # The first record that repeats a key: in a stable sort by cell, every
-        # record after the first of its cell is a repeat.
-        order = np.argsort(cell, kind="stable")
-        first_repeat = int(order[1:][cell[order[1:]] == cell[order[:-1]]].min())
+        first_repeat = _first_repeat(cell)
         raise IngestError(
             f"{path}:{first_repeat + 2}: duplicate row for {describe(cell[first_repeat])}"
         )
@@ -584,10 +587,7 @@ def load_populations(
     label = np.array(label_of, dtype=np.intp)[known]
     cell = row * width + label
     if np.bincount(cell, minlength=m * width).max(initial=0) > 1:
-        # The first record that repeats a cell: in a stable sort by cell, every
-        # record after the first of its cell is a repeat.
-        order = np.argsort(cell, kind="stable")
-        first = order[1:][cell[order[1:]] == cell[order[:-1]]].min()
+        first = _first_repeat(cell)
         raise IngestError(f"{path}:{known[first] + 2}: duplicate row for "
                           f"({municipalities[row[first]].id}, {POP_SOURCE_GROUPS[label[first]]})")
     absent = np.bincount(row, minlength=m) == 0
@@ -789,35 +789,41 @@ def _read_boundaries(path: Path, roster: Roster, report: QualityReport | None) -
                       rings={fid: tuple(r) for fid, r in feature_rings.items()})
 
 
-_QUOTABLE = re.compile('[,"\r\n]')  # a field holding one of these may need quoting
+_QUOTED = re.compile('[,"\r\n]')  # a field holding one of these is quoted (RFC 4180)
+
+
+def _quote(field: str) -> str:
+    return '"%s"' % field.replace('"', '""') if _QUOTED.search(field) else field
 
 
 def write_filled_csv(path: str | Path, header: str, template: str, rows) -> None:
     """Write ``header``, then ``template`` once per ``(fields, values)`` of ``rows``,
-    with the ``csv.writer`` text of ``fields`` at its NUL and ``values`` at its
-    ``%s``: only the fields can need quoting, so the rest is formatted once.
-    Only fields ``csv.writer`` might quote go through it; the rest are joined."""
-    quoted = io.StringIO()
-    quote = csv.writer(quoted, lineterminator="\n").writerow
+    with the CSV text of ``fields`` at its NUL and ``values`` at its ``%s``:
+    only the fields can need quoting, so the rest is formatted once.
+
+    Quoting is RFC 4180's, decided here: a field holding ``,``, ``"``, CR or LF
+    is written between ``"``, each ``"`` doubled; a row whose only field is
+    empty is written ``""``, not as a blank line; every other row is joined as
+    it is. ``csv.reader`` and the loaders read each field back as written."""
 
     def chunks():
         yield header
         for fields, values in rows:
             filled = ",".join(fields)
-            if not filled or any(map(_QUOTABLE.search, fields)):  # a lone "" is quoted
-                quoted.seek(0)
-                quoted.truncate()
-                quote(fields)
-                filled = quoted.getvalue()[:-1]
+            if not filled:
+                filled = '""'
+            elif any(map(_QUOTED.search, fields)):
+                filled = ",".join(map(_quote, fields))
             yield template.replace("\0", filled.replace("%", "%%")) % values
 
     write_text(path, chunks())
 
 
 def write_cases_csv(cube: CaseCube, path: str | Path) -> None:
-    """Write a CaseCube in the canonical cases schema (round-trip safe): the
-    bytes of a ``csv.writer`` row per cell, each (day, group) row formatted
-    once per run."""
+    """Write a CaseCube in the canonical cases schema, one row per cell, each
+    (day, group) row formatted once per run. Round-trip safe for text without
+    leading or trailing whitespace, which loading strips: ``load_cases`` reads
+    back the ids, names, counties, date axis and counts written."""
     template = "".join(f"{day.isoformat()},\0,{g.value},%s\n"
                        for day in cube.axis.dates() for g in GROUPS)
     write_filled_csv(path, ",".join(CASES_COLUMNS) + "\n", template,

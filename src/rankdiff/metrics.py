@@ -343,8 +343,9 @@ def group_stats(
 def write_rd_csv(path: str | Path, cube: CaseCube, rd: np.ndarray) -> None:
     """Long-form export: municipality_id,group,day,rd with day 1-based.
 
-    Bytes are those of a ``csv.writer`` row per (municipality, group, day) in
-    sorted id order, each (group, day) row formatted once per run.
+    One row per (municipality, group, day) in sorted id order, each (group,
+    day) row formatted once per run, ids quoted as ``ingest.write_filled_csv``
+    quotes, so ``csv.reader`` reads back each id as written.
     """
     ids = cube.roster.ids
     template = "".join(f"\0,{g.value},{day},%s\n"

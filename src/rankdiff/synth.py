@@ -21,7 +21,7 @@ from .errors import (SynthError, array, integer, load_json, number, read_fields,
 from .ingest import write_cases_csv, write_populations_csv
 from .model import INT64_MAX, K, CaseCube, DateAxis, Municipality, PopulationTable
 
-__all__ = ["SynthSpec", "generate", "grid_boundaries", "write_fixture"]
+__all__ = ["SynthSpec", "generate", "write_fixture"]
 
 POISSON_MAX = INT64_MAX - math.sqrt(INT64_MAX) * 10  # NumPy's bound on a Poisson mean
 
@@ -105,33 +105,12 @@ def generate(spec: SynthSpec) -> tuple[CaseCube, PopulationTable]:
     return cube, table
 
 
-def grid_boundaries(spec: SynthSpec) -> dict:
-    """Unit-square polygons on a grid, one feature per municipality.
-
-    Lets a synthetic fixture drive the full pipeline, choropleth included.
-    """
-    side = math.ceil(math.sqrt(spec.m))
-    features = []
-    for i, mid in enumerate(spec.municipality_ids()):
-        col, row = i % side, i // side
-        x0, y0 = float(col), float(row)
-        ring = [[x0, y0], [x0 + 1.0, y0], [x0 + 1.0, y0 + 1.0], [x0, y0 + 1.0], [x0, y0]]
-        features.append(
-            {
-                "type": "Feature",
-                "id": mid,
-                "properties": {"municipality_id": mid},
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-            }
-        )
-    return {"type": "FeatureCollection", "features": features}
-
-
-# boundaries.geojson is pinned to the bytes of json.dump(grid_boundaries(spec),
-# indent=2, sort_keys=True) plus a newline. That encoder runs in pure Python
-# whenever ``indent`` is set, so each grid cell is filled into this template
-# instead, keys in sorted order: the id through the same ASCII escaper (twice),
-# and the ring's x and y texts, each float.__repr__ as json writes it.
+# boundaries.geojson holds a grid of unit squares, one Polygon feature per
+# municipality, in the bytes of json.dump(doc, indent=2, sort_keys=True) plus a
+# newline. That encoder runs in pure Python whenever ``indent`` is set, so each
+# grid cell is filled into this template instead, keys in sorted order: the id
+# through the same ASCII escaper (twice), and the ring's x and y texts, each
+# float.__repr__ as json writes it.
 _POSITION = "            [\n              %s,\n              %s\n            ]"
 _FEATURE = """,
     {
@@ -152,7 +131,9 @@ _FEATURE = """,
 
 
 def _grid_text(spec: SynthSpec):
-    """The text of ``grid_boundaries(spec)``, a feature at a time, from the grid."""
+    """The boundaries text of ``spec``, a feature at a time: municipality ``i``
+    is the unit square at column ``i % side`` and row ``i // side`` of a grid
+    ``side`` squares wide, its ring counter-clockwise from its lower left."""
     side = math.ceil(math.sqrt(spec.m))
     coords = [float.__repr__(float(i)) for i in range(side + 1)]
     yield '{\n  "features": ['

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import json
 import math
@@ -15,6 +16,7 @@ from rankdiff.ingest import _array, _feature_id
 from rankdiff.metrics import SPECIALS, GroupStats, GroupStatsTable
 from rankdiff.model import (Boundaries, CaseCube, DateAxis, Municipality, PopulationTable,
                             QualityReport, Roster)
+from rankdiff.synth import SynthSpec
 
 START = dt.date(2020, 10, 1)
 
@@ -204,6 +206,47 @@ def reference_boundaries(path: Path, roster: Roster,
         report.unmatched_geometry_ids.extend(sorted(shapes.keys() - roster.index.keys()))
         report.missing_geometry_ids.extend(m for m in roster.sorted_ids if m not in shapes)
     return shapes
+
+
+def grid_boundaries(spec: SynthSpec) -> dict:
+    """Unit-square polygons on a grid, one feature per municipality: the
+    document whose ``json.dump(indent=2, sort_keys=True)`` text
+    ``synth.write_fixture`` writes as ``boundaries.geojson``."""
+    side = math.ceil(math.sqrt(spec.m))
+    features = []
+    for i, mid in enumerate(spec.municipality_ids()):
+        col, row = i % side, i // side
+        x0, y0 = float(col), float(row)
+        ring = [[x0, y0], [x0 + 1.0, y0], [x0 + 1.0, y0 + 1.0], [x0, y0 + 1.0], [x0, y0]]
+        features.append(
+            {
+                "type": "Feature",
+                "id": mid,
+                "properties": {"municipality_id": mid},
+                "geometry": {"type": "Polygon", "coordinates": [ring]},
+            }
+        )
+    return {"type": "FeatureCollection", "features": features}
+
+
+class _EndRowsInLF:
+    r"""A file for ``csv.writer(lineterminator="\r\n")``, which writes each row
+    in one call, that ends each row in ``\n`` in place of its ``\r\n``."""
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+
+    def write(self, row: str) -> int:
+        assert row.endswith("\r\n")
+        return self.handle.write(row[:-2] + "\n")
+
+
+def reference_csv_writer(handle):
+    r"""A ``csv.writer`` over the text file ``handle`` (opened with ``newline=""``)
+    whose rows end in ``\n``. Its line terminator is ``\r\n``, so the standard
+    library decides all quoting, CR included, as RFC 4180 does: the reference
+    rankdiff's CSV writers are compared with."""
+    return csv.writer(_EndRowsInLF(handle), lineterminator="\r\n")
 
 
 @pytest.fixture

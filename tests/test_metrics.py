@@ -1,4 +1,3 @@
-import csv
 import datetime as dt
 import json
 import math
@@ -36,7 +35,8 @@ from rankdiff.model import (GROUPS, INT64_MAX, MINORITY_GROUPS, CaseCube, DateAx
 from rankdiff.oracle import oracle_stats
 from rankdiff.synth import SynthSpec, generate
 
-from conftest import make_cube, make_pops, random_cube, random_pops_for, stats_table
+from conftest import (make_cube, make_pops, random_cube, random_pops_for, reference_csv_writer,
+                      stats_table)
 
 
 def ranks_by_sort(values, ids):
@@ -696,11 +696,12 @@ class TestStatsJson:
 
 
 def write_rd_csv_by_rows(path, cube, rd):
-    """The reference for ``write_rd_csv``: one ``csv.writer`` row per cell."""
+    r"""The reference for ``write_rd_csv``: one ``csv.writer`` row per cell, each
+    quoted as with a ``\r\n`` line end and ended in ``\n``."""
     order = sorted(range(cube.n_municipalities), key=lambda i: cube.municipalities[i].id)
     days = range(1, cube.n_days + 1)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = reference_csv_writer(handle)
         writer.writerow(["municipality_id", "group", "day", "rd"])
         for i in order:
             mid = cube.municipalities[i].id

@@ -103,12 +103,27 @@ def _file_writes(tree: ast.AST) -> list[int]:
     return lines
 
 
+def _csv_writers(tree: ast.AST) -> list[int]:
+    """The lines of ``tree`` that name ``csv.writer`` or ``csv.DictWriter``, or
+    import either from ``csv``."""
+    writers = {"writer", "DictWriter"}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in writers
+            and isinstance(node.value, ast.Name) and node.value.id == "csv"
+            or isinstance(node, ast.ImportFrom) and node.module == "csv"
+            and writers & {alias.name for alias in node.names}]
+
+
 def test_one_writer_opens_files_for_writing():
     """Every file the package writes goes through ``errors.write_text``, so no
     other module opens a file for writing or calls ``os.write``, and the
-    gathering of chunks into writes stays in one place."""
+    gathering of chunks into writes stays in one place. No module uses a
+    ``csv`` writer: ``ingest.write_filled_csv`` holds the one quoting rule."""
     package = Path(rankdiff.__file__).resolve().parent
-    writes = {path.relative_to(package).as_posix(): _file_writes(ast.parse(path.read_bytes()))
-              for path in sorted(package.rglob("*.py"))}
+    trees = {path.relative_to(package).as_posix(): ast.parse(path.read_bytes())
+             for path in sorted(package.rglob("*.py"))}
+    writes = {name: _file_writes(tree) for name, tree in trees.items()}
     assert len(writes["errors.py"]) == 2  # the os.open and the os.write of write_text
     assert {name: lines for name, lines in writes.items() if lines and name != "errors.py"} == {}
+    csv_writers = {name: _csv_writers(tree) for name, tree in trees.items()}
+    assert {name: lines for name, lines in csv_writers.items() if lines} == {}

@@ -12,16 +12,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rankdiff import cli
+from rankdiff.classify import ClassLabel, write_labels_csv
 from rankdiff.errors import SynthError
 from rankdiff.ingest import (CASES_COLUMNS, POPS_COLUMNS, load_cases, load_populations,
                              write_cases_csv, write_filled_csv, write_populations_csv)
-from rankdiff.model import GROUPS, INT64_MAX, K, CaseCube, DateAxis, Municipality, PopulationTable
+from rankdiff.model import (GROUPS, INT64_MAX, K, CaseCube, DateAxis, Group, Municipality,
+                            PopulationTable)
 from rankdiff.metrics import (RegimeConfig, persistence_index, rank_cases, rank_diff,
                               rank_population, skewness, write_rd_csv)
 from rankdiff.oracle import oracle_stats
-from rankdiff.synth import SynthSpec, generate, grid_boundaries, write_fixture
+from rankdiff.synth import SynthSpec, generate, write_fixture
 
-from conftest import make_cube, make_pops
+from conftest import grid_boundaries, make_cube, make_pops, reference_csv_writer
 
 
 def simple_spec(**overrides):
@@ -240,9 +242,10 @@ def fixture_digests(spec: SynthSpec, out: Path) -> dict[str, str]:
 
 
 def reference_csv(path: Path, header: list[str], rows) -> None:
-    """``header`` and ``rows`` through one csv.writer, the bytes the writers keep."""
+    r"""``header`` and ``rows`` through one csv.writer, each row quoted as with a
+    ``\r\n`` line end and ended in ``\n``: the bytes the writers keep."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = reference_csv_writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -262,11 +265,20 @@ def reference_cases_csv(cube: CaseCube, path: Path) -> None:
 # csv.writer quotes, or one the writers' % templates must escape
 field_text = st.text(st.one_of(st.sampled_from(',"\r\n% éŁ東'),
                                st.characters(blacklist_categories=("Cs",))), max_size=8)
+# text ingest accepts and keeps: XML 1.0 characters with no whitespace at either
+# end, as loading strips it; often a character the writers quote or escape
+NON_XML = "".join(map(chr, [*range(0x09), 0x0b, 0x0c, *range(0x0e, 0x20), 0xfffe, 0xffff]))
+stripped_text = st.text(st.one_of(st.sampled_from(',"\r\n% éŁ東'),
+                                  st.characters(blacklist_categories=("Cs",),
+                                                blacklist_characters=NON_XML)),
+                        max_size=8).map(str.strip)
+# ids load_cases accepts: also non-empty, with no / or \, as an id names a file
+stripped_ids = stripped_text.filter(lambda mid: mid and not {"/", "\\"} & set(mid))
 
 
 @st.composite
-def case_cubes(draw) -> CaseCube:
-    ids = draw(st.lists(field_text.filter(bool), min_size=1, max_size=4, unique=True))
+def case_cubes(draw, text=field_text, id_text=field_text.filter(bool)) -> CaseCube:
+    ids = draw(st.lists(id_text, min_size=1, max_size=4, unique=True))
     n_days = draw(st.integers(1, 3))
     start = draw(st.dates(max_value=dt.date.max - dt.timedelta(days=n_days - 1)))
     rows = []
@@ -276,11 +288,28 @@ def case_cubes(draw) -> CaseCube:
         if sum(values) > INT64_MAX:  # each municipality's total stays within int64
             values = [value // len(values) for value in values]
         rows.append(values)
-    municipalities = tuple(Municipality(id=mid, name=draw(field_text), county=draw(field_text))
+    municipalities = tuple(Municipality(id=mid, name=draw(text), county=draw(text))
                            for mid in ids)
     counts = np.array(rows, dtype=np.int64).reshape(len(ids), n_days, K)
     return CaseCube(axis=DateAxis(start=start, n_days=n_days), municipalities=municipalities,
                     counts=counts)
+
+
+def labels_of(cube: CaseCube) -> tuple[dict[str, ClassLabel], Group]:
+    """A label per municipality, every label in turn, and a group, for ``write_labels_csv``."""
+    labels = list(ClassLabel)
+    return ({mid: labels[i % len(labels)] for i, mid in enumerate(cube.ids())},
+            GROUPS[cube.n_municipalities % K])
+
+
+# A bare CR and a CR LF inside a field of every kind: unquoted, a CR splits the row.
+CR_CUBE = CaseCube(
+    axis=DateAxis(start=dt.date(2020, 10, 1), n_days=2),
+    municipalities=(Municipality(id="b\rz", name="x\ry", county="a\r\nb"),
+                    Municipality(id="m1", name="plain", county="c"),
+                    Municipality(id="c\r\nd", name='say "hi"\r!', county="50%\rx")),
+    counts=np.arange(3 * 2 * K, dtype=np.int64).reshape(3, 2, K),
+)
 
 
 class TestFixtureBytes:
@@ -313,9 +342,11 @@ class TestFixtureBytes:
                         Municipality(id="cr\r", name=" ", county="a\nb")),
         counts=np.array([[[INT64_MAX, 0, 0, 0]], [[0, 1, 2, 3]], [[4, 0, 0, 1]]], dtype=np.int64),
     ))
+    @example(cube=CR_CUBE)
     def test_cases_csv_matches_csv_writer(self, tmp_path, cube):
-        """``write_cases_csv``, ``write_populations_csv`` and ``write_rd_csv`` write
-        the bytes of a ``csv.writer`` loop, whatever their text fields hold."""
+        """``write_cases_csv``, ``write_populations_csv``, ``write_rd_csv`` and
+        ``write_labels_csv`` write the bytes of a ``csv.writer`` loop, whatever
+        their text fields hold."""
         write_cases_csv(cube, tmp_path / "written.csv")
         reference_cases_csv(cube, tmp_path / "reference.csv")
         assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -335,6 +366,13 @@ class TestFixtureBytes:
                        for day in range(1, cube.n_days + 1)))
         assert (tmp_path / "rd.csv").read_bytes() == (tmp_path / "rd_reference.csv").read_bytes()
 
+        labels, group = labels_of(cube)
+        write_labels_csv(tmp_path / "labels.csv", cube.roster, labels, group)
+        reference_csv(tmp_path / "labels_reference.csv", ["municipality_id", "group", "label"],
+                      ((mid, group.value, labels[mid].value) for mid in sorted(cube.ids())))
+        assert ((tmp_path / "labels.csv").read_bytes()
+                == (tmp_path / "labels_reference.csv").read_bytes())
+
     def test_lone_empty_field_is_quoted(self, tmp_path):
         """A row whose one field is an empty id reads ``""``, as ``csv.writer``
         writes it, not as an empty line."""
@@ -350,6 +388,59 @@ class TestFixtureBytes:
                            else ())
         text = write_fixture(spec, tmp_path)["boundaries"].read_text(encoding="utf-8")
         assert text == json.dumps(grid_boundaries(spec), indent=2, sort_keys=True) + "\n"
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+class TestRoundTrip:
+    """Each CSV file rankdiff writes reads back as what was written, for text
+    that ingest accepts and keeps: no whitespace at either end."""
+
+    SETTINGS = settings(max_examples=100, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @SETTINGS
+    @given(cube=case_cubes(stripped_text, stripped_ids))
+    @example(cube=CR_CUBE)
+    def test_cases_csv(self, tmp_path, cube):
+        write_cases_csv(cube, tmp_path / "cases.csv")
+        back = load_cases(tmp_path / "cases.csv")
+        assert back.municipalities == cube.municipalities
+        assert back.axis == cube.axis
+        assert np.array_equal(back.counts, cube.counts)
+
+    @SETTINGS
+    @given(cube=case_cubes(stripped_text, stripped_ids))
+    @example(cube=CR_CUBE)
+    def test_populations_csv(self, tmp_path, cube):
+        pops = PopulationTable(roster=cube.roster, pops=cube.counts.sum(axis=1))
+        write_populations_csv(pops, tmp_path / "populations.csv")
+        back = load_populations(tmp_path / "populations.csv", cube.roster)
+        assert np.array_equal(back.pops, pops.pops)
+
+    @SETTINGS
+    @given(cube=case_cubes(stripped_text, stripped_ids))
+    @example(cube=CR_CUBE)
+    def test_rd_csv(self, tmp_path, cube):
+        pops = PopulationTable(roster=cube.roster, pops=cube.counts.sum(axis=1))
+        rd = rank_diff(rank_population(pops, cube.roster), rank_cases(cube))
+        write_rd_csv(tmp_path / "rd.csv", cube, rd)
+        assert read_csv(tmp_path / "rd.csv") == [["municipality_id", "group", "day", "rd"]] + [
+            [cube.ids()[i], g.value, str(day), str(rd[i, day - 1, k])]
+            for i in cube.roster.order.tolist() for k, g in enumerate(GROUPS)
+            for day in range(1, cube.n_days + 1)]
+
+    @SETTINGS
+    @given(cube=case_cubes(stripped_text, stripped_ids))
+    @example(cube=CR_CUBE)
+    def test_labels_csv(self, tmp_path, cube):
+        labels, group = labels_of(cube)
+        write_labels_csv(tmp_path / "labels.csv", cube.roster, labels, group)
+        assert read_csv(tmp_path / "labels.csv") == [["municipality_id", "group", "label"]] + [
+            [mid, group.value, labels[mid].value] for mid in sorted(cube.ids())]
 
 
 class TestOracle:
