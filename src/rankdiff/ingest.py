@@ -77,7 +77,6 @@ _COUNTED_SOURCES = sorted(sum(_GROUP_SOURCES, []))
 
 BLOCK_BYTES = 1 << 18      # cases bytes read at a time, extended to the next line end
 FIELD_MAX = 64             # bytes in the widest field the block reader keys
-NAME_MAX = 255             # bytes in a file name, such as <id>.svg, on common file systems
 _COMMA, _NEWLINE = ord(","), ord("\n")
 # The first k bytes of a little-endian uint64 word, for k = 0..8.
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
@@ -156,47 +155,23 @@ def _parse_group(raw: str, path: Path, line: int) -> int:
 
 
 class _Roster:
-    """Municipalities in order of first appearance, keyed by stripped id.
-
-    An id names the file ``dashboards/<id>.svg``, and an id, name and county
-    are written into SVG text, so each must be something both can carry.
-    """
+    """Municipalities in order of first appearance, keyed by stripped id."""
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.municipalities: list[Municipality] = []
         self.position: dict[str, int] = {}
-        # Outside XML 1.0's Char: C0 controls but tab, LF and CR; U+FFFE, U+FFFF.
-        self.non_xml = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]").search
 
     def add(self, raw_id: str, raw_name: str, raw_county: str, line: int) -> int:
         """Index of the municipality a record names; its name and county must not change."""
-        mid = raw_id.strip()
-        if not mid:
-            raise IngestError(f"{self.path}:{line}: municipality_id must be non-empty")
-        if "/" in mid or "\\" in mid:  # the id names a file under dashboards/
-            raise IngestError(
-                f"{self.path}:{line}: municipality_id {mid!r} must not contain '/' or '\\'"
-            )
-        name, county = raw_name.strip(), raw_county.strip()
+        mid, name, county = raw_id.strip(), raw_name.strip(), raw_county.strip()
         i = self.position.get(mid)
         if i is None:
-            size = len(mid.encode("utf-8")) + len(".svg")
-            if size > NAME_MAX:
-                raise IngestError(
-                    f"{self.path}:{line}: municipality_id {mid!r} makes a dashboard file name "
-                    f"of {size} bytes, beyond {NAME_MAX}"
-                )
-            for column, text in (("municipality_id", mid), ("municipality_name", name),
-                                 ("county", county)):
-                if self.non_xml(text):
-                    raise IngestError(
-                        f"{self.path}:{line}: {column} {text!r} holds a character "
-                        "that XML does not allow"
-                    )
-            i = self.position[mid] = len(self.municipalities)
-            self.municipalities.append(Municipality(id=mid, name=name, county=county))
-            return i
+            try:
+                self.municipalities.append(Municipality(id=mid, name=name, county=county))
+            except IngestError as exc:
+                raise IngestError(f"{self.path}:{line}: {exc}") from None
+            i = self.position[mid] = len(self.municipalities) - 1
         known = self.municipalities[i]
         if (known.name, known.county) != (name, county):
             raise IngestError(

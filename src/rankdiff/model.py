@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -36,17 +37,36 @@ GROUP_INDEX: dict[Group, int] = {g: i for i, g in enumerate(GROUPS)}
 MINORITY_GROUPS: tuple[Group, ...] = (Group.BAA, Group.HL, Group.OTH)
 
 INT64_MAX = int(np.iinfo(np.int64).max)  # counts, populations and their totals are int64
+NAME_MAX = 255  # bytes in a file name, such as <id>.svg, on common file systems
+# Outside XML 1.0's Char: C0 controls but tab, LF and CR; surrogates; U+FFFE and U+FFFF.
+_NON_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]").search
 
 
 @dataclass(frozen=True)
 class Municipality:
+    """An id, name and county every output can carry: ``<id>.svg`` names a file
+    of at most ``NAME_MAX`` bytes under ``dashboards/``, and no text holds a
+    character XML 1.0 does not allow. Other text raises ``IngestError`` naming its column."""
+
     id: str
     name: str
     county: str
 
     def __post_init__(self) -> None:
         if not self.id:
-            raise IngestError("municipality id must be non-empty")
+            raise IngestError("municipality_id must be non-empty")
+        if "/" in self.id or "\\" in self.id:
+            raise IngestError(f"municipality_id {self.id!r} must not contain '/' or '\\'")
+        # A lone surrogate counts its 3 bytes here, so it is refused below as not XML.
+        if (size := len(self.id.encode("utf-8", "surrogatepass")) + len(".svg")) > NAME_MAX:
+            raise IngestError(f"municipality_id {self.id!r} makes a dashboard file name "
+                              f"of {size} bytes, beyond {NAME_MAX}")
+        if _NON_XML(self.id + self.name + self.county):  # one search; the column only on error
+            for column, text in (("municipality_id", self.id), ("municipality_name", self.name),
+                                 ("county", self.county)):
+                if _NON_XML(text):
+                    raise IngestError(f"{column} {text!r} holds a character "
+                                      "that XML does not allow")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (SynthError, array, integer, load_json, number, read_fields, text,
-                     write_text, writing)
+from .errors import (IngestError, SynthError, array, integer, load_json, number, read_fields,
+                     text, write_text, writing)
 from .ingest import write_cases_csv, write_populations_csv
-from .model import INT64_MAX, K, CaseCube, DateAxis, Municipality, PopulationTable
+from .model import INT64_MAX, K, CaseCube, DateAxis, Municipality, PopulationTable, Roster
 
 __all__ = ["SynthSpec", "generate", "write_fixture"]
 
@@ -57,6 +57,10 @@ class SynthSpec:
                              "the largest mean NumPy draws a Poisson count from")
         if self.ids and len(self.ids) != self.m:
             raise SynthError(f"ids must list exactly {self.m} municipalities")
+        try:  # listed ids, each one a run accepts, and none twice
+            Roster(self._municipalities if self.ids else ())
+        except IngestError as exc:
+            raise SynthError(str(exc)) from None
 
     @classmethod
     def from_dict(cls, doc: object, where: str = "invalid synth spec") -> "SynthSpec":
@@ -82,9 +86,14 @@ class SynthSpec:
     def municipality_ids(self) -> tuple[str, ...]:
         return self._municipality_ids
 
-    @cached_property  # built once per spec: generate and the grid writers each read it
+    @cached_property  # built once per spec: the municipalities and the grid writer read it
     def _municipality_ids(self) -> tuple[str, ...]:
         return self.ids or tuple(f"m{i + 1:03d}" for i in range(self.m))
+
+    @cached_property  # checked once per spec, however often generate draws from it
+    def _municipalities(self) -> tuple[Municipality, ...]:
+        return tuple(Municipality(id=mid, name=f"Synthville {i + 1}", county="Synth County")
+                     for i, mid in enumerate(self.municipality_ids()))
 
 
 def generate(spec: SynthSpec) -> tuple[CaseCube, PopulationTable]:
@@ -95,12 +104,8 @@ def generate(spec: SynthSpec) -> tuple[CaseCube, PopulationTable]:
     means = lam * pops * spec.base_rate
     counts = rng.poisson(means[:, None, :], size=(spec.m, spec.n_days, K)).astype(np.int64)
 
-    municipalities = tuple(
-        Municipality(id=mid, name=f"Synthville {i + 1}", county="Synth County")
-        for i, mid in enumerate(spec.municipality_ids())
-    )
     axis = DateAxis(start=spec.start_date, n_days=spec.n_days)
-    cube = CaseCube(axis=axis, municipalities=municipalities, counts=counts)
+    cube = CaseCube(axis=axis, municipalities=spec._municipalities, counts=counts)
     table = PopulationTable(roster=cube.roster, pops=pops)
     return cube, table
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rankdiff.errors import IngestError, load_json
 from rankdiff.ingest import _array, _feature_id
@@ -19,6 +20,27 @@ from rankdiff.model import (Boundaries, CaseCube, DateAxis, Municipality, Popula
 from rankdiff.synth import SynthSpec
 
 START = dt.date(2020, 10, 1)
+
+# The characters outside XML 1.0's Char but for surrogates: C0 controls other
+# than tab, LF and CR, and U+FFFE and U+FFFF. The tests' own copy of the rule
+# ``Municipality`` keeps, so that each is a check on the other.
+NON_XML = "".join(map(chr, [*range(0x09), 0x0b, 0x0c, *range(0x0e, 0x20), 0xfffe, 0xffff]))
+
+
+def writable_text(often: str = "", banned: str = "", **sizes) -> st.SearchStrategy[str]:
+    """Text a ``Municipality`` accepts as a name or county: no surrogate and no
+    character of ``NON_XML`` or of ``banned``. The characters of ``often`` are
+    drawn often; ``sizes`` are ``st.text``'s ``min_size`` and ``max_size``."""
+    chars = st.characters(blacklist_categories=("Cs",), blacklist_characters=NON_XML + banned)
+    return st.text(st.one_of(st.sampled_from(often), chars) if often else chars, **sizes)
+
+
+def writable_ids(often: str = "", max_size: int = 8) -> st.SearchStrategy[str]:
+    """Ids a ``Municipality`` accepts: writable text, non-empty, with no ``/`` or
+    ``\\``. At most 62 characters of at most 4 UTF-8 bytes each keep
+    ``<id>.svg`` within 255 bytes."""
+    assert max_size <= 62
+    return writable_text(often, "/\\", min_size=1, max_size=max_size)
 
 
 def make_municipalities(ids: list[str]) -> tuple[Municipality, ...]:

@@ -36,7 +36,7 @@ from rankdiff.oracle import oracle_stats
 from rankdiff.synth import SynthSpec, generate
 
 from conftest import (make_cube, make_pops, random_cube, random_pops_for, reference_csv_writer,
-                      stats_table)
+                      stats_table, writable_ids, writable_text)
 
 
 def ranks_by_sort(values, ids):
@@ -618,18 +618,24 @@ json_texts = st.one_of(
     st.sampled_from(('"', "\\", "\x00\x1f\t\n\x7f", "Łódź", "東京", "\u2028", "")),
     st.text(max_size=6),
 )
+# names and counties: only text a Municipality accepts, which holds no C0 control
+# but tab, LF and CR
+json_names = st.one_of(
+    st.sampled_from(('"', "\\", "\t\n\r\x7f\x85", "Łódź", "東京", "\u2028", "")),
+    writable_text(max_size=6),
+)
 group_stats_lists = st.lists(
     st.builds(GroupStats, json_floats, optional_floats, optional_floats, st.sampled_from(Special)),
     min_size=4, max_size=4,
 )
 records = st.lists(
-    st.tuples(st.one_of(st.sampled_from(("m10", "m2", "m1")), st.text(min_size=1, max_size=4)),
-              json_texts, json_texts, group_stats_lists),
+    st.tuples(st.one_of(st.sampled_from(("m10", "m2", "m1")), writable_ids(max_size=4)),
+              json_names, json_names, group_stats_lists),
     min_size=1, max_size=5, unique_by=lambda record: record[0],
 )
 regimes = st.sampled_from((RegimeConfig(), RegimeConfig(-0.0, None), RegimeConfig(-2.5, 7.0),
                            RegimeConfig(-1e308, 1e308), RegimeConfig(0, 3)))
-SPECIAL_RECORD = ("m2", 'a "q" \\ \x01 é', "Ünty\n", [
+SPECIAL_RECORD = ("m2", 'a "q" \\ \t\x7f é', "Ünty\n", [
     GroupStats(-0.0, None, None, Special.UNDEFINED_ZERO_ZERO),
     GroupStats(5e-324, 1e308, -1e308, Special.POP_ZERO_CASES_NONZERO),
     GroupStats(100.0, 0.0, None, Special.CASES_EXCEED_POP),
@@ -716,7 +722,7 @@ CSV_IDS = ("m10", "m2", "m1", "a,b", 'say "hi"', "two\nlines", "cr\r", " pad ", 
 @st.composite
 def rd_tables(draw):
     """Municipality ids in roster order and an (M, N, 4) rd within +-(M - 1)."""
-    ids = draw(st.lists(st.one_of(st.sampled_from(CSV_IDS), st.text(min_size=1, max_size=5)),
+    ids = draw(st.lists(st.one_of(st.sampled_from(CSV_IDS), writable_ids(max_size=5)),
                         max_size=5, unique=True))
     m, n = len(ids), draw(st.integers(1, 6))
     values = draw(st.lists(st.integers(-max(m - 1, 0), max(m - 1, 0)),

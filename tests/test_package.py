@@ -11,6 +11,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,16 +115,48 @@ def _csv_writers(tree: ast.AST) -> list[int]:
             and writers & {alias.name for alias in node.names}]
 
 
+def _package_trees() -> dict[str, ast.AST]:
+    """The syntax tree of each module of the package, by its path in the package."""
+    package = Path(rankdiff.__file__).resolve().parent
+    return {path.relative_to(package).as_posix(): ast.parse(path.read_bytes())
+            for path in sorted(package.rglob("*.py"))}
+
+
 def test_one_writer_opens_files_for_writing():
     """Every file the package writes goes through ``errors.write_text``, so no
     other module opens a file for writing or calls ``os.write``, and the
     gathering of chunks into writes stays in one place. No module uses a
     ``csv`` writer: ``ingest.write_filled_csv`` holds the one quoting rule."""
-    package = Path(rankdiff.__file__).resolve().parent
-    trees = {path.relative_to(package).as_posix(): ast.parse(path.read_bytes())
-             for path in sorted(package.rglob("*.py"))}
+    trees = _package_trees()
     writes = {name: _file_writes(tree) for name, tree in trees.items()}
     assert len(writes["errors.py"]) == 2  # the os.open and the os.write of write_text
     assert {name: lines for name, lines in writes.items() if lines and name != "errors.py"} == {}
     csv_writers = {name: _csv_writers(tree) for name, tree in trees.items()}
     assert {name: lines for name, lines in csv_writers.items() if lines} == {}
+
+
+def _text_rules(tree: ast.AST) -> list[int]:
+    """The lines of ``tree`` that bind ``NAME_MAX``, or that call ``re.compile``
+    on a pattern holding XML's control-character class: one that finds U+0001
+    but not ``a``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "NAME_MAX" and isinstance(node.ctx, ast.Store):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "compile" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "re" and node.args
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)):
+            pattern = re.compile(node.args[0].value)
+            if pattern.search("\x01") and not pattern.search("a"):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_one_text_rule_in_the_model():
+    """What a municipality's id, name and county may hold is decided once, by
+    ``model.Municipality``: no other module keeps a file-name bound or an XML
+    character class of its own."""
+    rules = {name: _text_rules(tree) for name, tree in _package_trees().items()}
+    assert len(rules["model.py"]) == 2  # NAME_MAX and the XML character class
+    assert {name: lines for name, lines in rules.items() if lines and name != "model.py"} == {}

@@ -2,15 +2,19 @@ import datetime as dt
 import hashlib
 import math
 import re
+import tempfile
 from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankdiff.classify import ClassLabel
-from rankdiff.errors import RenderError
+from rankdiff.errors import IngestError, RenderError
 from rankdiff.ingest import load_boundaries
 from rankdiff.metrics import (
     RegimeConfig,
@@ -20,7 +24,9 @@ from rankdiff.metrics import (
     rank_diff,
     rank_population,
 )
-from rankdiff.model import MINORITY_GROUPS, Group
+from rankdiff.model import (MINORITY_GROUPS, CaseCube, DateAxis, Group, Municipality,
+                            PopulationTable, Roster)
+from rankdiff.pipeline import analyze
 from rankdiff.render import (
     build_choropleth,
     build_dashboard,
@@ -31,8 +37,8 @@ from rankdiff.render import (
 from rankdiff.render import dashboard
 from rankdiff.render.svg import CLASS_COLORS, circle, escape, fnum, fpoints, pie_angles, text
 
-from conftest import (START, boundaries_of, geojson_text, make_cube, make_pops, make_roster,
-                      reference_boundaries, square_feature)
+from conftest import (NON_XML, START, boundaries_of, geojson_text, make_cube, make_pops,
+                      make_roster, reference_boundaries, square_feature)
 
 GOLDEN = Path(__file__).parent / "goldens" / "dashboard_golden.svg"
 
@@ -211,12 +217,11 @@ class TestDashboardModel:
 
     def test_nul_in_a_name_is_refused(self):
         """A block escapes its names as one NUL-joined text, which a NUL in a
-        name would misalign; SVG text cannot carry a NUL either."""
-        stats, cube, pops, rd = golden_inputs()
-        towns = (replace(cube.municipalities[0], name="Al\0pha"), *cube.municipalities[1:])
-        cube = replace(cube, municipalities=towns)
-        with pytest.raises(RenderError, match="holds a NUL"):
-            build_dashboard(stats, cube, pops, cube.ids(), rd)
+        name would misalign; SVG text cannot carry a NUL either. So no
+        municipality holding one is built, and no block can meet one."""
+        _, cube, _, _ = golden_inputs()
+        with pytest.raises(IngestError, match=re.escape("municipality_name 'Al\\x00pha' holds")):
+            replace(cube.municipalities[0], name="Al\0pha")
 
     def test_unknown_municipality(self):
         inputs = golden_inputs()
@@ -442,3 +447,64 @@ class TestIndexPage:
                             "map_baa.svg")
         for mid, href in links.items():
             assert f'<td><a href="dashboards/{href}.svg">{escape(mid)}</a></td>' in html
+
+
+def unwritable_column(mid: str, name: str, county: str) -> str | None:
+    """The first column, in the order ``Municipality`` checks them, whose text
+    no output can carry, by the tests' own reading of the rule, or ``None``."""
+    def outside_xml(text: str) -> bool:
+        return any(c in NON_XML or "\ud800" <= c <= "\udfff" for c in text)
+
+    if (not mid or "/" in mid or "\\" in mid or outside_xml(mid)
+            or len(mid.encode("utf-8", "surrogatepass") + b".svg") > 255):
+        return "municipality_id"
+    return "municipality_name" if outside_xml(name) else "county" if outside_xml(county) else None
+
+
+# The whole BMP, surrogates included, with what the rule refuses drawn often.
+REFUSED = "\x00\x01\x08\x0b\x0c\x1f\ufffe\uffff\ud800\udfff/\\"
+bmp_text = st.text(st.one_of(st.sampled_from(REFUSED + "\t\n\r&<>\"'%"),
+                             st.characters(max_codepoint=0xFFFF, blacklist_categories=())),
+                   max_size=6)
+# Ids of 60-70 non-ASCII characters: of the BMP, or of 4 UTF-8 bytes each, 62 of
+# which make a 252-byte <id>.svg and 63 one of 256 bytes, past the bound.
+long_ids = st.one_of(*(st.text(st.characters(min_codepoint=low, max_codepoint=high),
+                               min_size=60, max_size=70)
+                       for low, high in ((0x80, 0xFFFF), (0x10000, 0x10FFFF))))
+# The one town with geometry on the map, so that the drawn id is named in its
+# footnote; too long for bmp_text and ASCII, unlike long_ids, so never drawn.
+ANCHOR = "anchor town"
+
+
+class TestWritableText:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.one_of(bmp_text, long_ids), bmp_text, bmp_text)
+    @example("b", "To\x01wn", "County")                 # a control XML cannot carry
+    @example("a\ud800", "", "")                         # a lone surrogate, which UTF-8
+    @example("b", "", "\udfff")                         # cannot encode either
+    @example("\U0001f600" * 62, "", "")                 # <id>.svg of 252 bytes
+    @example("\U0001f600" * 63, "", "")                 # and of 256
+    @example("é" * 125 + "x", 'A & B <"C">', "\t\r\n")  # of exactly 255 bytes
+    def test_built_exactly_when_every_output_carries_it(self, mid, name, county):
+        """A municipality is refused, naming the column, exactly when the tests'
+        rule finds its text unwritable. One that is built draws a dashboard and a
+        map that parse as XML, and its dashboard file can be created."""
+        column = unwritable_column(mid, name, county)
+        try:
+            town = Municipality(mid, name, county)
+        except IngestError as exc:
+            assert column is not None and str(exc).startswith(f"{column} "), str(exc)
+            return
+        assert column is None
+        cube = CaseCube(DateAxis(START, 2), (town,), np.arange(8, dtype=np.int64).reshape(1, 2, 4))
+        pops = PopulationTable(cube.roster, np.full((1, 4), 10, dtype=np.int64))
+        analysis = analyze(cube, pops)
+        svg = render_dashboard(build_dashboard(analysis.stats, cube, pops, [mid], analysis.rd), 0)
+        ElementTree.fromstring(svg.encode("utf-8"))
+        roster = Roster((town, Municipality(ANCHOR, "", "")))
+        labels = {mid: analysis.labels[mid], ANCHOR: ClassLabel.G0}
+        ElementTree.fromstring(render_choropleth(build_choropleth(
+            boundaries_of({ANCHOR: [SQUARE]}), roster, labels, Group.BAA)).encode("utf-8"))
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / f"{mid}.svg").write_bytes(svg.encode("utf-8"))
+            assert [path.name for path in Path(tmp).iterdir()] == [f"{mid}.svg"]

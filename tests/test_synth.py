@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 from rankdiff import cli
 from rankdiff.classify import ClassLabel, write_labels_csv
 from rankdiff.errors import SynthError
-from rankdiff.ingest import (CASES_COLUMNS, POPS_COLUMNS, load_cases, load_populations,
-                             write_cases_csv, write_filled_csv, write_populations_csv)
+from rankdiff.ingest import (CASES_COLUMNS, POPS_COLUMNS, load_boundaries, load_cases,
+                             load_populations, write_cases_csv, write_filled_csv,
+                             write_populations_csv)
 from rankdiff.model import (GROUPS, INT64_MAX, K, CaseCube, DateAxis, Group, Municipality,
-                            PopulationTable)
+                            PopulationTable, QualityReport)
 from rankdiff.metrics import (RegimeConfig, persistence_index, rank_cases, rank_diff,
                               rank_population, skewness, write_rd_csv)
 from rankdiff.oracle import oracle_stats
 from rankdiff.synth import SynthSpec, generate, write_fixture
 
-from conftest import grid_boundaries, make_cube, make_pops, reference_csv_writer
+from conftest import (grid_boundaries, make_cube, make_pops, reference_csv_writer, shapes_of,
+                      writable_ids, writable_text)
 
 
 def simple_spec(**overrides):
@@ -137,6 +139,16 @@ class TestSpecParsing:
                "ids must be a non-empty string with no NUL, got null"),
               ("lone-surrogate-id", {"ids": ["\ud800", "b"]},
                "ids 'utf-8' codec can't encode character '\\ud800' in position 0"),
+              ("slash-in-id", {"ids": ["a/b", "b"]},
+               "municipality_id 'a/b' must not contain '/' or '\\'"),
+              ("backslash-in-id", {"ids": ["b", "a\\b"]},
+               "municipality_id 'a\\\\b' must not contain '/' or '\\'"),
+              ("control-in-id", {"ids": ["a\u0001", "b"]},
+               "municipality_id 'a\\x01' holds a character that XML does not allow"),
+              ("id-past-file-name-limit", {"ids": ["x" * 252, "b"]},
+               f"municipality_id {'x' * 252!r} makes a dashboard file name of 256 bytes, "
+               "beyond 255"),
+              ("repeated-id", {"ids": ["a", "a"]}, "duplicate municipality id 'a'"),
               ("boolean-lam", {"lam": True}, "lam must be a number, got true"),
               ("unknown-key", {"sead": 4}, "unknown key 'sead', expected one of m, n_days, "),
               ("negative-seed", {"seed": -1}, "m and n_days must be positive and seed >= 0, "
@@ -153,7 +165,8 @@ class TestSpecParsing:
                      "lam entries and base_rate must be finite", id="nan-base-rate"),
     ])
     def test_unreadable_spec_exit_2(self, tmp_path, capsys, data, message):
-        """Exit 2 with a message that names the spec and the key, and no fixture."""
+        """Exit 2 with a message that names the spec and the key, and no fixture:
+        spec ids that a run would refuse are refused here."""
         path = tmp_path / "spec.json"
         path.write_bytes(data)
         assert cli.main(["synth", str(path), "--out", str(tmp_path / "fx")]) == 2
@@ -208,8 +221,7 @@ class TestFixtureFiles:
         assert len(geo["features"]) == spec.m
 
     def test_grid_boundaries_closed_rings(self):
-        geo = grid_boundaries(simple_spec(m=5, populations=((1, 1, 1, 1),) * 5,
-                                          lam=((1.0,) * 4,) * 5))
+        geo = grid_boundaries(grid_spec(m=5))
         assert len(geo["features"]) == 5
         for feature in geo["features"]:
             ring = feature["geometry"]["coordinates"][0]
@@ -261,23 +273,17 @@ def reference_cases_csv(cube: CaseCube, path: Path) -> None:
                    for g, v in zip(groups, values)))
 
 
-# text csv.writer and UTF-8 can carry: no lone surrogates; often a character
-# csv.writer quotes, or one the writers' % templates must escape
-field_text = st.text(st.one_of(st.sampled_from(',"\r\n% éŁ東'),
-                               st.characters(blacklist_categories=("Cs",))), max_size=8)
-# text ingest accepts and keeps: XML 1.0 characters with no whitespace at either
-# end, as loading strips it; often a character the writers quote or escape
-NON_XML = "".join(map(chr, [*range(0x09), 0x0b, 0x0c, *range(0x0e, 0x20), 0xfffe, 0xffff]))
-stripped_text = st.text(st.one_of(st.sampled_from(',"\r\n% éŁ東'),
-                                  st.characters(blacklist_categories=("Cs",),
-                                                blacklist_characters=NON_XML)),
-                        max_size=8).map(str.strip)
-# ids load_cases accepts: also non-empty, with no / or \, as an id names a file
-stripped_ids = stripped_text.filter(lambda mid: mid and not {"/", "\\"} & set(mid))
+# characters the CSV writers quote, or that their % templates must escape
+QUOTED = ',"\r\n% éŁ東'
+# text ingest accepts and keeps: writable, with no whitespace at either end, as
+# loading strips it
+stripped_text = writable_text(QUOTED, max_size=8).map(str.strip)
+stripped_ids = writable_ids(QUOTED).map(str.strip).filter(bool)
 
 
 @st.composite
-def case_cubes(draw, text=field_text, id_text=field_text.filter(bool)) -> CaseCube:
+def case_cubes(draw, text=writable_text(QUOTED, max_size=8),
+               id_text=writable_ids(QUOTED)) -> CaseCube:
     ids = draw(st.lists(id_text, min_size=1, max_size=4, unique=True))
     n_days = draw(st.integers(1, 3))
     start = draw(st.dates(max_value=dt.date.max - dt.timedelta(days=n_days - 1)))
@@ -293,6 +299,20 @@ def case_cubes(draw, text=field_text, id_text=field_text.filter(bool)) -> CaseCu
     counts = np.array(rows, dtype=np.int64).reshape(len(ids), n_days, K)
     return CaseCube(axis=DateAxis(start=start, n_days=n_days), municipalities=municipalities,
                     counts=counts)
+
+
+def grid_spec(ids: tuple[str, ...] = (), m: int = 0) -> SynthSpec:
+    """A spec of ``ids``, or of ``m`` municipalities with the default ids."""
+    m = len(ids) or m
+    return simple_spec(m=m, populations=((1, 1, 1, 1),) * m, lam=((1.0,) * K,) * m, ids=ids)
+
+
+@st.composite
+def grid_specs(draw) -> SynthSpec:
+    """Specs of 1-30 municipalities, with the default ids or with drawn ones."""
+    m = draw(st.integers(1, 30))
+    return grid_spec(draw(st.one_of(st.just(()), st.lists(writable_ids('"%éŁ東'), min_size=m,
+                                                          max_size=m, unique=True).map(tuple))), m)
 
 
 def labels_of(cube: CaseCube) -> tuple[dict[str, ClassLabel], Group]:
@@ -383,9 +403,8 @@ class TestFixtureBytes:
     @pytest.mark.parametrize("m", [1, 2, 5, 12, 17])
     @pytest.mark.parametrize("ids", [False, True], ids=["default-ids", "awkward-ids"])
     def test_boundaries_match_json_dump(self, tmp_path, m, ids):
-        spec = simple_spec(m=m, populations=((1, 1, 1, 1),) * m, lam=((1.0,) * K,) * m,
-                           ids=tuple(AWKWARD_IDS[i % len(AWKWARD_IDS)] + str(i) for i in range(m)) if ids
-                           else ())
+        spec = grid_spec(tuple(AWKWARD_IDS[i % len(AWKWARD_IDS)] + str(i) for i in range(m))
+                         if ids else (), m)
         text = write_fixture(spec, tmp_path)["boundaries"].read_text(encoding="utf-8")
         assert text == json.dumps(grid_boundaries(spec), indent=2, sort_keys=True) + "\n"
 
@@ -432,6 +451,23 @@ class TestRoundTrip:
             [cube.ids()[i], g.value, str(day), str(rd[i, day - 1, k])]
             for i in cube.roster.order.tolist() for k, g in enumerate(GROUPS)
             for day in range(1, cube.n_days + 1)]
+
+    @SETTINGS
+    @given(spec=grid_specs())
+    @example(spec=grid_spec(AWKWARD_IDS))
+    def test_boundaries_geojson(self, tmp_path, spec):
+        """``load_boundaries`` reads the fixture's grid back against ``generate``'s
+        roster: each id one closed unit square at its grid cell, no warning."""
+        path = write_fixture(spec, tmp_path)["boundaries"]
+        report = QualityReport()
+        boundaries = load_boundaries(path, generate(spec)[0].roster, report)
+        side = math.ceil(math.sqrt(spec.m))
+        assert shapes_of(boundaries) == {
+            mid: [[(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1), (x, y)]]
+            for i, mid in enumerate(spec.municipality_ids())
+            for x, y in [(float(i % side), float(i // side))]}
+        assert boundaries.extent == (0.0, 0.0, side, math.ceil(spec.m / side))
+        assert not report.has_warnings
 
     @SETTINGS
     @given(cube=case_cubes(stripped_text, stripped_ids))
